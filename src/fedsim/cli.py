@@ -3,11 +3,13 @@
 Subcommands: train-fed, train-central, cost, sweep, partition-stats. Each
 takes --config <path>, repeatable --set key=value overrides, and --out <dir>.
 Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O error.
+A run that fails after its manifest is started leaves run.status = failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -66,6 +68,7 @@ def _load_effective(args) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    manifest = None
     try:
         cfg = _load_effective(args)
         out_dir = args.out
@@ -91,17 +94,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {path}")
         return EXIT_OK
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, label, error = EXIT_CONFIG, "config error", err
     except ClientDivergedError as err:
-        print(f"diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
+        code, label, error = EXIT_DIVERGED, "diverged", err
     except (IdxFormatError, OSError) as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
+        code, label, error = EXIT_IO, "i/o error", err
     except (PartitionError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, label, error = EXIT_CONFIG, "config error", err
+    message = f"{label}: {error}"
+    print(message, file=sys.stderr)
+    if manifest is not None:
+        with contextlib.suppress(OSError):
+            finish_manifest(manifest, cfg, args.command, [], error=message)
+    return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ run manifests stay diff-friendly and re-runnable as configs.
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import MISSING, fields
+from typing import Any, get_type_hints
 
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
@@ -113,3 +114,32 @@ def get_typed(cfg: dict[str, Value], key: str, kind: type, default: Any = ...) -
     if not isinstance(value, kind):
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__} ({value!r})", key=key)
     return value
+
+
+_SCALAR_TYPES = (bool, int, float, str)
+
+
+def config_fields(cls: type) -> dict[str, type]:
+    """The fields of dataclass cls that are config keys, mapped to their types.
+
+    A field is a config key when its annotated type is a scalar and it is
+    not marked metadata={"config": False} (running state, say).
+    """
+    hints = get_type_hints(cls)
+    return {
+        f.name: hints[f.name]
+        for f in fields(cls)
+        if hints[f.name] in _SCALAR_TYPES and f.metadata.get("config", True)
+    }
+
+
+def from_config(cls: type, cfg: dict[str, Value], prefix: str) -> Any:
+    """Build dataclass cls from the keys prefix + field, typed by its annotations.
+
+    An absent key takes the field's default; a field without one is required.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    return cls(**{
+        name: get_typed(cfg, prefix + name, kind, defaults.get(name, ...))
+        for name, kind in config_fields(cls).items()
+    })

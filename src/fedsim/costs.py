@@ -17,7 +17,7 @@ volume (see tests for the derivations). Every value can be overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 GB = 1e9  # decimal gigabyte, the unit cloud transfer/storage is billed in
@@ -30,6 +30,10 @@ STORAGE = "storage"
 FIXED = "fixed"
 
 SWEEP_DIMENSIONS = ("model_size", "rounds", "rounds_per_day")
+
+# Defaults shared by FlScenario and CentralScenario.
+POPULATION = 12_000_000
+MONTH_HOURS = 730.0
 
 
 @dataclass(frozen=True)
@@ -57,35 +61,15 @@ class PriceSheet:
                 raise ValueError(f"negative price {name} = {value}")
 
     def as_flat_dict(self) -> dict[str, float]:
-        flat = {
-            "data_out_per_gb": self.data_out_per_gb,
-            "data_in_per_gb": self.data_in_per_gb,
-            "sync_per_gb": self.sync_per_gb,
-            "storage_per_gb_month": self.storage_per_gb_month,
-            "object_read_per_1k": self.object_read_per_1k,
-            "object_write_per_1k": self.object_write_per_1k,
-            "lb_hourly": self.lb_hourly,
-            "nat_hourly": self.nat_hourly,
-            "dns_monthly_fixed": self.dns_monthly_fixed,
-        }
+        flat = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "instance_hourly"}
         for role, price in self.instance_hourly.items():
             flat[f"instance.{role}"] = price
         return flat
 
     @staticmethod
     def zeros() -> "PriceSheet":
-        return PriceSheet(
-            data_out_per_gb=0.0,
-            data_in_per_gb=0.0,
-            sync_per_gb=0.0,
-            storage_per_gb_month=0.0,
-            object_read_per_1k=0.0,
-            object_write_per_1k=0.0,
-            instance_hourly={role: 0.0 for role in INSTANCE_ROLES},
-            lb_hourly=0.0,
-            nat_hourly=0.0,
-            dns_monthly_fixed=0.0,
-        )
+        zero = dict.fromkeys((f.name for f in fields(PriceSheet)), 0.0)
+        return PriceSheet(**{**zero, "instance_hourly": dict.fromkeys(INSTANCE_ROLES, 0.0)})
 
 
 # Calibrated defaults. Instance prices are xlarge-class on-demand rates
@@ -128,12 +112,12 @@ class FlScenario:
     model_size_bytes: float
     rounds: int
     rounds_per_day: float
-    population: int = 12_000_000
+    population: int = POPULATION
     registered: int = 500_000
     cohort: int = 500
     plan_size_bytes: float = 50_000.0
     msg_size_bytes: float = 1_000.0
-    month_hours: float = 730.0
+    month_hours: float = MONTH_HOURS
 
     def __post_init__(self):
         if not (self.cohort <= self.registered <= self.population):
@@ -158,7 +142,7 @@ class CentralScenario:
     how many object writes each device's sync produces.
     """
 
-    population: int = 12_000_000
+    population: int = POPULATION
     sync_bytes_per_device_month: float = 250_000.0
     label_bytes_back: float = 100.0
     sync_events_per_device_month: float = 12.0
@@ -168,7 +152,7 @@ class CentralScenario:
     training_days: float = 1.0
     tagging_count: int = 3
     tagging_days: float = 4.0
-    month_hours: float = 730.0
+    month_hours: float = MONTH_HOURS
 
     def __post_init__(self):
         if self.sync_bytes_per_device_month < 0 or self.label_bytes_back < 0:
@@ -325,8 +309,3 @@ def model_size_sweep_base(model_size_bytes: float = 500_000.0) -> FlScenario:
 
 def rounds_sweep_base() -> FlScenario:
     return FlScenario(model_size_bytes=500_000.0, rounds=3000, rounds_per_day=200)
-
-
-MODEL_SIZE_SWEEP_VALUES = (15_000.0, 500_000.0, 1_000_000.0, 15_000_000.0)
-ROUNDS_SWEEP_VALUES = (200, 500, 1000, 2000, 3000, 5000)
-ROUNDS_PER_DAY_SWEEP_VALUES = (25, 50, 100, 200, 400)

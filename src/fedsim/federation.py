@@ -85,6 +85,8 @@ class FedConfig:
             raise ValueError("rounds must be >= 0")
         if self.update_mode not in (SEND_WEIGHTS, SEND_DELTA):
             raise ValueError(f"unknown update_mode {self.update_mode!r}")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1, or None for the default")
 
     @property
     def cohort_size(self) -> int:

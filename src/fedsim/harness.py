@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import csv
 import os
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, Value, as_list, format_config, get_typed
+from .config import ConfigError, Value, as_list, config_fields, format_config, from_config, get_typed
 from .costs import (
     DEFAULT_PRICE_SHEET,
     CentralScenario,
@@ -58,17 +59,6 @@ CENTRAL_BASELINE = "central_baseline"
 COST_MODEL_SIZE_SWEEP = "cost_model_size_sweep"
 COST_ROUNDS_SWEEP = "cost_rounds_sweep"
 COST_ROUNDS_PER_DAY_SWEEP = "cost_rounds_per_day_sweep"
-
-EXPERIMENTS = (
-    CUSTOM,
-    SAMPLES_SWEEP,
-    SINGLE_LABEL_SWEEP,
-    ROUND_CURVES,
-    CENTRAL_BASELINE,
-    COST_MODEL_SIZE_SWEEP,
-    COST_ROUNDS_SWEEP,
-    COST_ROUNDS_PER_DAY_SWEEP,
-)
 
 MNIST_FILES = {
     "data.train_images": "train-images-idx3-ubyte.gz",
@@ -145,7 +135,10 @@ PRESETS: dict[str, dict[str, Value]] = {
         "cost.model_size_bytes": 500_000,
     },
 }
+EXPERIMENTS = tuple(PRESETS)
 
+# The server.* and cost.* keys are the config fields of their dataclasses;
+# only keys that are no dataclass field are listed here.
 KNOWN_KEYS = {
     "experiment",
     "seed",
@@ -172,38 +165,16 @@ KNOWN_KEYS = {
     "fed.update_mode",
     "fed.eval_every",
     "fed.alg1_literal_normalization",
-    "server.kind",
-    "server.lr",
-    "server.beta1",
-    "server.beta2",
-    "server.eps",
-    "server.rho",
     "central.lr",
     "central.batch_size",
     "central.epochs",
     "cost.scenario",
-    "cost.model_size_bytes",
-    "cost.rounds",
-    "cost.rounds_per_day",
-    "cost.population",
-    "cost.registered",
-    "cost.cohort",
-    "cost.plan_size_bytes",
-    "cost.msg_size_bytes",
-    "cost.month_hours",
-    "cost.sync_bytes_per_device_month",
-    "cost.label_bytes_back",
-    "cost.sync_events_per_device_month",
-    "cost.ingestion_count",
-    "cost.ingestion_days",
-    "cost.training_count",
-    "cost.training_days",
-    "cost.tagging_count",
-    "cost.tagging_days",
     "cost.sweep.dimension",
     "cost.sweep.values",
     "preset.samples_per_client",
     "price.zero",
+} | {f"server.{name}" for name in config_fields(ServerOptimizerState)} | {
+    f"cost.{name}" for cls in (FlScenario, CentralScenario) for name in config_fields(cls)
 }
 KNOWN_PREFIXES = ("run.", "price.", "preset.arch.")
 
@@ -265,12 +236,24 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
     raise ConfigError(f"unknown data source {source!r}", key="data.source")
 
 
+def _typed_list(cfg: dict[str, Value], key: str, kind: type) -> list:
+    """A required key's value as a list, every element checked as kind."""
+    return [get_typed({key: v}, key, kind) for v in as_list(get_typed(cfg, key, object))]
+
+
+def _batch_size(cfg: dict[str, Value], key: str, default: int) -> int | None:
+    """An integer batch size, or None for "full" (the whole shard per step)."""
+    value = cfg.get(key)
+    if isinstance(value, str):
+        if value.lower() != "full":
+            raise ConfigError(f"expected an integer or 'full', got {value!r}", key=key)
+        return None
+    return get_typed(cfg, key, int, default)
+
+
 def build_model(cfg: dict[str, Value], layers: list[int] | None = None) -> MlpSpec:
     if layers is None:
-        value = cfg.get("model.layers")
-        if value is None:
-            raise ConfigError("required key missing", key="model.layers")
-        layers = [int(v) for v in (value if isinstance(value, list) else [value])]
+        layers = _typed_list(cfg, "model.layers", int)
     activation = get_typed(cfg, "model.activation", str, "relu")
     return MlpSpec(tuple(layers), activation)
 
@@ -287,99 +270,43 @@ def build_plan(cfg: dict[str, Value], samples_per_client: int | None = None) -> 
     )
 
 
-def build_server_opt(cfg: dict[str, Value]) -> ServerOptimizerState:
-    return ServerOptimizerState(
-        kind=get_typed(cfg, "server.kind", str, "sgd"),
-        lr=get_typed(cfg, "server.lr", float, 1.0),
-        beta1=get_typed(cfg, "server.beta1", float, 0.9),
-        beta2=get_typed(cfg, "server.beta2", float, 0.999),
-        eps=get_typed(cfg, "server.eps", float, 1e-8),
-        rho=get_typed(cfg, "server.rho", float, 0.9),
-    )
-
-
 def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfig:
-    batch = cfg.get("fed.batch_size", 10)
-    if isinstance(batch, str):
-        if batch.lower() != "full":
-            raise ConfigError(f"expected an integer or 'full', got {batch!r}", key="fed.batch_size")
-        batch = None
-    eval_every = cfg.get("fed.eval_every")
     return FedConfig(
         num_clients=get_typed(cfg, "fed.num_clients", int),
         client_fraction=get_typed(cfg, "fed.client_fraction", float),
         local_epochs=get_typed(cfg, "fed.local_epochs", int, 1),
-        batch_size=batch,
+        batch_size=_batch_size(cfg, "fed.batch_size", 10),
         client_lr=get_typed(cfg, "fed.client_lr", float),
         rounds=get_typed(cfg, "fed.rounds", int),
         seed=seed if seed is not None else get_typed(cfg, "seed", int),
-        server_opt=build_server_opt(cfg),
+        server_opt=from_config(ServerOptimizerState, cfg, "server."),
         update_mode=get_typed(cfg, "fed.update_mode", str, "send_weights"),
-        eval_every=int(eval_every) if eval_every is not None else None,
+        eval_every=get_typed(cfg, "fed.eval_every", int, None),
         alg1_literal_normalization=get_typed(cfg, "fed.alg1_literal_normalization", bool, False),
     )
 
 
 def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
+    """The base sheet (default, or all zeros under price.zero) with price.* overrides."""
     base = PriceSheet.zeros() if get_typed(cfg, "price.zero", bool, False) else DEFAULT_PRICE_SHEET
-    flat = base.as_flat_dict()
+    scalars = config_fields(PriceSheet)
+    changes: dict[str, float] = {}
     instance = dict(base.instance_hourly)
-    for key, value in cfg.items():
+    for key in cfg:
         if not key.startswith("price.") or key == "price.zero":
             continue
         name = key[len("price."):]
-        price = float(get_typed(cfg, key, float))
+        price = get_typed(cfg, key, float)
         if name.startswith("instance."):
             role = name[len("instance."):]
             if role not in instance:
                 raise ConfigError(f"unknown instance role {role!r}", key=key)
             instance[role] = price
-        elif name in flat:
-            flat[name] = price
+        elif name in scalars:
+            changes[name] = price
         else:
             raise ConfigError("unknown price field", key=key)
-    return PriceSheet(
-        data_out_per_gb=flat["data_out_per_gb"],
-        data_in_per_gb=flat["data_in_per_gb"],
-        sync_per_gb=flat["sync_per_gb"],
-        storage_per_gb_month=flat["storage_per_gb_month"],
-        object_read_per_1k=flat["object_read_per_1k"],
-        object_write_per_1k=flat["object_write_per_1k"],
-        instance_hourly=instance,
-        lb_hourly=flat["lb_hourly"],
-        nat_hourly=flat["nat_hourly"],
-        dns_monthly_fixed=flat["dns_monthly_fixed"],
-    )
-
-
-def build_fl_scenario(cfg: dict[str, Value]) -> FlScenario:
-    return FlScenario(
-        model_size_bytes=get_typed(cfg, "cost.model_size_bytes", float),
-        rounds=get_typed(cfg, "cost.rounds", int),
-        rounds_per_day=get_typed(cfg, "cost.rounds_per_day", float),
-        population=get_typed(cfg, "cost.population", int, 12_000_000),
-        registered=get_typed(cfg, "cost.registered", int, 500_000),
-        cohort=get_typed(cfg, "cost.cohort", int, 500),
-        plan_size_bytes=get_typed(cfg, "cost.plan_size_bytes", float, 50_000.0),
-        msg_size_bytes=get_typed(cfg, "cost.msg_size_bytes", float, 1_000.0),
-        month_hours=get_typed(cfg, "cost.month_hours", float, 730.0),
-    )
-
-
-def build_central_scenario(cfg: dict[str, Value]) -> CentralScenario:
-    return CentralScenario(
-        population=get_typed(cfg, "cost.population", int, 12_000_000),
-        sync_bytes_per_device_month=get_typed(cfg, "cost.sync_bytes_per_device_month", float, 250_000.0),
-        label_bytes_back=get_typed(cfg, "cost.label_bytes_back", float, 100.0),
-        sync_events_per_device_month=get_typed(cfg, "cost.sync_events_per_device_month", float, 12.0),
-        ingestion_count=get_typed(cfg, "cost.ingestion_count", int, 3),
-        ingestion_days=get_typed(cfg, "cost.ingestion_days", float, 1.0),
-        training_count=get_typed(cfg, "cost.training_count", int, 2),
-        training_days=get_typed(cfg, "cost.training_days", float, 1.0),
-        tagging_count=get_typed(cfg, "cost.tagging_count", int, 3),
-        tagging_days=get_typed(cfg, "cost.tagging_days", float, 4.0),
-        month_hours=get_typed(cfg, "cost.month_hours", float, 730.0),
-    )
+    return replace(base, instance_hourly=instance, **changes)
 
 
 # ---------------------------------------------------------------- emission
@@ -392,47 +319,40 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_rounds_csv(path: Path, history: list[RoundMetrics]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["round", "train_acc", "test_acc", "mean_client_loss", "elapsed_s"])
-        for m in history:
-            writer.writerow([
-                m.round_index,
-                _fmt(m.train_accuracy),
-                _fmt(m.test_accuracy),
-                _fmt(m.mean_client_loss),
-                _fmt(m.elapsed_s),
-            ])
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+
+
+def write_rounds_csv(path: Path, history: list[RoundMetrics]) -> None:
+    _write_csv(
+        path,
+        ["round", "train_acc", "test_acc", "mean_client_loss", "elapsed_s"],
+        ([m.round_index, m.train_accuracy, m.test_accuracy, m.mean_client_loss, m.elapsed_s] for m in history),
+    )
 
 
 def write_summary_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["arch", "samples_per_client", "final_train_acc", "final_test_acc"])
-        for row in rows:
-            writer.writerow([
-                row["arch"],
-                row["samples_per_client"],
-                _fmt(row["final_train_acc"]),
-                _fmt(row["final_test_acc"]),
-            ])
+    header = ["arch", "samples_per_client", "final_train_acc", "final_test_acc"]
+    _write_csv(path, header, ([row[col] for col in header] for row in rows))
 
 
 def write_breakdown_csv(path: Path, breakdown: CostBreakdown) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["item", "name", "category", "quantity", "unit_price", "dollars"])
-        for i, item in enumerate(breakdown.items):
-            writer.writerow([i, item.name, item.category, _fmt(item.quantity), _fmt(item.unit_price), _fmt(item.dollars)])
+    _write_csv(
+        path,
+        ["item", "name", "category", "quantity", "unit_price", "dollars"],
+        ([i, item.name, item.category, item.quantity, item.unit_price, item.dollars] for i, item in enumerate(breakdown.items)),
+    )
 
 
 def write_sweep_csv(path: Path, rows: list[SweepRow]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["value", "training_cost", "deployment_cost"])
-        for row in rows:
-            writer.writerow([_fmt(row.value), _fmt(row.training_cost), _fmt(row.deployment_cost)])
+    _write_csv(
+        path,
+        ["value", "training_cost", "deployment_cost"],
+        ([row.value, row.training_cost, row.deployment_cost] for row in rows),
+    )
 
 
 GNUPLOT_TEMPLATE = """\
@@ -452,14 +372,13 @@ def write_rounds_plot_script(path: Path, csv_name: str) -> None:
 
 
 def write_partition_csv(path: Path, shards, dataset: Dataset) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["client_id", "num_samples", "dominant_label", "census_entropy"])
-        for shard in shards:
-            census = shard.label_census
-            p = census[census > 0] / census.sum()
-            entropy = float(-(p * np.log(p)).sum())
-            writer.writerow([shard.client_id, shard.num_samples, int(census.argmax()), _fmt(entropy)])
+    rows = []
+    for shard in shards:
+        census = shard.label_census
+        p = census[census > 0] / census.sum()
+        entropy = float(-(p * np.log(p)).sum())
+        rows.append([shard.client_id, shard.num_samples, int(census.argmax()), entropy])
+    _write_csv(path, ["client_id", "num_samples", "dominant_label", "census_entropy"], rows)
 
 
 def format_breakdown_table(title: str, breakdown: CostBreakdown) -> str:
@@ -490,32 +409,35 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _write_manifest(path: Path, cfg: dict[str, Value], command: str, meta: dict[str, Value]) -> None:
+    """Write cfg plus this run's run.* metadata; run.* keys a rerun config carries are dropped."""
+    path.write_text(format_config({
+        **{key: value for key, value in cfg.items() if not key.startswith("run.")},
+        "run.package_version": __version__,
+        "run.command": command,
+        "run.seed": cfg.get("seed", 0),
+        "run.note": MANIFEST_NOTE,
+        **meta,
+    }))
+
+
 def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.txt"
-    meta: dict[str, Value] = {
-        "run.package_version": __version__,
-        "run.command": command,
-        "run.seed": cfg.get("seed", 0),
-        "run.started_utc": _utc_now(),
-        "run.status": "running",
-        "run.note": MANIFEST_NOTE,
-    }
-    path.write_text(format_config({**cfg, **meta}))
+    _write_manifest(path, cfg, command, {"run.started_utc": _utc_now(), "run.status": "running"})
     return path
 
 
-def finish_manifest(path: Path, cfg: dict[str, Value], command: str, outputs: list[Path]) -> None:
-    meta: dict[str, Value] = {
-        "run.package_version": __version__,
-        "run.command": command,
-        "run.seed": cfg.get("seed", 0),
-        "run.finished_utc": _utc_now(),
-        "run.status": "complete",
-        "run.outputs": ",".join(p.name for p in outputs),
-        "run.note": MANIFEST_NOTE,
-    }
-    path.write_text(format_config({**cfg, **meta}))
+def finish_manifest(
+    path: Path, cfg: dict[str, Value], command: str, outputs: list[Path], error: str | None = None
+) -> None:
+    """Mark the run complete with its outputs, or failed with the error message."""
+    meta: dict[str, Value] = {"run.finished_utc": _utc_now()}
+    if error is None:
+        meta.update({"run.status": "complete", "run.outputs": ",".join(p.name for p in outputs)})
+    else:
+        meta.update({"run.status": "failed", "run.error": " ".join(error.split())})
+    _write_manifest(path, cfg, command, meta)
 
 
 # ---------------------------------------------------------------- commands
@@ -525,15 +447,8 @@ def _arch_label(layers) -> str:
 
 
 def _preset_archs(cfg: dict[str, Value]) -> list[list[int]]:
-    archs = []
-    for key in sorted(k for k in cfg if k.startswith("preset.arch.")):
-        value = cfg[key]
-        archs.append([int(v) for v in (value if isinstance(value, list) else [value])])
-    if not archs and "model.layers" in cfg:
-        archs.append([int(v) for v in cfg["model.layers"]])  # type: ignore[union-attr]
-    if not archs:
-        raise ConfigError("no architectures configured", key="model.layers")
-    return archs
+    archs = [_typed_list(cfg, key, int) for key in sorted(k for k in cfg if k.startswith("preset.arch."))]
+    return archs or [_typed_list(cfg, "model.layers", int)]
 
 
 def _fed_single_run(cfg, dataset, test_set, model, plan, seed) -> tuple[list[RoundMetrics], float | None, float | None]:
@@ -566,9 +481,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
 
     if experiment in (SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
         archs = _preset_archs(cfg)
-        if "preset.samples_per_client" not in cfg:
-            raise ConfigError("required key missing", key="preset.samples_per_client")
-        samples_values = [int(v) for v in as_list(cfg["preset.samples_per_client"])]
+        samples_values = _typed_list(cfg, "preset.samples_per_client", int)
         base_kind = get_typed(cfg, "partition.kind", str, IID)
         summary = []
         for layers in archs:
@@ -607,17 +520,10 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     lr = get_typed(cfg, "central.lr", float, 0.1)
-    batch = cfg.get("central.batch_size", 32)
-    if isinstance(batch, str):
-        if batch.lower() != "full":
-            raise ConfigError(f"expected an integer or 'full', got {batch!r}", key="central.batch_size")
-        batch = None
+    batch = _batch_size(cfg, "central.batch_size", 32)
     epochs = get_typed(cfg, "central.epochs", int, 5)
 
-    if experiment == CENTRAL_BASELINE:
-        archs = _preset_archs(cfg)
-    else:
-        archs = [[int(v) for v in get_typed(cfg, "model.layers", list)]]
+    archs = _preset_archs(cfg) if experiment == CENTRAL_BASELINE else [_typed_list(cfg, "model.layers", int)]
 
     outputs: list[Path] = []
     summary = []
@@ -658,13 +564,13 @@ def run_cost(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     wanted = ("fl_training", "fl_deployment", "central") if scenario_kind == "all" else (scenario_kind,)
     for kind in wanted:
         if kind == "fl_training":
-            breakdown = fl_training_cost(build_fl_scenario(cfg), sheet)
+            breakdown = fl_training_cost(from_config(FlScenario, cfg, "cost."), sheet)
             title = "federated training cost"
         elif kind == "fl_deployment":
-            breakdown = fl_deployment_cost(build_fl_scenario(cfg), sheet)
+            breakdown = fl_deployment_cost(from_config(FlScenario, cfg, "cost."), sheet)
             title = "federated deployment cost"
         else:
-            breakdown = central_cost(build_central_scenario(cfg), sheet)
+            breakdown = central_cost(from_config(CentralScenario, cfg, "cost."), sheet)
             title = "centralized training cost"
         path = out_dir / f"breakdown_{kind}.csv"
         write_breakdown_csv(path, breakdown)
@@ -676,10 +582,8 @@ def run_cost(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
 def run_sweep(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     sheet = build_price_sheet(cfg)
     dimension = get_typed(cfg, "cost.sweep.dimension", str)
-    if "cost.sweep.values" not in cfg:
-        raise ConfigError("required key missing", key="cost.sweep.values")
-    values = [float(v) for v in as_list(cfg["cost.sweep.values"])]
-    base = build_fl_scenario(cfg)
+    values = _typed_list(cfg, "cost.sweep.values", float)
+    base = from_config(FlScenario, cfg, "cost.")
     rows = sweep(dimension, values, base, sheet)
     path = out_dir / "sweep.csv"
     write_sweep_csv(path, rows)

@@ -9,7 +9,7 @@ mutated, new vectors/states are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,9 +247,10 @@ class ServerOptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     rho: float = 0.9
-    step: int = 0
-    m: Array | None = None
-    v: Array | None = None
+    # running state, advanced by server_apply; the rest are hyperparameters
+    step: int = field(default=0, metadata={"config": False})
+    m: Array | None = field(default=None, metadata={"config": False})
+    v: Array | None = field(default=None, metadata={"config": False})
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam", "rmsprop"):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(*parts: int | str) -> int:
     """Map a context path like (run_seed, round, client_id) to a 64-bit seed.
@@ -23,7 +21,3 @@ def derive_seed(*parts: int | str) -> int:
         h.update(str(part).encode())
         h.update(b"/")
     return int.from_bytes(h.digest(), "big")
-
-
-def rng_for(*parts: int | str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(*parts))

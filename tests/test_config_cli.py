@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,12 @@ from fedsim.config import (
     apply_overrides,
     format_config,
     get_typed,
+    load_config,
     parse_config_text,
 )
+from fedsim.harness import PRESETS, effective_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 SYNTH_FED = [
     "--set", "seed=7",
@@ -140,6 +148,7 @@ class TestCliTrainFed:
                 + ["--set", "model.layers=6,8,3", "--set", "fed.client_lr=1e200", "--set", "fed.local_epochs=4"]
             )
         assert code == 3
+        assert "run.status = failed" in (tmp_path / "manifest.txt").read_text()
 
     def test_preset_sweep_writes_summary(self, tmp_path):
         # shrink the preset to desk size via overrides
@@ -252,3 +261,84 @@ class TestCliSweepAndPartition:
         # single-label shards have zero census entropy
         assert all(float(r[3]) == 0.0 for r in rows[1:])
         assert all(int(r[1]) == 20 for r in rows[1:])
+
+
+SYNTH_CENTRAL = [
+    "--set", "seed=3", "--set", "data.source=synth",
+    "--set", "data.num_classes=3", "--set", "data.features=6",
+    "--set", "data.train_samples=90", "--set", "data.test_samples=30",
+    "--set", "model.layers=6,3", "--set", "central.epochs=1",
+]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "path",
+        sorted((REPO / "configs").glob("*.cfg")) + sorted((REPO / "bench" / "workloads").glob("*.cfg")),
+        ids=lambda p: f"{p.parent.name}/{p.name}",
+    )
+    def test_bundled_config_keys_are_accepted(self, path):
+        effective_config(load_config(path))
+
+    @pytest.mark.parametrize("experiment", list(PRESETS))
+    def test_preset_keys_are_accepted(self, experiment):
+        assert set(PRESETS[experiment]) <= set(effective_config({"experiment": experiment}))
+
+    @pytest.mark.parametrize("key", ["server.step", "server.m", "server.v", "cost.bogus", "price.bogus"])
+    def test_non_field_keys_are_rejected(self, tmp_path, capsys, key):
+        assert main(["cost", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["train-fed"] + SYNTH_FED + ["--set", "fed.batch_size=true"], "fed.batch_size"),
+            (["train-central"] + SYNTH_CENTRAL + ["--set", "central.batch_size=true"], "central.batch_size"),
+            (["train-fed"] + SYNTH_FED + ["--set", "fed.eval_every=0"], "eval_every"),
+            (["train-fed"] + SYNTH_FED + ["--set", "fed.eval_every=2.5"], "fed.eval_every"),
+            (["train-fed"] + SYNTH_FED + ["--set", "fed.eval_every=true"], "fed.eval_every"),
+        ],
+        ids=["fed.batch_size=true", "central.batch_size=true", "fed.eval_every=0", "fed.eval_every=2.5", "fed.eval_every=true"],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, argv, named):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        manifest = tmp_path / "manifest.txt"
+        if manifest.exists():
+            assert "run.status = running" not in manifest.read_text()
+
+    @pytest.mark.parametrize(
+        "override, code",
+        [("model.layers=abc", 2), ("fed.batch_size=0", 2), ("data.source=mnist", 4)],
+    )
+    def test_failed_run_marks_manifest_failed(self, tmp_path, monkeypatch, capsys, override, code):
+        monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path / "nowhere"))
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == code
+        err = capsys.readouterr().err.strip()
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.status = failed" in lines
+        assert f"run.error = {err}" in lines
+
+
+    def test_rerun_of_failed_manifest_drops_its_error(self, tmp_path):
+        failed, fixed = tmp_path / "failed", tmp_path / "fixed"
+        assert main(["train-fed", "--out", str(failed)] + SYNTH_FED + ["--set", "fed.eval_every=0"]) == 2
+        code = main(["train-fed", "--config", str(failed / "manifest.txt"), "--set", "fed.eval_every=2", "--out", str(fixed)])
+        assert code == 0
+        manifest = (fixed / "manifest.txt").read_text()
+        assert "run.status = complete" in manifest
+        assert "run.error" not in manifest
+
+
+class TestDemos:
+    @pytest.mark.parametrize(
+        "demo", ["01_federated_equals_central.py", "02_samples_per_device.py", "04_cost_analysis.py"]
+    )
+    def test_demo_runs(self, demo):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        done = subprocess.run(
+            [sys.executable, str(REPO / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
