@@ -3,7 +3,9 @@
 Subcommands: train-fed, train-central, cost, sweep, partition-stats. Each
 takes --config <path>, repeatable --set key=value overrides, and --out <dir>.
 Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O error.
-A run that fails after its manifest is started leaves run.status = failed.
+A run that fails after its manifest is started leaves run.status = failed;
+a diverged run also keeps the rounds it completed in its rounds CSV and
+records run.failed_round.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     message = f"{label}: {error}"
     print(message, file=sys.stderr)
     if manifest is not None:
+        failed_round = error.round_index if isinstance(error, ClientDivergedError) else None
         with contextlib.suppress(OSError):
-            finish_manifest(manifest, cfg, args.command, [], error=message)
+            finish_manifest(manifest, cfg, args.command, [], error=message, failed_round=failed_round)
     return code
 
 

@@ -2,8 +2,10 @@
 
 One `key = value` per line, `#` comments, blank lines ignored. Values coerce
 to bool/int/float when they look like one, comma-separated values become
-lists, everything else stays a string. The format is deliberately trivial so
-run manifests stay diff-friendly and re-runnable as configs.
+lists, everything else stays a string. The free-text keys in TEXT_KEYS are
+the exception: their value is kept verbatim as one string, commas included.
+The format is deliberately trivial so run manifests stay diff-friendly and
+re-runnable as configs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from typing import Any, get_type_hints
 
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
+
+# manifest messages, which may hold commas that are not list separators
+TEXT_KEYS = frozenset({"run.error", "run.note"})
 
 
 class ConfigError(ValueError):
@@ -41,8 +46,10 @@ def coerce_scalar(text: str) -> Scalar:
     return text
 
 
-def coerce_value(text: str) -> Value:
+def coerce_value(text: str, key: str | None = None) -> Value:
     text = text.strip()
+    if key in TEXT_KEYS:
+        return text
     if "," in text:
         return [coerce_scalar(part) for part in text.split(",") if part.strip() != ""]
     return coerce_scalar(text)
@@ -60,7 +67,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, Value]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
-        cfg[key] = coerce_value(value)
+        cfg[key] = coerce_value(value, key)
     return cfg
 
 
@@ -76,7 +83,8 @@ def apply_overrides(cfg: dict[str, Value], overrides: list[str]) -> dict[str, Va
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        out[key.strip()] = coerce_value(value)
+        key = key.strip()
+        out[key] = coerce_value(value, key)
     return out
 
 

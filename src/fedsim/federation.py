@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClientShard, Dataset, shard_batches
+from .data import ClientShard, Dataset
+from .data import shard_batches  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
     Batch,
     GradVector,
@@ -28,6 +29,7 @@ from .nn import (
     ParamVector,
     ServerOptimizerState,
     ShapeMismatchError,
+    Workspace,
     forward_logits,
     init_params,
     loss,
@@ -43,13 +45,26 @@ EVAL_EVERY_DEFAULT_THRESHOLD = 200  # above this many rounds, evaluate every 5th
 
 
 class ClientDivergedError(RuntimeError):
-    """Local training produced a non-finite loss or non-finite weights."""
+    """Local training produced a non-finite loss or non-finite weights.
 
-    def __init__(self, client_id: int, round_index: int | None = None):
+    .history holds the metrics of the rounds (epochs) completed before the
+    failing one; train_federated and train_centralized fill it in.
+    """
+
+    def __init__(self, client_id: int, round_index: int | None = None, history: Sequence[RoundMetrics] = ()):
         self.client_id = client_id
         self.round_index = round_index
+        self.history = list(history)
         where = f" in round {round_index}" if round_index is not None else ""
         super().__init__(f"client {client_id} diverged{where} (non-finite loss or weights)")
+
+
+class FedConfigError(ValueError):
+    """A FedConfig field is out of range; .field names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
 
 
 @dataclass(frozen=True)
@@ -74,19 +89,19 @@ class FedConfig:
 
     def __post_init__(self):
         if not (0.0 < self.client_fraction <= 1.0):
-            raise ValueError("client_fraction must be in (0, 1]")
+            raise FedConfigError("client_fraction", "must be in (0, 1]")
         if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
+            raise FedConfigError("local_epochs", "must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 or None for full-shard batches")
+            raise FedConfigError("batch_size", "must be >= 1 or None for full-shard batches")
         if self.client_lr < 0:
-            raise ValueError("client_lr must be non-negative")
+            raise FedConfigError("client_lr", "must be non-negative")
         if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+            raise FedConfigError("rounds", "must be >= 0")
         if self.update_mode not in (SEND_WEIGHTS, SEND_DELTA):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
+            raise FedConfigError("update_mode", f"must be {SEND_WEIGHTS} or {SEND_DELTA}, got {self.update_mode!r}")
         if self.eval_every is not None and self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1, or None for the default")
+            raise FedConfigError("eval_every", "must be >= 1, or None for the default")
 
     @property
     def cohort_size(self) -> int:
@@ -119,6 +134,45 @@ def select_clients(num_clients: int, client_fraction: float, round_seed: int) ->
     return np.sort(rng.choice(num_clients, size=m, replace=False))
 
 
+def _batch_rows(batch_size: int | None, num_samples: int) -> int:
+    """Rows of the largest batch an epoch over num_samples takes; None is full-batch."""
+    return num_samples if batch_size is None else min(batch_size, num_samples)
+
+
+def _sgd_epoch(
+    w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace
+) -> list[float]:
+    """One epoch of plain mini-batch SGD on w, in place, over dataset rows in order.
+
+    This is the one local-SGD inner loop, shared by client_update and
+    train_centralized. Each batch is gathered into the workspace, and the
+    step grad *= lr; w -= grad rounds exactly like w -= lr * grad. Returns the
+    batch losses; it stops without stepping at the first non-finite loss,
+    which is then the last one returned.
+    """
+    ws.check_fits(spec, batch_size)
+    if dataset.num_features != spec.input_dim or dataset.num_classes > spec.num_classes:
+        raise ShapeMismatchError(
+            f"a dataset of {dataset.num_features} features and {dataset.num_classes} classes does not fit "
+            f"spec {spec.layer_sizes}"
+        )
+    losses = []
+    for start in range(0, order.size, batch_size):
+        idx = order[start : start + batch_size]
+        m = idx.size
+        x, y = ws.inputs[:m], ws.labels[:m]
+        np.take(dataset.inputs, idx, axis=0, out=x)
+        np.take(dataset.labels, idx, out=y)
+        # called through this module's global, where the benchmark's tracer wraps it
+        batch_loss, grad = loss_and_grad_raw(w, spec, x, y, ws)
+        losses.append(batch_loss)
+        if not np.isfinite(batch_loss):
+            break
+        grad *= lr
+        w -= grad
+    return losses
+
+
 def client_update(
     shard: ClientShard,
     dataset: Dataset,
@@ -127,22 +181,24 @@ def client_update(
     batch_size: int | None,
     client_lr: float,
     client_seed: int,
+    workspace: Workspace | None = None,
 ) -> ParamVector:
     """Run the local training loop of one client and return its new weights.
 
     Per epoch the shard is reshuffled, split into batches, and stepped with
     plain gradient descent at client_lr. The incoming weights are untouched.
+    workspace holds the step buffers; one sized to this shard is made when it
+    is omitted.
     """
     spec = weights.spec
+    effective_b = _batch_rows(batch_size, shard.num_samples)
+    ws = workspace if workspace is not None else Workspace(spec, effective_b)
     w = weights.values.copy()
-    effective_b = shard.num_samples if batch_size is None else batch_size
     for epoch in range(local_epochs):
-        batches = shard_batches(dataset, shard, effective_b, derive_seed(client_seed, "epoch", epoch))
-        for batch in batches:
-            batch_loss, grad = loss_and_grad_raw(w, spec, batch.inputs, batch.labels)
-            if not np.isfinite(batch_loss):
-                raise ClientDivergedError(shard.client_id)
-            w -= client_lr * grad
+        order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
+        losses = _sgd_epoch(w, spec, dataset, order, effective_b, client_lr, ws)
+        if not np.isfinite(losses[-1]):
+            raise ClientDivergedError(shard.client_id)
     if not np.all(np.isfinite(w)):
         raise ClientDivergedError(shard.client_id)
     return ParamVector(w, spec)
@@ -207,6 +263,11 @@ def _client_seed(run_seed: int, round_index: int, client_id: int) -> int:
     return derive_seed(run_seed, "round", round_index, "client", client_id)
 
 
+def _round_workspace(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> Workspace:
+    """A workspace that fits the largest local batch of any shard."""
+    return Workspace(spec, max(_batch_rows(config.batch_size, s.num_samples) for s in shards))
+
+
 def run_round(
     state: GlobalState,
     config: FedConfig,
@@ -215,14 +276,19 @@ def run_round(
     test_set: Dataset | None = None,
     train_eval_set: Dataset | None = None,
     compute_accuracy: bool = True,
+    workspace: Workspace | None = None,
 ) -> tuple[GlobalState, RoundMetrics]:
     """Execute one aggregation round and return the advanced state plus metrics.
 
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
+    Every client trains in workspace, which must fit the largest batch of any
+    shard; one is made when it is omitted.
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
+    if workspace is None:
+        workspace = _round_workspace(state.weights.spec, config, shards)
     started = time.perf_counter()
     t = state.round_index
     selected = select_clients(
@@ -242,6 +308,7 @@ def run_round(
                 config.batch_size,
                 config.client_lr,
                 _client_seed(config.seed, t, int(client_id)),
+                workspace,
             )
         except ClientDivergedError as err:
             raise ClientDivergedError(err.client_id, t) from err
@@ -302,13 +369,19 @@ def train_federated(
     union = np.sort(np.concatenate([s.indices for s in shards]))
     train_eval_set = dataset.subset(union)
 
+    workspace = _round_workspace(weights.spec, config, shards)
     history: list[RoundMetrics] = []
     for t in range(config.rounds):
         eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
-        state, metrics = run_round(
-            state, config, shards, dataset,
-            test_set=test_set, train_eval_set=train_eval_set, compute_accuracy=eval_now,
-        )
+        try:
+            state, metrics = run_round(
+                state, config, shards, dataset,
+                test_set=test_set, train_eval_set=train_eval_set, compute_accuracy=eval_now,
+                workspace=workspace,
+            )
+        except ClientDivergedError as err:
+            err.history = history
+            raise
         history.append(metrics)
     return history, state
 
@@ -329,19 +402,15 @@ def train_centralized(
     weights = init_params(model, derive_seed(seed, "init"))
     w = weights.values.copy()
     n = len(dataset)
-    effective_b = n if batch_size is None else batch_size
+    effective_b = _batch_rows(batch_size, n)
+    ws = Workspace(model, effective_b)
     history: list[RoundMetrics] = []
     for epoch in range(epochs):
         started = time.perf_counter()
         perm = np.random.default_rng(derive_seed(seed, "epoch", epoch)).permutation(n)
-        epoch_losses = []
-        for start in range(0, n, effective_b):
-            idx = perm[start : start + effective_b]
-            batch_loss, grad = loss_and_grad_raw(w, model, dataset.inputs[idx], dataset.labels[idx])
-            if not np.isfinite(batch_loss):
-                raise ClientDivergedError(client_id=-1, round_index=epoch)
-            w -= lr * grad
-            epoch_losses.append(batch_loss)
+        epoch_losses = _sgd_epoch(w, model, dataset, perm, effective_b, lr, ws)
+        if not np.isfinite(epoch_losses[-1]):
+            raise ClientDivergedError(client_id=-1, round_index=epoch, history=history)
         params = ParamVector(w.copy(), model)
         history.append(
             RoundMetrics(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +46,14 @@ from .data import (
     partition,
     synth_dataset,
 )
-from .federation import FedConfig, RoundMetrics, train_centralized, train_federated
+from .federation import (
+    ClientDivergedError,
+    FedConfig,
+    FedConfigError,
+    RoundMetrics,
+    train_centralized,
+    train_federated,
+)
 from .nn import MlpSpec, ServerOptimizerState
 from .rng import derive_seed
 
@@ -271,7 +279,7 @@ def build_plan(cfg: dict[str, Value], samples_per_client: int | None = None) -> 
 
 
 def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfig:
-    return FedConfig(
+    kwargs = dict(
         num_clients=get_typed(cfg, "fed.num_clients", int),
         client_fraction=get_typed(cfg, "fed.client_fraction", float),
         local_epochs=get_typed(cfg, "fed.local_epochs", int, 1),
@@ -284,6 +292,10 @@ def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfi
         eval_every=get_typed(cfg, "fed.eval_every", int, None),
         alg1_literal_normalization=get_typed(cfg, "fed.alg1_literal_normalization", bool, False),
     )
+    try:
+        return FedConfig(**kwargs)
+    except FedConfigError as err:
+        raise ConfigError(str(err), key=f"fed.{err.field}") from err
 
 
 def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
@@ -332,6 +344,16 @@ def write_rounds_csv(path: Path, history: list[RoundMetrics]) -> None:
         ["round", "train_acc", "test_acc", "mean_client_loss", "elapsed_s"],
         ([m.round_index, m.train_accuracy, m.test_accuracy, m.mean_client_loss, m.elapsed_s] for m in history),
     )
+
+
+@contextmanager
+def _rounds_kept_on_divergence(path: Path):
+    """On a ClientDivergedError inside the block, write the rounds it completed to path, then re-raise."""
+    try:
+        yield
+    except ClientDivergedError as err:
+        write_rounds_csv(path, err.history)
+        raise
 
 
 def write_summary_csv(path: Path, rows: list[dict]) -> None:
@@ -429,14 +451,24 @@ def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> Path:
 
 
 def finish_manifest(
-    path: Path, cfg: dict[str, Value], command: str, outputs: list[Path], error: str | None = None
+    path: Path,
+    cfg: dict[str, Value],
+    command: str,
+    outputs: list[Path],
+    error: str | None = None,
+    failed_round: int | None = None,
 ) -> None:
-    """Mark the run complete with its outputs, or failed with the error message."""
+    """Mark the run complete with its outputs, or failed with the error message.
+
+    A run that diverged also records the round (epoch) it failed in.
+    """
     meta: dict[str, Value] = {"run.finished_utc": _utc_now()}
     if error is None:
         meta.update({"run.status": "complete", "run.outputs": ",".join(p.name for p in outputs)})
     else:
         meta.update({"run.status": "failed", "run.error": " ".join(error.split())})
+    if failed_round is not None:
+        meta["run.failed_round"] = failed_round
     _write_manifest(path, cfg, command, meta)
 
 
@@ -472,8 +504,9 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
     if experiment == CUSTOM:
         model = build_model(cfg)
         plan = build_plan(cfg)
-        history, _, _ = _fed_single_run(cfg, dataset, test_set, model, plan, seed)
         path = out_dir / "rounds.csv"
+        with _rounds_kept_on_divergence(path):
+            history, _, _ = _fed_single_run(cfg, dataset, test_set, model, plan, seed)
         write_rounds_csv(path, history)
         plot_path = out_dir / "plot_rounds.gnuplot"
         write_rounds_plot_script(plot_path, path.name)
@@ -497,8 +530,9 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
                     seed=derive_seed(seed, "partition", _arch_label(layers), spc),
                 )
                 run_seed = derive_seed(seed, "run", _arch_label(layers), spc)
-                history, final_train, final_test = _fed_single_run(cfg, dataset, test_set, model, plan, run_seed)
                 path = out_dir / f"rounds_{_arch_label(layers)}_spc{spc}.csv"
+                with _rounds_kept_on_divergence(path):
+                    history, final_train, final_test = _fed_single_run(cfg, dataset, test_set, model, plan, run_seed)
                 write_rounds_csv(path, history)
                 outputs.append(path)
                 summary.append({
@@ -529,9 +563,10 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
     summary = []
     for layers in archs:
         model = build_model(cfg, layers)
-        history, _ = train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", _arch_label(layers)))
         name = "rounds.csv" if len(archs) == 1 else f"central_{_arch_label(layers)}.csv"
         path = out_dir / name
+        with _rounds_kept_on_divergence(path):
+            history, _ = train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", _arch_label(layers)))
         write_rounds_csv(path, history)
         outputs.append(path)
         last = history[-1] if history else None

@@ -3,8 +3,15 @@
 Models are multilayer perceptrons with ReLU (or identity) hidden activations
 and a softmax cross-entropy output. All parameters live in a single flat
 float64 vector so that averaging, differencing and optimizer math are plain
-vector arithmetic. Every operation here is a pure function: inputs are never
-mutated, new vectors/states are returned.
+vector arithmetic.
+
+The public wrappers (loss, loss_grad, sgd_step, server_apply) never mutate
+their inputs and return new vectors and states. The training hot path is
+loss_and_grad_raw: it writes every intermediate, and the gradient it returns,
+into a Workspace of buffers allocated once per (spec, batch rows), so a
+training loop can take each step, and update its weights in place, without
+allocating. It runs the same IEEE operations in the same order as the
+allocating formulation, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -161,10 +168,56 @@ def forward_logits(values: Array, spec: MlpSpec, inputs: Array) -> Array:
     return h
 
 
-def _softmax(logits: Array) -> Array:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+class Workspace:
+    """Reusable buffers for loss_and_grad_raw on batches of up to `rows` rows.
+
+    Per layer: the pre-activations z, and for hidden layers the activations,
+    the back-propagated deltas and (ReLU only) the active-unit masks. Also the
+    flat gradient with its per-layer (W, b) views, and the inputs/labels
+    buffers a training loop gathers each batch into. A batch of m <= rows
+    rows uses the leading m rows of every buffer.
+    """
+
+    def __init__(self, spec: MlpSpec, rows: int):
+        if rows < 1:
+            raise ValueError(f"a workspace needs at least one row, got {rows}")
+        self.spec = spec
+        self.rows = rows
+        outs = spec.layer_sizes[1:]
+        relu = spec.activation == "relu"
+        self.z = [np.empty((rows, d)) for d in outs]
+        self.acts = [np.empty((rows, d)) for d in outs[:-1]] if relu else self.z[:-1]
+        self.masks = [np.empty((rows, d), dtype=bool) for d in outs[:-1]] if relu else []
+        self.deltas = [np.empty((rows, d)) for d in outs[:-1]]
+        self.row_scratch = np.empty((rows, 1))
+        self.row_index = np.arange(rows)
+        self.grad = np.empty(spec.parameter_count())
+        self.grad_layers = unflatten(self.grad, spec)
+        self.inputs = np.empty((rows, spec.input_dim))
+        self.labels = np.empty(rows, dtype=np.int64)
+
+    def check_fits(self, spec: MlpSpec, rows: int) -> None:
+        """Raise ShapeMismatchError unless batches of `rows` rows of spec fit here."""
+        if self.spec != spec or rows > self.rows:
+            raise ShapeMismatchError(
+                f"batches of {rows} rows for spec {spec.layer_sizes} do not fit a workspace of "
+                f"{self.rows} rows for spec {self.spec.layer_sizes}"
+            )
+
+
+def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
+    """Overwrite logits (m, C) with their row-wise softmax; row_scratch is (m, 1).
+
+    np.maximum.reduce and np.add.reduce are what np.max and np.sum run; called
+    directly they skip a Python wrapper that costs microseconds per call,
+    about as much as the arithmetic on a small batch.
+    """
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=row_scratch)
+    logits -= row_scratch
+    np.exp(logits, out=logits)
+    np.add.reduce(logits, axis=1, keepdims=True, out=row_scratch)
+    logits /= row_scratch
+    return logits
 
 
 def _loss_from_probs(probs: Array, labels: Array) -> float:
@@ -173,49 +226,59 @@ def _loss_from_probs(probs: Array, labels: Array) -> float:
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def loss_and_grad_raw(values: Array, spec: MlpSpec, inputs: Array, labels: Array) -> tuple[float, Array]:
-    """Mean cross-entropy and its exact gradient, both on raw arrays."""
-    # forward, keeping pre-activations for the backward pass
+def loss_and_grad_raw(
+    values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
+) -> tuple[float, Array]:
+    """Mean cross-entropy and its exact gradient, both on raw arrays.
+
+    Every intermediate is written into workspace (a temporary one sized to
+    the batch when omitted). The returned gradient is workspace.grad, so the
+    next call on the same workspace overwrites it.
+    """
+    m = inputs.shape[0]
+    ws = workspace if workspace is not None else Workspace(spec, m)
+    ws.check_fits(spec, m)
+    relu = spec.activation == "relu"
     layers = unflatten(values, spec)
-    acts = [inputs]
-    pre = []
+    last = len(layers) - 1
+
+    # forward, keeping pre-activations for the backward pass
     h = inputs
     for i, (w, b) in enumerate(layers):
-        z = h @ w + b
-        pre.append(z)
-        if i < len(layers) - 1 and spec.activation == "relu":
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-        acts.append(h)
+        z = ws.z[i][:m]
+        np.matmul(h, w, out=z)
+        z += b
+        h = ws.acts[i][:m] if i < last else z
+        if i < last and relu:
+            np.maximum(z, 0.0, out=h)
 
-    probs = _softmax(acts[-1])
+    probs = _softmax_inplace(h, ws.row_scratch[:m])
     loss = _loss_from_probs(probs, labels)
 
-    n = inputs.shape[0]
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    delta = probs  # the output delta (probs - onehot) / m overwrites the probabilities
+    delta[ws.row_index[:m], labels] -= 1.0
+    delta /= m
 
-    grad = np.empty_like(values)
-    grad_layers = unflatten(grad, spec)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw, gb = grad_layers[i]
-        gw[:] = acts[i].T @ delta
-        gb[:] = delta.sum(axis=0)
+    for i in range(last, -1, -1):
+        gw, gb = ws.grad_layers[i]
+        np.matmul((inputs if i == 0 else ws.acts[i - 1][:m]).T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = delta @ w.T
-            if spec.activation == "relu":
-                delta = delta * (pre[i - 1] > 0)
-    return loss, grad
+            upstream = ws.deltas[i - 1][:m]
+            np.matmul(delta, layers[i][0].T, out=upstream)
+            if relu:
+                mask = ws.masks[i - 1][:m]
+                np.greater(ws.z[i - 1][:m], 0.0, out=mask)
+                np.multiply(upstream, mask, out=upstream)
+            delta = upstream
+    return loss, ws.grad
 
 
 def loss(params: ParamVector, batch: Batch) -> float:
     """Mean softmax cross-entropy of the batch under the given parameters."""
     _check_batch(params.spec, batch)
     logits = forward_logits(params.values, params.spec, batch.inputs)
-    return _loss_from_probs(_softmax(logits), batch.labels)
+    return _loss_from_probs(_softmax_inplace(logits, np.empty((batch.size, 1))), batch.labels)
 
 
 def loss_grad(params: ParamVector, batch: Batch) -> tuple[float, GradVector]:

@@ -150,6 +150,26 @@ class TestCliTrainFed:
         assert code == 3
         assert "run.status = failed" in (tmp_path / "manifest.txt").read_text()
 
+    def test_diverged_run_keeps_completed_rounds(self, tmp_path, monkeypatch):
+        import fedsim.federation as federation
+
+        original = federation.client_update
+        calls = []
+
+        def diverges_in_round_2(shard, *args, **kwargs):
+            calls.append(shard.client_id)
+            if len(calls) > 2 * 3:  # 6 clients at fraction 0.5: 3 updates a round
+                raise federation.ClientDivergedError(shard.client_id)
+            return original(shard, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 3
+        rows = read_csv(tmp_path / "rounds.csv")
+        assert [row[0] for row in rows[1:]] == ["0", "1"]
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.status = failed" in lines
+        assert "run.failed_round = 2" in lines
+
     def test_preset_sweep_writes_summary(self, tmp_path):
         # shrink the preset to desk size via overrides
         code = main([
@@ -184,6 +204,25 @@ class TestCliTrainCentral:
         assert code == 0
         rows = read_csv(tmp_path / "rounds.csv")
         assert len(rows) == 1 + 2
+
+    def test_diverged_run_keeps_completed_epochs(self, tmp_path, monkeypatch):
+        import fedsim.federation as federation
+
+        original = federation.loss_and_grad_raw
+        calls = []
+
+        def nan_loss_in_epoch_1(*args):
+            calls.append(1)
+            value, grad = original(*args)
+            return (float("nan") if len(calls) > 6 else value), grad  # 90 rows in batches of 16: 6 steps an epoch
+
+        monkeypatch.setattr(federation, "loss_and_grad_raw", nan_loss_in_epoch_1)
+        code = main(["train-central", "--out", str(tmp_path)] + SYNTH_CENTRAL + [
+            "--set", "central.epochs=3", "--set", "central.batch_size=16",
+        ])
+        assert code == 3
+        assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0"]
+        assert "run.failed_round = 1" in (tmp_path / "manifest.txt").read_text().splitlines()
 
 
 class TestCliCost:
@@ -297,8 +336,11 @@ class TestConfigKeys:
             (["train-fed"] + SYNTH_FED + ["--set", "fed.eval_every=0"], "eval_every"),
             (["train-fed"] + SYNTH_FED + ["--set", "fed.eval_every=2.5"], "fed.eval_every"),
             (["train-fed"] + SYNTH_FED + ["--set", "fed.eval_every=true"], "fed.eval_every"),
+            (["train-fed"] + SYNTH_FED + ["--set", "model.layers=6,2"], "3 classes"),
+            (["train-central"] + SYNTH_CENTRAL + ["--set", "model.layers=5,3"], "6 features"),
         ],
-        ids=["fed.batch_size=true", "central.batch_size=true", "fed.eval_every=0", "fed.eval_every=2.5", "fed.eval_every=true"],
+        ids=["fed.batch_size=true", "central.batch_size=true", "fed.eval_every=0", "fed.eval_every=2.5", "fed.eval_every=true",
+             "model.layers=6,2", "model.layers=5,3"],
     )
     def test_bad_values_are_config_errors(self, tmp_path, capsys, argv, named):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -321,6 +363,20 @@ class TestConfigKeys:
         assert "run.status = failed" in lines
         assert f"run.error = {err}" in lines
 
+
+    @pytest.mark.parametrize("override", ["fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5"])
+    def test_range_errors_name_the_key(self, tmp_path, capsys, override):
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == 2
+        err = capsys.readouterr().err
+        assert override.split("=")[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override", ["model.layers=abc", "fed.client_fraction=1.5"])
+    def test_run_error_survives_reading_the_manifest_as_a_config(self, tmp_path, capsys, override):
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "," in err  # the messages that used to come back as lists
+        assert load_config(tmp_path / "manifest.txt")["run.error"] == err
 
     def test_rerun_of_failed_manifest_drops_its_error(self, tmp_path):
         failed, fixed = tmp_path / "failed", tmp_path / "fixed"

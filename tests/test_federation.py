@@ -5,6 +5,7 @@ from fedsim.data import (
     IID,
     SINGLE_LABEL,
     SINGLE_SAMPLE,
+    ClientShard,
     Dataset,
     PartitionPlan,
     partition,
@@ -29,10 +30,14 @@ from fedsim.nn import (
     MlpSpec,
     ParamVector,
     ServerOptimizerState,
+    ShapeMismatchError,
+    Workspace,
     init_params,
+    loss_and_grad_raw,
     loss_grad,
     sgd_step,
 )
+from fedsim.rng import derive_seed
 
 
 def make_setup(kind=IID, num_classes=3, features=8, num_clients=6, spc=20, seed=0):
@@ -89,6 +94,9 @@ class TestClientUpdate:
         before = w.values.copy()
         client_update(shards[0], ds, w, local_epochs=2, batch_size=4, client_lr=0.5, client_seed=4)
         assert np.array_equal(w.values, before)
+        out = client_update(shards[0], ds, w, 2, 4, 0.5, 4, workspace=Workspace(spec, 4))
+        assert np.array_equal(w.values, before)
+        assert not np.shares_memory(out.values, w.values)
 
     def test_divergence_raises_with_client_id(self):
         ds, shards, _ = make_setup(spc=10)
@@ -98,6 +106,113 @@ class TestClientUpdate:
             with pytest.raises(ClientDivergedError) as err:
                 client_update(shards[3], ds, w, local_epochs=5, batch_size=2, client_lr=1e160, client_seed=5)
         assert err.value.client_id == shards[3].client_id
+
+
+def reference_sgd_epoch(w, spec, ds, order, batch_size, lr):
+    """The allocating loop: fresh batch arrays and gradient per step, then w -= lr * grad."""
+    losses = []
+    for start in range(0, order.size, batch_size):
+        idx = order[start : start + batch_size]
+        value, grad = loss_and_grad_raw(w, spec, ds.inputs[idx], ds.labels[idx])
+        w -= lr * grad
+        losses.append(value)
+    return losses
+
+
+def reference_client_update(shard, ds, weights, local_epochs, batch_size, lr, client_seed):
+    w = weights.values.copy()
+    b = shard.num_samples if batch_size is None else batch_size
+    for epoch in range(local_epochs):
+        order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
+        reference_sgd_epoch(w, weights.spec, ds, order, b, lr)
+    return w
+
+
+def shard_of(ds, client_id, indices):
+    indices = np.asarray(indices)
+    return ClientShard(client_id, indices, np.bincount(ds.labels[indices], minlength=ds.num_classes))
+
+
+class TestSharedSgdLoop:
+    # shards of 20: batch 6 leaves a short last batch, None is full-shard, 50 exceeds the shard
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("batch_size", [6, None, 50])
+    def test_client_update_matches_allocating_loop_bitwise(self, activation, batch_size):
+        ds, shards, _ = make_setup(spc=20, seed=21)
+        spec = MlpSpec((8, 6, 3), activation)
+        w = init_params(spec, 21)
+        out = client_update(shards[2], ds, w, local_epochs=3, batch_size=batch_size, client_lr=0.3, client_seed=21)
+        expected = reference_client_update(shards[2], ds, w, 3, batch_size, 0.3, 21)
+        assert np.array_equal(out.values, expected)
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("batch_size", [7, None, 200])
+    def test_train_centralized_matches_allocating_loop_bitwise(self, activation, batch_size):
+        ds = synth_dataset(3, 6, 90, seed=22)
+        spec = MlpSpec((6, 5, 3), activation)
+        history, final = train_centralized(spec, ds, None, lr=0.2, batch_size=batch_size, epochs=2, seed=22)
+        w = init_params(spec, derive_seed(22, "init")).values.copy()
+        for epoch in range(2):
+            perm = np.random.default_rng(derive_seed(22, "epoch", epoch)).permutation(len(ds))
+            losses = reference_sgd_epoch(w, spec, ds, perm, len(ds) if batch_size is None else batch_size, 0.2)
+            assert history[epoch].mean_client_loss == float(np.mean(losses))
+        assert np.array_equal(final.values, w)
+
+    def test_workspace_must_fit_the_spec_and_batch(self):
+        ds, shards, spec = make_setup(spc=20, seed=27)
+        w = init_params(spec, 27)
+        with pytest.raises(ShapeMismatchError):
+            client_update(shards[0], ds, w, 1, 6, 0.1, 27, workspace=Workspace(spec, 5))
+        with pytest.raises(ShapeMismatchError):
+            client_update(shards[0], ds, w, 1, 6, 0.1, 27, workspace=Workspace(MlpSpec((8, 4, 3)), 6))
+
+    def test_clients_back_to_back_on_one_workspace_match_each_alone(self):
+        ds = synth_dataset(3, 8, 200, seed=24)
+        spec = MlpSpec((8, 6, 3))
+        w = init_params(spec, 24)
+        big, small = shard_of(ds, 0, np.arange(0, 20)), shard_of(ds, 1, np.arange(50, 57))
+        workspace = Workspace(spec, 5)
+        shared = [client_update(s, ds, w, 2, 5, 0.3, 24 + s.client_id, workspace=workspace) for s in (big, small, big)]
+        alone = [client_update(s, ds, w, 2, 5, 0.3, 24 + s.client_id) for s in (big, small, big)]
+        for a, b in zip(shared, alone):
+            assert np.array_equal(a.values, b.values)
+
+    def test_diverged_run_keeps_completed_rounds(self, monkeypatch):
+        import fedsim.federation as federation
+
+        ds, shards, spec = make_setup()
+        config = fed_config(6, client_fraction=0.5, rounds=4, seed=25)
+        calls = []
+
+        def diverges_in_round_2(shard, *args, **kwargs):
+            calls.append(shard.client_id)
+            if len(calls) > 2 * config.cohort_size:
+                raise ClientDivergedError(shard.client_id)
+            return client_update(shard, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
+        with pytest.raises(ClientDivergedError) as err:
+            train_federated(spec, config, shards, ds)
+        assert err.value.round_index == 2
+        assert [m.round_index for m in err.value.history] == [0, 1]
+
+    def test_diverged_centralized_run_keeps_completed_epochs(self, monkeypatch):
+        import fedsim.federation as federation
+
+        ds = synth_dataset(3, 6, 90, seed=26)
+        calls = []
+
+        def nan_loss_in_epoch_1(*args):
+            calls.append(1)
+            value, grad = loss_and_grad_raw(*args)
+            return (np.nan if len(calls) > 6 else value), grad  # 90 rows in batches of 16: 6 steps an epoch
+
+        monkeypatch.setattr(federation, "loss_and_grad_raw", nan_loss_in_epoch_1)
+        with pytest.raises(ClientDivergedError) as err:
+            train_centralized(MlpSpec((6, 3)), ds, None, lr=0.1, batch_size=16, epochs=3, seed=26)
+        assert err.value.round_index == 1
+        assert [m.round_index for m in err.value.history] == [0]
+        assert len(calls) == 7  # the loop stops at the first non-finite loss
 
 
 class TestAggregation:

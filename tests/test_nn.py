@@ -8,8 +8,10 @@ from fedsim.nn import (
     ParamVector,
     ServerOptimizerState,
     ShapeMismatchError,
+    Workspace,
     init_params,
     loss,
+    loss_and_grad_raw,
     loss_grad,
     server_apply,
     sgd_step,
@@ -36,6 +38,38 @@ def finite_difference_grad(params, batch, h=1e-5):
         down = loss(ParamVector(bumped, params.spec), batch)
         grad[i] = (up - down) / (2 * h)
     return grad
+
+
+def reference_loss_and_grad(values, spec, inputs, labels):
+    """The allocating formulation of loss_and_grad_raw: every intermediate is a fresh array."""
+    layers = unflatten(values, spec)
+    acts = [inputs]
+    pre = []
+    h = inputs
+    for i, (w, b) in enumerate(layers):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < len(layers) - 1 and spec.activation == "relu" else z
+        acts.append(h)
+    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = inputs.shape[0]
+    value = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-12)).mean())
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad = np.empty_like(values)
+    grad_layers = unflatten(grad, spec)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        gw[:] = acts[i].T @ delta
+        gb[:] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ layers[i][0].T
+            if spec.activation == "relu":
+                delta = delta * (pre[i - 1] > 0)
+    return value, grad
 
 
 def naive_per_sample_loss(params, batch):
@@ -159,6 +193,48 @@ class TestLossGrad:
         _, grad = loss_grad(params, batch)
         expected = np.concatenate([np.zeros(6), [-0.25, 0.25]])
         assert np.allclose(grad.values, expected, atol=1e-15)
+
+
+class TestWorkspaceKernel:
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_reused_workspace_matches_allocating_reference_bitwise(self, activation):
+        # full, short, single-row and full again: short batches leave stale rows behind
+        spec = MlpSpec((9, 7, 6, 4), activation)
+        rng = np.random.default_rng(30)
+        workspace = Workspace(spec, 12)
+        for seed, rows in enumerate([12, 5, 1, 12, 3]):
+            params = init_params(spec, 40 + seed)
+            batch = random_batch(rng, rows, spec)
+            value, grad = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, workspace)
+            ref_value, ref_grad = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+            assert grad is workspace.grad
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_loss_matches_allocating_reference_bitwise(self, activation):
+        spec = MlpSpec((9, 7, 4), activation)
+        params = init_params(spec, 31)
+        batch = random_batch(np.random.default_rng(31), 10, spec)
+        assert loss(params, batch) == reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)[0]
+
+    def test_without_workspace_each_call_gets_its_own_gradient(self):
+        spec = MlpSpec((5, 4, 3))
+        params = init_params(spec, 32)
+        batch = random_batch(np.random.default_rng(32), 6, spec)
+        _, g1 = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels)
+        _, g2 = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels)
+        assert g1 is not g2
+        assert np.array_equal(g1, g2)
+
+    def test_batch_must_fit_the_workspace(self):
+        spec = MlpSpec((5, 4, 3))
+        params = init_params(spec, 33)
+        batch = random_batch(np.random.default_rng(33), 6, spec)
+        with pytest.raises(ShapeMismatchError):
+            loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, Workspace(spec, 5))
+        with pytest.raises(ShapeMismatchError):
+            loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, Workspace(MlpSpec((5, 3)), 6))
 
 
 class TestSgdStep:
