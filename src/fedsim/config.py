@@ -28,6 +28,14 @@ class ConfigError(ValueError):
         super().__init__(message if key is None else f"{key}: {message}")
 
 
+class FieldError(ValueError):
+    """A dataclass field is out of range; .field names it, and from_config names its key."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 def coerce_scalar(text: str) -> Scalar:
     text = text.strip()
     low = text.lower()
@@ -145,9 +153,14 @@ def from_config(cls: type, cfg: dict[str, Value], prefix: str) -> Any:
     """Build dataclass cls from the keys prefix + field, typed by its annotations.
 
     An absent key takes the field's default; a field without one is required.
+    A FieldError raised by cls becomes a ConfigError naming prefix + field.
     """
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-    return cls(**{
+    kwargs = {
         name: get_typed(cfg, prefix + name, kind, defaults.get(name, ...))
         for name, kind in config_fields(cls).items()
-    })
+    }
+    try:
+        return cls(**kwargs)
+    except FieldError as err:
+        raise ConfigError(str(err), key=prefix + err.field) from err

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
+from .config import FieldError
+
 GB = 1e9  # decimal gigabyte, the unit cloud transfer/storage is billed in
 
 INSTANCE_ROLES = ("portal", "aggregator", "training", "ingestion", "tagging", "monitoring", "jumpbox")
@@ -120,12 +122,16 @@ class FlScenario:
     month_hours: float = MONTH_HOURS
 
     def __post_init__(self):
-        if not (self.cohort <= self.registered <= self.population):
-            raise ValueError("need cohort <= registered <= population")
+        if self.cohort > self.registered:
+            raise FieldError("cohort", f"must be <= registered ({self.registered})")
+        if self.registered > self.population:
+            raise FieldError("registered", f"must be <= population ({self.population})")
         if self.rounds_per_day < 1:
-            raise ValueError("rounds_per_day must be >= 1")
-        if self.model_size_bytes < 0 or self.rounds < 0:
-            raise ValueError("model size and rounds must be non-negative")
+            raise FieldError("rounds_per_day", "must be >= 1")
+        if self.model_size_bytes < 0:
+            raise FieldError("model_size_bytes", "must be non-negative")
+        if self.rounds < 0:
+            raise FieldError("rounds", "must be non-negative")
 
     @property
     def training_days(self) -> float:
@@ -155,8 +161,10 @@ class CentralScenario:
     month_hours: float = MONTH_HOURS
 
     def __post_init__(self):
-        if self.sync_bytes_per_device_month < 0 or self.label_bytes_back < 0:
-            raise ValueError("sizes must be non-negative")
+        if self.sync_bytes_per_device_month < 0:
+            raise FieldError("sync_bytes_per_device_month", "must be non-negative")
+        if self.label_bytes_back < 0:
+            raise FieldError("label_bytes_back", "must be non-negative")
 
     @property
     def active_days(self) -> float:

@@ -7,6 +7,13 @@ average) or send weight deltas (the server treats the negated weighted mean
 delta as a pseudo-gradient for any server optimizer; with plain sgd at rate
 1.0 the two modes coincide).
 
+A round streams its cohort: each client trains into one round buffer and is
+folded into a running weighted sum (acc += (n_k / denom) * x_k, the
+denominator known before training) as soon as it finishes, in client-id
+order. A round therefore holds O(model) memory, not O(cohort x model), and
+gives bit for bit the mean that aggregate_weights and aggregate_deltas
+compute from a list of updates, since all three fold with the same step.
+
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
 """
@@ -20,10 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import FieldError
 from .data import ClientShard, Dataset
 from .data import shard_batches  # noqa: F401  unused here; bench/child.py traces this name
+from .nn import loss  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
-    Batch,
     GradVector,
     MlpSpec,
     ParamVector,
@@ -32,8 +40,8 @@ from .nn import (
     Workspace,
     forward_logits,
     init_params,
-    loss,
     loss_and_grad_raw,
+    loss_raw,
     server_apply,
 )
 from .rng import derive_seed
@@ -59,14 +67,6 @@ class ClientDivergedError(RuntimeError):
         super().__init__(f"client {client_id} diverged{where} (non-finite loss or weights)")
 
 
-class FedConfigError(ValueError):
-    """A FedConfig field is out of range; .field names it."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field} {message}")
-
-
 @dataclass(frozen=True)
 class FedConfig:
     """Hyperparameters of a federated run.
@@ -89,19 +89,19 @@ class FedConfig:
 
     def __post_init__(self):
         if not (0.0 < self.client_fraction <= 1.0):
-            raise FedConfigError("client_fraction", "must be in (0, 1]")
+            raise FieldError("client_fraction", "must be in (0, 1]")
         if self.local_epochs < 1:
-            raise FedConfigError("local_epochs", "must be >= 1")
+            raise FieldError("local_epochs", "must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
-            raise FedConfigError("batch_size", "must be >= 1 or None for full-shard batches")
+            raise FieldError("batch_size", "must be >= 1 or None for full-shard batches")
         if self.client_lr < 0:
-            raise FedConfigError("client_lr", "must be non-negative")
+            raise FieldError("client_lr", "must be non-negative")
         if self.rounds < 0:
-            raise FedConfigError("rounds", "must be >= 0")
+            raise FieldError("rounds", "must be >= 0")
         if self.update_mode not in (SEND_WEIGHTS, SEND_DELTA):
-            raise FedConfigError("update_mode", f"must be {SEND_WEIGHTS} or {SEND_DELTA}, got {self.update_mode!r}")
+            raise FieldError("update_mode", f"must be {SEND_WEIGHTS} or {SEND_DELTA}, got {self.update_mode!r}")
         if self.eval_every is not None and self.eval_every < 1:
-            raise FedConfigError("eval_every", "must be >= 1, or None for the default")
+            raise FieldError("eval_every", "must be >= 1, or None for the default")
 
     @property
     def cohort_size(self) -> int:
@@ -182,33 +182,53 @@ def client_update(
     client_lr: float,
     client_seed: int,
     workspace: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> ParamVector:
     """Run the local training loop of one client and return its new weights.
 
     Per epoch the shard is reshuffled, split into batches, and stepped with
     plain gradient descent at client_lr. The incoming weights are untouched.
     workspace holds the step buffers; one sized to this shard is made when it
-    is omitted.
+    is omitted. The client trains in out (a float64 vector of the weights'
+    length, overwritten with them first) when it is given, else in a fresh
+    copy; the returned values are that array.
     """
     spec = weights.spec
     effective_b = _batch_rows(batch_size, shard.num_samples)
     ws = workspace if workspace is not None else Workspace(spec, effective_b)
-    w = weights.values.copy()
+    w = out if out is not None else np.empty_like(weights.values)
+    np.copyto(w, weights.values)
     for epoch in range(local_epochs):
         order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
         losses = _sgd_epoch(w, spec, dataset, order, effective_b, client_lr, ws)
         if not np.isfinite(losses[-1]):
             raise ClientDivergedError(shard.client_id)
-    if not np.all(np.isfinite(w)):
-        raise ClientDivergedError(shard.client_id)
-    return ParamVector(w, spec)
+    try:
+        return ParamVector(w, spec)  # its finiteness scan is the one check of the new weights
+    except ValueError as err:  # w has the weights' shape, so only non-finite entries land here
+        raise ClientDivergedError(shard.client_id) from err
 
 
-def _weighted_mean(vectors: Sequence[np.ndarray], counts: Sequence[int], total: float | None) -> np.ndarray:
-    denom = float(total) if total is not None else float(sum(counts))
-    acc = np.zeros_like(vectors[0])
-    for vec, n in zip(vectors, counts):
-        acc += (n / denom) * vec
+def _fold(acc: np.ndarray, vec: np.ndarray, weight: float, scratch: np.ndarray) -> None:
+    """acc += weight * vec, with the product written to scratch (which may be vec).
+
+    The one weighted-mean step: run_round's streamed cohort and both
+    aggregate_* functions fold with it, so they agree bit for bit.
+    """
+    np.multiply(vec, weight, out=scratch)
+    acc += scratch
+
+
+def _fold_all(updates: Sequence[tuple[ParamVector | GradVector, int]], total: float | None) -> np.ndarray:
+    """The weighted mean of a list of updates: each folded in list order with weight n_k / denom.
+
+    denom is total when given, else sum(n_k).
+    """
+    denom = float(total) if total is not None else float(sum(n for _, n in updates))
+    acc = np.zeros_like(updates[0][0].values)
+    scratch = np.empty_like(acc)
+    for vec, n in updates:
+        _fold(acc, vec.values, n / denom, scratch)
     return acc
 
 
@@ -232,8 +252,7 @@ def aggregate_weights(
     total_weight overrides the denominator (the literal global-N reading).
     """
     _check_aggregate_args(updates)
-    values = _weighted_mean([u.values for u, _ in updates], [n for _, n in updates], total_weight)
-    return ParamVector(values, updates[0][0].spec)
+    return ParamVector(_fold_all(updates, total_weight), updates[0][0].spec)
 
 
 def aggregate_deltas(
@@ -245,8 +264,9 @@ def aggregate_deltas(
     weight average exactly.
     """
     _check_aggregate_args(deltas)
-    values = _weighted_mean([d.values for d, _ in deltas], [n for _, n in deltas], total_weight)
-    return GradVector(-values, deltas[0][0].spec)
+    values = _fold_all(deltas, total_weight)
+    np.negative(values, out=values)
+    return GradVector(values, deltas[0][0].spec)
 
 
 def evaluate(params: ParamVector, dataset: Dataset, chunk: int = 16384) -> float:
@@ -283,7 +303,9 @@ def run_round(
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
     Every client trains in workspace, which must fit the largest batch of any
-    shard; one is made when it is omitted.
+    shard; one is made when it is omitted. Each client's weights go into one
+    round buffer and are folded into the weighted sum before the next client
+    trains, so no cohort-sized state is kept.
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
@@ -295,7 +317,12 @@ def run_round(
         config.num_clients, config.client_fraction, derive_seed(config.seed, "round", t, "select")
     )
 
-    updates: list[tuple[ParamVector, int]] = []
+    spec, w_t = state.weights.spec, state.weights.values
+    weighted = shards if config.alg1_literal_normalization else [shards[int(c)] for c in selected]
+    denom = float(sum(s.num_samples for s in weighted))
+    send_delta = config.update_mode == SEND_DELTA
+    acc = np.zeros_like(w_t)
+    buf = np.empty_like(w_t)
     losses = []
     for client_id in selected:
         shard = shards[int(client_id)]
@@ -309,24 +336,21 @@ def run_round(
                 config.client_lr,
                 _client_seed(config.seed, t, int(client_id)),
                 workspace,
+                out=buf,
             )
         except ClientDivergedError as err:
             raise ClientDivergedError(err.client_id, t) from err
-        updates.append((local, shard.num_samples))
-        shard_all = Batch(dataset.inputs[shard.indices], dataset.labels[shard.indices])
-        losses.append(loss(local, shard_all))
+        x, idx = local.values, shard.indices
+        losses.append(loss_raw(x, spec, dataset.inputs[idx], dataset.labels[idx]))
+        if send_delta:
+            x = np.subtract(x, w_t, out=buf)
+        _fold(acc, x, shard.num_samples / denom, buf)
 
-    total = float(sum(s.num_samples for s in shards)) if config.alg1_literal_normalization else None
-    if config.update_mode == SEND_WEIGHTS:
-        new_weights = aggregate_weights(updates, total)
-        new_server_state = state.server_opt_state
+    if send_delta:
+        np.negative(acc, out=acc)
+        new_weights, new_server_state = server_apply(state.server_opt_state, state.weights, GradVector(acc, spec))
     else:
-        deltas = [
-            (GradVector(local.values - state.weights.values, local.spec), n)
-            for local, n in updates
-        ]
-        pseudo_grad = aggregate_deltas(deltas, total)
-        new_weights, new_server_state = server_apply(state.server_opt_state, state.weights, pseudo_grad)
+        new_weights, new_server_state = ParamVector(acc, spec), state.server_opt_state
 
     train_acc = test_acc = None
     if compute_accuracy:
@@ -367,7 +391,8 @@ def train_federated(
         eval_every = 1 if config.rounds <= EVAL_EVERY_DEFAULT_THRESHOLD else 5
 
     union = np.sort(np.concatenate([s.indices for s in shards]))
-    train_eval_set = dataset.subset(union)
+    # shards that cover every row exactly once need no copy of the dataset
+    train_eval_set = dataset if np.array_equal(union, np.arange(len(dataset))) else dataset.subset(union)
 
     workspace = _round_workspace(weights.spec, config, shards)
     history: list[RoundMetrics] = []

@@ -23,7 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, Value, as_list, config_fields, format_config, from_config, get_typed
+from .config import (
+    ConfigError,
+    FieldError,
+    Value,
+    as_list,
+    config_fields,
+    format_config,
+    from_config,
+    get_typed,
+)
 from .costs import (
     DEFAULT_PRICE_SHEET,
     CentralScenario,
@@ -49,7 +58,6 @@ from .data import (
 from .federation import (
     ClientDivergedError,
     FedConfig,
-    FedConfigError,
     RoundMetrics,
     train_centralized,
     train_federated,
@@ -294,7 +302,7 @@ def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfi
     )
     try:
         return FedConfig(**kwargs)
-    except FedConfigError as err:
+    except FieldError as err:
         raise ConfigError(str(err), key=f"fed.{err.field}") from err
 
 

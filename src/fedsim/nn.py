@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import FieldError
+
 Array = np.ndarray
 
 PROB_FLOOR = 1e-12  # clamp for log() so confident wrong predictions stay finite
@@ -274,11 +276,16 @@ def loss_and_grad_raw(
     return loss, ws.grad
 
 
+def loss_raw(values: Array, spec: MlpSpec, inputs: Array, labels: Array) -> float:
+    """Mean softmax cross-entropy on raw arrays, unchecked; loss() validates and wraps it."""
+    logits = forward_logits(values, spec, inputs)
+    return _loss_from_probs(_softmax_inplace(logits, np.empty((inputs.shape[0], 1))), labels)
+
+
 def loss(params: ParamVector, batch: Batch) -> float:
     """Mean softmax cross-entropy of the batch under the given parameters."""
     _check_batch(params.spec, batch)
-    logits = forward_logits(params.values, params.spec, batch.inputs)
-    return _loss_from_probs(_softmax_inplace(logits, np.empty((batch.size, 1))), batch.labels)
+    return loss_raw(params.values, params.spec, batch.inputs, batch.labels)
 
 
 def loss_grad(params: ParamVector, batch: Batch) -> tuple[float, GradVector]:
@@ -317,9 +324,9 @@ class ServerOptimizerState:
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam", "rmsprop"):
-            raise ValueError(f"unknown server optimizer {self.kind!r}")
+            raise FieldError("kind", f"must be sgd, adam or rmsprop, got {self.kind!r}")
         if self.lr <= 0:
-            raise ValueError("server learning rate must be positive")
+            raise FieldError("lr", "must be positive")
 
 
 def server_apply(

@@ -364,11 +364,26 @@ class TestConfigKeys:
         assert f"run.error = {err}" in lines
 
 
-    @pytest.mark.parametrize("override", ["fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5"])
+    @pytest.mark.parametrize(
+        "override",
+        ["fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5", "server.lr=0", "server.kind=bogus"],
+    )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == 2
         err = capsys.readouterr().err
         assert override.split("=")[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [("fl_training", "cost.rounds_per_day=0"), ("central", "cost.label_bytes_back=-1")],
+    )
+    def test_cost_range_errors_name_the_key(self, tmp_path, capsys, scenario, override):
+        fl_keys = ["--set", "cost.model_size_bytes=500000", "--set", "cost.rounds=200", "--set", "cost.rounds_per_day=100"]
+        argv = ["cost", "--out", str(tmp_path)] + fl_keys + ["--set", f"cost.scenario={scenario}", "--set", override]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {override.split('=')[0]}: " in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("override", ["model.layers=abc", "fed.client_fraction=1.5"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,10 @@ from fedsim.nn import (
     ShapeMismatchError,
     Workspace,
     init_params,
+    loss,
     loss_and_grad_raw,
     loss_grad,
+    server_apply,
     sgd_step,
 )
 from fedsim.rng import derive_seed
@@ -105,6 +109,27 @@ class TestClientUpdate:
         with np.errstate(all="ignore"):
             with pytest.raises(ClientDivergedError) as err:
                 client_update(shards[3], ds, w, local_epochs=5, batch_size=2, client_lr=1e160, client_seed=5)
+        assert err.value.client_id == shards[3].client_id
+
+
+    def test_out_is_trained_in_place_and_matches_a_fresh_copy(self):
+        ds, shards, _ = make_setup(spc=20, seed=30)
+        spec = MlpSpec((8, 6, 3))
+        w = init_params(spec, 30)
+        before = w.values.copy()
+        out = np.full_like(w.values, np.nan)
+        result = client_update(shards[1], ds, w, 2, 6, 0.3, 30, workspace=Workspace(spec, 6), out=out)
+        assert np.shares_memory(result.values, out)
+        assert np.array_equal(w.values, before)
+        assert np.array_equal(result.values, client_update(shards[1], ds, w, 2, 6, 0.3, 30).values)
+
+    def test_divergence_raises_when_training_in_out(self):
+        ds, shards, _ = make_setup(spc=10)
+        spec = MlpSpec((8, 6, 3))
+        w = init_params(spec, 5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ClientDivergedError) as err:
+                client_update(shards[3], ds, w, 5, 2, 1e160, 5, out=np.empty_like(w.values))
         assert err.value.client_id == shards[3].client_id
 
 
@@ -278,6 +303,99 @@ class TestAggregation:
         assert np.allclose(updated.values, w.values + delta.values, atol=1e-15)
 
 
+    def test_aggregates_fold_like_the_allocating_mean(self):
+        # acc += (n / denom) * vec in list order, the formulation the fold must reproduce bitwise
+        spec = MlpSpec((4, 3))
+        rng = np.random.default_rng(8)
+        vecs = [rng.normal(size=spec.parameter_count()) for _ in range(5)]
+        counts = [3, 1, 7, 2, 5]
+        for total in (None, 40.0):
+            denom = total if total is not None else float(sum(counts))
+            expected = np.zeros(spec.parameter_count())
+            for vec, n in zip(vecs, counts):
+                expected += (n / denom) * vec
+            got_w = aggregate_weights([(ParamVector(v, spec), n) for v, n in zip(vecs, counts)], total)
+            got_d = aggregate_deltas([(GradVector(v, spec), n) for v, n in zip(vecs, counts)], total)
+            assert np.array_equal(got_w.values, expected)
+            assert np.array_equal(got_d.values, -expected)
+
+
+def reference_round(state, config, shards, ds):
+    """One round the list-based way: collect every client's weights, then take the weighted mean."""
+    t = state.round_index
+    selected = select_clients(config.num_clients, config.client_fraction, derive_seed(config.seed, "round", t, "select"))
+    updates, losses = [], []
+    for c in selected:
+        shard = shards[int(c)]
+        seed = derive_seed(config.seed, "round", t, "client", int(c))
+        local = client_update(shard, ds, state.weights, config.local_epochs, config.batch_size, config.client_lr, seed)
+        updates.append((local, shard.num_samples))
+        losses.append(loss(local, Batch(ds.inputs[shard.indices], ds.labels[shard.indices])))
+    total = float(sum(s.num_samples for s in shards)) if config.alg1_literal_normalization else None
+    if config.update_mode == "send_weights":
+        new_weights, server = aggregate_weights(updates, total), state.server_opt_state
+    else:
+        deltas = [(GradVector(u.values - state.weights.values, u.spec), n) for u, n in updates]
+        new_weights, server = server_apply(state.server_opt_state, state.weights, aggregate_deltas(deltas, total))
+    return GlobalState(new_weights, t + 1, server), float(np.mean(losses))
+
+
+class TestStreamedRound:
+    @pytest.mark.parametrize(
+        "mode, server, literal",
+        [
+            ("send_weights", "sgd", False),
+            ("send_weights", "sgd", True),
+            ("send_delta", "sgd", False),
+            ("send_delta", "adam", False),
+            ("send_delta", "rmsprop", False),
+            ("send_delta", "adam", True),
+        ],
+    )
+    def test_matches_the_list_based_round_bitwise(self, mode, server, literal):
+        ds = synth_dataset(3, 8, 200, seed=31)
+        sizes = [3, 7, 1, 12, 5, 9, 2, 6]  # unequal shards, so the weights n_k / denom differ
+        bounds = np.cumsum([0] + sizes)
+        shards = [shard_of(ds, k, np.arange(bounds[k], bounds[k + 1])) for k in range(len(sizes))]
+        spec = MlpSpec((8, 6, 3))
+        config = FedConfig(
+            num_clients=len(sizes), client_fraction=0.5, local_epochs=2, batch_size=4, client_lr=0.2, rounds=3,
+            seed=31, server_opt=ServerOptimizerState(kind=server, lr=0.5), update_mode=mode,
+            alg1_literal_normalization=literal,
+        )
+        streamed = reference = GlobalState(init_params(spec, 31), 0, config.server_opt)
+        for _ in range(config.rounds):
+            streamed, metrics = run_round(streamed, config, shards, ds, compute_accuracy=False)
+            reference, mean_loss = reference_round(reference, config, shards, ds)
+            assert np.array_equal(streamed.weights.values, reference.weights.values)
+            assert metrics.mean_client_loss == mean_loss
+            for name in ("m", "v"):
+                a, b = getattr(streamed.server_opt_state, name), getattr(reference.server_opt_state, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert streamed.server_opt_state.step == reference.server_opt_state.step
+
+    def test_peak_memory_does_not_grow_with_the_cohort(self):
+        spec = MlpSpec((100, 400, 25))  # 50,425 parameters, 403 kB
+        param_bytes = 8 * spec.parameter_count()
+        ds = synth_dataset(25, 100, 400, seed=32)
+
+        def round_peak(num_clients):
+            shards = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=num_clients, samples_per_client=1, seed=32))
+            config = fed_config(num_clients, batch_size=1, seed=32, update_mode="send_delta")
+            state = GlobalState(init_params(spec, 32), 0, config.server_opt)
+            run_round(state, config, shards, ds, compute_accuracy=False)  # warm up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_round(state, config, shards, ds, compute_accuracy=False)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = round_peak(4), round_peak(40)
+        assert large - small < 2 * param_bytes
+
+
 class TestSelectClients:
     def test_full_participation(self):
         assert select_clients(12, 1.0, round_seed=0).tolist() == list(range(12))
@@ -382,6 +500,26 @@ class TestTrainingLoops:
         online_hist, _ = train_centralized(spec, ds, None, lr=0.05, batch_size=1, epochs=1, seed=18)
         assert len(batch_hist) == 3 and len(online_hist) == 1
         assert batch_hist[-1].train_accuracy is not None
+
+    def test_shards_covering_the_dataset_are_evaluated_without_a_copy(self, monkeypatch):
+        ds = synth_dataset(3, 8, 60, seed=33)
+        spec = MlpSpec((8, 3))
+        config = fed_config(60, client_fraction=0.1, batch_size=1, rounds=2, seed=33)
+        covering = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=60, samples_per_client=1, seed=33))
+        partial = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=60, samples_per_client=1, seed=33))[:59]
+        partial.append(shard_of(ds, 59, [partial[0].indices[0]]))  # a repeated row, so one row is left out
+        subsets = []
+        original = Dataset.subset
+        monkeypatch.setattr(Dataset, "subset", lambda self, idx: subsets.append(idx) or original(self, idx))
+
+        history, state = train_federated(spec, config, covering, ds)
+        assert subsets == []
+        assert history[-1].train_accuracy == evaluate(state.weights, ds)
+
+        history, state = train_federated(spec, config, partial, ds)
+        assert len(subsets) == 1
+        union = np.sort(np.concatenate([s.indices for s in partial]))
+        assert history[-1].train_accuracy == evaluate(state.weights, ds.subset(union))
 
     def test_round_metrics_wall_clock_positive(self):
         ds, shards, spec = make_setup()
