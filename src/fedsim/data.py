@@ -183,11 +183,15 @@ def synth_dataset(num_classes: int, num_features: int, num_samples: int, seed: i
         raise ValueError("need num_classes <= 2 * num_features to place distinct class means")
     rng = np.random.default_rng(seed)
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
-    means = np.zeros((num_classes, num_features))
-    for c in range(num_classes):
-        means[c, c % num_features] = 1.0 if c < num_features else 0.5
-    inputs = means[labels] + rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(num_samples, num_features))
-    return Dataset(np.clip(inputs, 0.0, 1.0), labels, num_classes)
+    classes = np.arange(num_classes)
+    mean_col = classes % num_features
+    mean_val = np.where(classes < num_features, 1.0, 0.5)
+    # built in place in the noise array: only a row's mean column is nonzero in
+    # its mean, and 0.0 + x == x, so this equals mean + noise element for element
+    inputs = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(num_samples, num_features))
+    inputs[np.arange(num_samples), mean_col[labels]] += mean_val[labels]
+    np.clip(inputs, 0.0, 1.0, out=inputs)
+    return Dataset(inputs, labels, num_classes)
 
 
 def _census(labels: np.ndarray, indices: np.ndarray, num_classes: int) -> np.ndarray:

@@ -199,7 +199,10 @@ def client_update(
     w = out if out is not None else np.empty_like(weights.values)
     np.copyto(w, weights.values)
     for epoch in range(local_epochs):
-        order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
+        if shard.num_samples == 1:  # the only permutation of one index
+            order = shard.indices
+        else:
+            order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
         losses = _sgd_epoch(w, spec, dataset, order, effective_b, client_lr, ws)
         if not np.isfinite(losses[-1]):
             raise ClientDivergedError(shard.client_id)
@@ -269,23 +272,42 @@ def aggregate_deltas(
     return GradVector(values, deltas[0][0].spec)
 
 
-def evaluate(params: ParamVector, dataset: Dataset, chunk: int = 16384) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
+def evaluate(params: ParamVector, dataset: Dataset, chunk: int = 16384, rows: np.ndarray | None = None) -> float:
+    """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+    rows, when given, are the indices of the dataset rows to score, in order
+    (default: every row). They are gathered a chunk at a time, so the rows
+    are never copied whole, and each layer of a chunk is written into buffers
+    allocated once per call.
+    """
+    n = len(dataset) if rows is None else rows.size
+    size = min(chunk, n)
+    buffers = [np.empty((size, d)) for d in params.spec.layer_sizes[1:]]
+    if rows is not None:
+        if rows.min() < 0 or rows.max() >= len(dataset):
+            raise IndexError(f"rows out of range for a dataset of {len(dataset)} rows")
+        gathered = np.empty((size, dataset.num_features))
     hits = 0
-    for start in range(0, len(dataset), chunk):
-        block = dataset.inputs[start : start + chunk]
-        logits = forward_logits(params.values, params.spec, block)
-        hits += int((logits.argmax(axis=1) == dataset.labels[start : start + chunk]).sum())
-    return hits / len(dataset)
+    for start in range(0, n, chunk):
+        if rows is None:
+            block, labels = dataset.inputs[start : start + chunk], dataset.labels[start : start + chunk]
+        else:
+            idx = rows[start : start + chunk]
+            # mode="clip" lets take write into out without a buffer; the bounds are checked above
+            block = np.take(dataset.inputs, idx, axis=0, out=gathered[: idx.size], mode="clip")
+            labels = dataset.labels[idx]
+        logits = forward_logits(params.values, params.spec, block, buffers)
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == labels))
+    return hits / n
 
 
 def _client_seed(run_seed: int, round_index: int, client_id: int) -> int:
     return derive_seed(run_seed, "round", round_index, "client", client_id)
 
 
-def _round_workspace(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> Workspace:
-    """A workspace that fits the largest local batch of any shard."""
-    return Workspace(spec, max(_batch_rows(config.batch_size, s.num_samples) for s in shards))
+def _round_workspace(spec: MlpSpec, shards: Sequence[ClientShard]) -> Workspace:
+    """A workspace that fits the largest shard, so every local batch and every client's loss."""
+    return Workspace(spec, max(s.num_samples for s in shards))
 
 
 def run_round(
@@ -294,7 +316,7 @@ def run_round(
     shards: Sequence[ClientShard],
     dataset: Dataset,
     test_set: Dataset | None = None,
-    train_eval_set: Dataset | None = None,
+    train_rows: np.ndarray | None = None,
     compute_accuracy: bool = True,
     workspace: Workspace | None = None,
 ) -> tuple[GlobalState, RoundMetrics]:
@@ -302,15 +324,16 @@ def run_round(
 
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
-    Every client trains in workspace, which must fit the largest batch of any
-    shard; one is made when it is omitted. Each client's weights go into one
-    round buffer and are folded into the weighted sum before the next client
-    trains, so no cohort-sized state is kept.
+    Every client trains, and has its loss measured, in workspace, which must
+    fit the largest shard; one is made when it is omitted. Each client's
+    weights go into one round buffer and are folded into the weighted sum
+    before the next client trains, so no cohort-sized state is kept. Train
+    accuracy is measured on the dataset rows train_rows (default: all).
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
     if workspace is None:
-        workspace = _round_workspace(state.weights.spec, config, shards)
+        workspace = _round_workspace(state.weights.spec, shards)
     started = time.perf_counter()
     t = state.round_index
     selected = select_clients(
@@ -340,11 +363,14 @@ def run_round(
             )
         except ClientDivergedError as err:
             raise ClientDivergedError(err.client_id, t) from err
-        x, idx = local.values, shard.indices
-        losses.append(loss_raw(x, spec, dataset.inputs[idx], dataset.labels[idx]))
+        x, n = local.values, shard.num_samples
+        inputs, labels = workspace.inputs[:n], workspace.labels[:n]
+        np.take(dataset.inputs, shard.indices, axis=0, out=inputs)
+        np.take(dataset.labels, shard.indices, out=labels)
+        losses.append(loss_raw(x, spec, inputs, labels, workspace))
         if send_delta:
             x = np.subtract(x, w_t, out=buf)
-        _fold(acc, x, shard.num_samples / denom, buf)
+        _fold(acc, x, n / denom, buf)
 
     if send_delta:
         np.negative(acc, out=acc)
@@ -354,7 +380,7 @@ def run_round(
 
     train_acc = test_acc = None
     if compute_accuracy:
-        train_acc = evaluate(new_weights, train_eval_set if train_eval_set is not None else dataset)
+        train_acc = evaluate(new_weights, dataset, rows=train_rows)
         if test_set is not None:
             test_acc = evaluate(new_weights, test_set)
 
@@ -391,17 +417,17 @@ def train_federated(
         eval_every = 1 if config.rounds <= EVAL_EVERY_DEFAULT_THRESHOLD else 5
 
     union = np.sort(np.concatenate([s.indices for s in shards]))
-    # shards that cover every row exactly once need no copy of the dataset
-    train_eval_set = dataset if np.array_equal(union, np.arange(len(dataset))) else dataset.subset(union)
+    # shards that cover every row exactly once are scored on the dataset as it is
+    train_rows = None if np.array_equal(union, np.arange(len(dataset))) else union
 
-    workspace = _round_workspace(weights.spec, config, shards)
+    workspace = _round_workspace(weights.spec, shards)
     history: list[RoundMetrics] = []
     for t in range(config.rounds):
         eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
         try:
             state, metrics = run_round(
                 state, config, shards, dataset,
-                test_set=test_set, train_eval_set=train_eval_set, compute_accuracy=eval_now,
+                test_set=test_set, train_rows=train_rows, compute_accuracy=eval_now,
                 workspace=workspace,
             )
         except ClientDivergedError as err:

@@ -627,7 +627,10 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     dimension = get_typed(cfg, "cost.sweep.dimension", str)
     values = _typed_list(cfg, "cost.sweep.values", float)
     base = from_config(FlScenario, cfg, "cost.")
-    rows = sweep(dimension, values, base, sheet)
+    try:
+        rows = sweep(dimension, values, base, sheet)
+    except FieldError as err:  # a swept value the scenario rejects
+        raise ConfigError(str(err), key="cost.sweep.values") from err
     path = out_dir / "sweep.csv"
     write_sweep_csv(path, rows)
     return [path], format_sweep_table(dimension, rows)

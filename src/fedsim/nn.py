@@ -159,19 +159,31 @@ def _check_batch(spec: MlpSpec, batch: Batch) -> None:
         )
 
 
-def forward_logits(values: Array, spec: MlpSpec, inputs: Array) -> Array:
-    """Forward pass on raw arrays. Hot path, skips wrapper allocation."""
-    h = inputs
+def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Array] | None = None) -> Array:
+    """Forward pass on raw arrays, returning the logits. Hot path, skips wrapper allocation.
+
+    Layer i is written into the leading rows of buffers[i] (one buffer per
+    layer, each with at least as many rows as inputs) when buffers are given,
+    else into a fresh array; hidden ReLUs run in place. Either way each layer
+    is matmul, += b, then ReLU: the operations of h @ w + b, so the same bits.
+    """
+    m = inputs.shape[0]
+    relu = spec.activation == "relu"
     layers = unflatten(values, spec)
+    last = len(layers) - 1
+    h = inputs
     for i, (w, b) in enumerate(layers):
-        h = h @ w + b
-        if i < len(layers) - 1 and spec.activation == "relu":
-            h = np.maximum(h, 0.0)
+        z = np.empty((m, w.shape[1])) if buffers is None else buffers[i][:m]
+        np.matmul(h, w, out=z)
+        z += b
+        if i < last and relu:
+            np.maximum(z, 0.0, out=z)
+        h = z
     return h
 
 
 class Workspace:
-    """Reusable buffers for loss_and_grad_raw on batches of up to `rows` rows.
+    """Reusable buffers for loss_and_grad_raw and loss_raw on batches of up to `rows` rows.
 
     Per layer: the pre-activations z, and for hidden layers the activations,
     the back-propagated deltas and (ReLU only) the active-unit masks. Also the
@@ -225,7 +237,11 @@ def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
 def _loss_from_probs(probs: Array, labels: Array) -> float:
     n = probs.shape[0]
     picked = probs[np.arange(n), labels]
-    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
+    np.maximum(picked, PROB_FLOOR, out=picked)
+    np.log(picked, out=picked)
+    # the sum and division .mean() runs, negated after rather than before: the
+    # same bits, without mean()'s Python wrappers
+    return float(-(np.add.reduce(picked) / n))
 
 
 def loss_and_grad_raw(
@@ -263,7 +279,14 @@ def loss_and_grad_raw(
 
     for i in range(last, -1, -1):
         gw, gb = ws.grad_layers[i]
-        np.matmul((inputs if i == 0 else ws.acts[i - 1][:m]).T, delta, out=gw)
+        a = inputs if i == 0 else ws.acts[i - 1][:m]
+        if m == 1:
+            # a one-row product is one rounded multiply added onto +0, as in the
+            # dgemm, but einsum skips BLAS's fixed cost; wider batches keep BLAS,
+            # whose summation order the results depend on
+            np.einsum("ki,kj->ij", a, delta, out=gw)
+        else:
+            np.matmul(a.T, delta, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
             upstream = ws.deltas[i - 1][:m]
@@ -276,10 +299,22 @@ def loss_and_grad_raw(
     return loss, ws.grad
 
 
-def loss_raw(values: Array, spec: MlpSpec, inputs: Array, labels: Array) -> float:
-    """Mean softmax cross-entropy on raw arrays, unchecked; loss() validates and wraps it."""
-    logits = forward_logits(values, spec, inputs)
-    return _loss_from_probs(_softmax_inplace(logits, np.empty((inputs.shape[0], 1))), labels)
+def loss_raw(
+    values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
+) -> float:
+    """Mean softmax cross-entropy on raw arrays, unchecked; loss() validates and wraps it.
+
+    With a workspace (which must fit the batch) the forward pass runs in its
+    z buffers and allocates no layer; the value is the same either way.
+    """
+    m = inputs.shape[0]
+    if workspace is None:
+        buffers, row_scratch = None, np.empty((m, 1))
+    else:
+        workspace.check_fits(spec, m)
+        buffers, row_scratch = workspace.z, workspace.row_scratch[:m]
+    logits = forward_logits(values, spec, inputs, buffers)
+    return _loss_from_probs(_softmax_inplace(logits, row_scratch), labels)
 
 
 def loss(params: ParamVector, batch: Batch) -> float:

@@ -283,6 +283,22 @@ class TestCliSweepAndPartition:
         assert len(rows) == 3
         assert float(rows[2][1]) > float(rows[1][1])
 
+    @pytest.mark.parametrize(
+        "dimension, values", [("rounds_per_day", "0,10"), ("rounds", "100,-1"), ("model_size", "-5")]
+    )
+    def test_rejected_swept_value_names_its_key(self, tmp_path, capsys, dimension, values):
+        code = main([
+            "sweep", "--out", str(tmp_path),
+            "--set", f"cost.sweep.dimension={dimension}",
+            "--set", f"cost.sweep.values={values}",
+            "--set", "cost.model_size_bytes=500000",
+            "--set", "cost.rounds=100", "--set", "cost.rounds_per_day=100",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: cost.sweep.values: " in err
+        assert "Traceback" not in err
+
     def test_partition_stats(self, tmp_path):
         code = main([
             "partition-stats", "--out", str(tmp_path),

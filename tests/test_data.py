@@ -13,6 +13,7 @@ from fedsim.data import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
+    SYNTH_NOISE_SIGMA,
     PartitionError,
     PartitionPlan,
     load_idx,
@@ -109,6 +110,19 @@ class TestSynthDataset:
     def test_values_in_unit_box(self):
         ds = synth_dataset(5, 8, 500, seed=2)
         assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
+
+    # 7 classes on 4 features: classes 4-6 wrap onto features 0-2 at half height
+    @pytest.mark.parametrize("classes, features, samples", [(3, 10, 300), (7, 4, 250), (8, 4, 33), (1, 1, 5)])
+    def test_matches_allocating_reference_bitwise(self, classes, features, samples):
+        rng = np.random.default_rng(11)
+        labels = np.arange(samples) % classes
+        means = np.zeros((classes, features))
+        for c in range(classes):
+            means[c, c % features] = 1.0 if c < features else 0.5
+        inputs = np.clip(means[labels] + rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(samples, features)), 0.0, 1.0)
+        ds = synth_dataset(classes, features, samples, seed=11)
+        assert np.array_equal(ds.inputs.view(np.int64), inputs.view(np.int64))
+        assert np.array_equal(ds.labels, labels)
 
     def test_linearly_separable_enough(self):
         # a one-layer net on 200 full-batch steps clears 90% train accuracy

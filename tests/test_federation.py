@@ -40,6 +40,7 @@ from fedsim.nn import (
     loss_grad,
     server_apply,
     sgd_step,
+    unflatten,
 )
 from fedsim.rng import derive_seed
 
@@ -182,6 +183,17 @@ class TestSharedSgdLoop:
             losses = reference_sgd_epoch(w, spec, ds, perm, len(ds) if batch_size is None else batch_size, 0.2)
             assert history[epoch].mean_client_loss == float(np.mean(losses))
         assert np.array_equal(final.values, w)
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_one_sample_client_matches_allocating_loop_bitwise(self, activation):
+        ds = synth_dataset(3, 8, 40, seed=28)
+        spec = MlpSpec((8, 6, 3), activation)
+        w = init_params(spec, 28)
+        for row in (0, 17, 39):
+            shard = shard_of(ds, row, [row])
+            out = client_update(shard, ds, w, local_epochs=3, batch_size=1, client_lr=0.3, client_seed=28 + row)
+            expected = reference_client_update(shard, ds, w, 3, 1, 0.3, 28 + row)
+            assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
 
     def test_workspace_must_fit_the_spec_and_batch(self):
         ds, shards, spec = make_setup(spc=20, seed=27)
@@ -517,7 +529,7 @@ class TestTrainingLoops:
         assert history[-1].train_accuracy == evaluate(state.weights, ds)
 
         history, state = train_federated(spec, config, partial, ds)
-        assert len(subsets) == 1
+        assert subsets == []  # partial shards are scored by gathering their rows a chunk at a time
         union = np.sort(np.concatenate([s.indices for s in partial]))
         assert history[-1].train_accuracy == evaluate(state.weights, ds.subset(union))
 
@@ -526,6 +538,20 @@ class TestTrainingLoops:
         config = fed_config(6, rounds=2, seed=19)
         history, _ = train_federated(spec, config, shards, ds)
         assert all(m.elapsed_s > 0 for m in history)
+
+
+def reference_evaluate(params, ds, chunk):
+    """The allocating evaluation: h @ w + b per layer, chunk by chunk."""
+    layers = unflatten(params.values, params.spec)
+    hits = 0
+    for start in range(0, len(ds), chunk):
+        h = ds.inputs[start : start + chunk]
+        for i, (w, b) in enumerate(layers):
+            h = h @ w + b
+            if i < len(layers) - 1 and params.spec.activation == "relu":
+                h = np.maximum(h, 0.0)
+        hits += int((h.argmax(axis=1) == ds.labels[start : start + chunk]).sum())
+    return hits / len(ds)
 
 
 def state_seed(config):
@@ -547,6 +573,26 @@ class TestEvaluate:
         params = ParamVector(np.zeros(spec.parameter_count()), spec)
         ds = synth_dataset(4, 6, 400, seed=8)  # balanced 100 per class
         assert evaluate(params, ds) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_matches_allocating_reference_with_and_without_rows(self, activation):
+        spec = MlpSpec((5, 6, 4, 3), activation)
+        ds = synth_dataset(3, 5, 61, seed=12)
+        rows = np.sort(np.concatenate([np.arange(3, 50, 2), [7, 7, 60]]))  # repeats, like overlapping shards
+        for seed in range(4):
+            params = init_params(spec, 60 + seed)
+            for chunk in (7, 16384):  # a short last chunk, and one chunk
+                assert evaluate(params, ds, chunk) == reference_evaluate(params, ds, chunk)
+                got = evaluate(params, ds, chunk, rows=rows)
+                assert got == reference_evaluate(params, ds.subset(rows), chunk)
+
+    def test_rows_out_of_range_are_refused(self):
+        spec = MlpSpec((5, 3))
+        params = init_params(spec, 13)
+        ds = synth_dataset(3, 5, 20, seed=13)
+        for rows in ([0, 20], [-1, 3]):
+            with pytest.raises(IndexError):
+                evaluate(params, ds, rows=np.array(rows))
 
     def test_matches_per_sample_loop(self):
         from fedsim.nn import forward_logits

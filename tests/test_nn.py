@@ -9,10 +9,12 @@ from fedsim.nn import (
     ServerOptimizerState,
     ShapeMismatchError,
     Workspace,
+    forward_logits,
     init_params,
     loss,
     loss_and_grad_raw,
     loss_grad,
+    loss_raw,
     server_apply,
     sgd_step,
     unflatten,
@@ -212,11 +214,62 @@ class TestWorkspaceKernel:
             assert grad is workspace.grad
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("hidden", [(7,), (7, 6, 5)])
+    def test_one_row_batches_match_allocating_reference_bit_for_bit(self, activation, hidden):
+        # one-row weight gradients skip BLAS; compared as int64 so that a -0.0 for
+        # BLAS's +0.0 fails too, which np.array_equal would let through
+        spec = MlpSpec((9, *hidden, 4), activation)
+        rng = np.random.default_rng(34)
+        workspace = Workspace(spec, 3)
+        zeros = 0
+        for seed in range(6):
+            params = init_params(spec, 50 + seed)
+            unflatten(params.values, spec)[-1][1][3] = -1e3  # class 3's probability, and so its delta, is exactly 0
+            batch = random_batch(rng, 1, spec)
+            batch.inputs[0, ::3] = 0.0
+            batch.inputs[0, 1::4] *= -0.0
+            value, grad = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, workspace)
+            ref_value, ref_grad = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)
+            assert value == ref_value
+            assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
+            zeros += int(np.count_nonzero(ref_grad == 0.0))
+        assert zeros > 0
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
     def test_loss_matches_allocating_reference_bitwise(self, activation):
         spec = MlpSpec((9, 7, 4), activation)
         params = init_params(spec, 31)
         batch = random_batch(np.random.default_rng(31), 10, spec)
-        assert loss(params, batch) == reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)[0]
+        expected = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)[0]
+        assert loss(params, batch) == expected
+        workspace = Workspace(spec, 12)
+        assert loss_raw(params.values, spec, batch.inputs, batch.labels, workspace) == expected
+
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_forward_into_buffers_matches_allocating_forward_bitwise(self, activation):
+        spec = MlpSpec((9, 7, 6, 4), activation)
+        params = init_params(spec, 35)
+        layers = unflatten(params.values, spec)
+        buffers = [np.empty((12, d)) for d in spec.layer_sizes[1:]]
+        rng = np.random.default_rng(35)
+        for rows in (12, 5, 1):  # short batches use the leading rows
+            inputs = rng.uniform(0.0, 1.0, size=(rows, 9))
+            h = inputs
+            for i, (w, b) in enumerate(layers):
+                h = h @ w + b
+                if i < len(layers) - 1 and activation == "relu":
+                    h = np.maximum(h, 0.0)
+            for out in (None, buffers):
+                logits = forward_logits(params.values, spec, inputs, out)
+                assert np.array_equal(logits.view(np.int64), h.view(np.int64))
+            assert np.shares_memory(forward_logits(params.values, spec, inputs, buffers), buffers[-1])
+
+    def test_loss_raw_batch_must_fit_the_workspace(self):
+        spec = MlpSpec((5, 4, 3))
+        params = init_params(spec, 36)
+        batch = random_batch(np.random.default_rng(36), 6, spec)
+        with pytest.raises(ShapeMismatchError):
+            loss_raw(params.values, spec, batch.inputs, batch.labels, Workspace(spec, 5))
 
     def test_without_workspace_each_call_gets_its_own_gradient(self):
         spec = MlpSpec((5, 4, 3))
@@ -371,5 +424,24 @@ class TestInvariantsAndProperties:
         spec = MlpSpec((1, 1))
         with pytest.raises(ValueError):
             ParamVector(np.array([np.nan, 0.0]), spec)
+        for bad in ([np.inf, 1.0], [2.0, -np.inf], [np.inf, -np.inf], [0.0, np.nan]):
+            for cls in (ParamVector, GradVector):
+                with pytest.raises(ValueError, match="non-finite"):
+                    cls(np.array(bad), spec)
+        bigger = MlpSpec((4, 3))
+        for at in (0, 7, 14):
+            for value in (np.nan, np.inf, -np.inf):
+                values = np.full(bigger.parameter_count(), 1e308)
+                values[at] = value
+                with pytest.raises(ValueError, match="non-finite"):
+                    ParamVector(values, bigger)
         with pytest.raises(ShapeMismatchError):
             ParamVector(np.zeros(3), spec)
+
+    def test_huge_finite_vectors_are_accepted(self):
+        # entries whose sum overflows are still finite
+        spec = MlpSpec((4, 3))
+        for sign in (1.0, -1.0):
+            values = np.full(spec.parameter_count(), sign * 1e308)
+            assert np.array_equal(ParamVector(values, spec).values, values)
+            assert np.array_equal(GradVector(values, spec).values, values)
