@@ -29,6 +29,15 @@ from .harness import (
     start_manifest,
 )
 
+# command -> (help, run function); every run function returns (outputs, text to print)
+COMMANDS = {
+    "train-fed": ("run a federated training experiment", run_train_fed),
+    "train-central": ("run the centralized baseline", run_train_central),
+    "cost": ("evaluate cloud cost scenarios", run_cost),
+    "sweep": ("sweep one cost dimension", run_sweep),
+    "partition-stats": ("report per-client shard statistics", run_partition_stats),
+}
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
@@ -51,13 +60,7 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("train-fed", "run a federated training experiment"),
-        ("train-central", "run the centralized baseline"),
-        ("cost", "evaluate cloud cost scenarios"),
-        ("sweep", "sweep one cost dimension"),
-        ("partition-stats", "report per-client shard statistics"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         _add_common_args(sub.add_parser(name, help=help_text))
     return parser
 
@@ -76,19 +79,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = start_manifest(out_dir, args.command, cfg)
-
-        text = None
-        if args.command == "train-fed":
-            outputs = run_train_fed(cfg, out_dir)
-        elif args.command == "train-central":
-            outputs = run_train_central(cfg, out_dir)
-        elif args.command == "cost":
-            outputs, text = run_cost(cfg, out_dir)
-        elif args.command == "sweep":
-            outputs, text = run_sweep(cfg, out_dir)
-        else:
-            outputs = run_partition_stats(cfg, out_dir)
-
+        _, run = COMMANDS[args.command]
+        outputs, text = run(cfg, out_dir)
         finish_manifest(manifest, cfg, args.command, outputs)
         if text:
             print(text)

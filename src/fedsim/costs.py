@@ -273,7 +273,7 @@ class SweepRow:
 def sweep(dimension: str, values: Iterable[float], base: FlScenario, p: PriceSheet) -> list[SweepRow]:
     """Vary one scenario dimension, holding everything else at base."""
     if dimension not in SWEEP_DIMENSIONS:
-        raise ValueError(f"unknown sweep dimension {dimension!r}, pick one of {SWEEP_DIMENSIONS}")
+        raise FieldError("dimension", f"must be one of {SWEEP_DIMENSIONS}, got {dimension!r}")
     rows = []
     for value in values:
         if dimension == "model_size":

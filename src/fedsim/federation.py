@@ -222,7 +222,7 @@ def _fold(acc: np.ndarray, vec: np.ndarray, weight: float, scratch: np.ndarray) 
     acc += scratch
 
 
-def _fold_all(updates: Sequence[tuple[ParamVector | GradVector, int]], total: float | None) -> np.ndarray:
+def _fold_all(updates: Sequence[tuple[ParamVector, int]], total: float | None) -> np.ndarray:
     """The weighted mean of a list of updates: each folded in list order with weight n_k / denom.
 
     denom is total when given, else sum(n_k).
@@ -395,6 +395,7 @@ def run_round(
     return GlobalState(new_weights, t + 1, new_server_state), metrics
 
 
+@np.errstate(all="ignore")  # a diverging run is caught by the finiteness checks, not by warnings
 def train_federated(
     model: MlpSpec,
     config: FedConfig,
@@ -437,6 +438,7 @@ def train_federated(
     return history, state
 
 
+@np.errstate(all="ignore")  # as in train_federated
 def train_centralized(
     model: MlpSpec,
     dataset: Dataset,
@@ -449,7 +451,14 @@ def train_centralized(
     """Plain mini-batch SGD baseline; batch_size None is full-batch descent.
 
     Returns one RoundMetrics per epoch (round_index reused as epoch index).
+    lr < 0, batch_size < 1 and epochs < 0 raise config.FieldError.
     """
+    if lr < 0:
+        raise FieldError("lr", "must be non-negative")
+    if batch_size is not None and batch_size < 1:
+        raise FieldError("batch_size", "must be >= 1 or None for full-batch descent")
+    if epochs < 0:
+        raise FieldError("epochs", "must be >= 0")
     weights = init_params(model, derive_seed(seed, "init"))
     w = weights.values.copy()
     n = len(dataset)

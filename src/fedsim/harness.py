@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import csv
 import os
-from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -267,25 +267,6 @@ def _batch_size(cfg: dict[str, Value], key: str, default: int) -> int | None:
     return get_typed(cfg, key, int, default)
 
 
-def build_model(cfg: dict[str, Value], layers: list[int] | None = None) -> MlpSpec:
-    if layers is None:
-        layers = _typed_list(cfg, "model.layers", int)
-    activation = get_typed(cfg, "model.activation", str, "relu")
-    return MlpSpec(tuple(layers), activation)
-
-
-def build_plan(cfg: dict[str, Value], samples_per_client: int | None = None) -> PartitionPlan:
-    kind = get_typed(cfg, "partition.kind", str, IID)
-    if samples_per_client is None:
-        samples_per_client = get_typed(cfg, "partition.samples_per_client", int)
-    return PartitionPlan(
-        kind=kind,
-        num_clients=get_typed(cfg, "fed.num_clients", int),
-        samples_per_client=samples_per_client,
-        seed=derive_seed(get_typed(cfg, "seed", int), "partition"),
-    )
-
-
 def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfig:
     kwargs = dict(
         num_clients=get_typed(cfg, "fed.num_clients", int),
@@ -354,21 +335,6 @@ def write_rounds_csv(path: Path, history: list[RoundMetrics]) -> None:
     )
 
 
-@contextmanager
-def _rounds_kept_on_divergence(path: Path):
-    """On a ClientDivergedError inside the block, write the rounds it completed to path, then re-raise."""
-    try:
-        yield
-    except ClientDivergedError as err:
-        write_rounds_csv(path, err.history)
-        raise
-
-
-def write_summary_csv(path: Path, rows: list[dict]) -> None:
-    header = ["arch", "samples_per_client", "final_train_acc", "final_test_acc"]
-    _write_csv(path, header, ([row[col] for col in header] for row in rows))
-
-
 def write_breakdown_csv(path: Path, breakdown: CostBreakdown) -> None:
     _write_csv(
         path,
@@ -395,10 +361,6 @@ set key bottom right
 plot "{csv}" using 1:2 every ::1 with linespoints title "train", \\
      "{csv}" using 1:3 every ::1 with linespoints title "test"
 """
-
-
-def write_rounds_plot_script(path: Path, csv_name: str) -> None:
-    path.write_text(GNUPLOT_TEMPLATE.format(csv=csv_name))
 
 
 def write_partition_csv(path: Path, shards, dataset: Dataset) -> None:
@@ -482,6 +444,17 @@ def finish_manifest(
 
 # ---------------------------------------------------------------- commands
 
+# One run of a plan: arch label, samples per client, rounds CSV name, and a
+# closure that trains the run and returns its per-round history.
+Run = tuple[str, int, str, Callable[[], list[RoundMetrics]]]
+
+COST_SCENARIOS = {
+    "fl_training": ("federated training cost", FlScenario, fl_training_cost),
+    "fl_deployment": ("federated deployment cost", FlScenario, fl_deployment_cost),
+    "central": ("centralized training cost", CentralScenario, central_cost),
+}
+
+
 def _arch_label(layers) -> str:
     return "-".join(str(n) for n in layers)
 
@@ -491,130 +464,120 @@ def _preset_archs(cfg: dict[str, Value]) -> list[list[int]]:
     return archs or [_typed_list(cfg, "model.layers", int)]
 
 
-def _fed_single_run(cfg, dataset, test_set, model, plan, seed) -> tuple[list[RoundMetrics], float | None, float | None]:
-    shards = partition(dataset, plan)
-    fed = build_fed_config(cfg, seed=seed)
-    history, state = train_federated(model, fed, shards, dataset, test_set)
-    final_train = final_test = None
-    for m in reversed(history):
-        if m.train_accuracy is not None:
-            final_train, final_test = m.train_accuracy, m.test_accuracy
-            break
-    return history, final_train, final_test
+def _partition_plan(
+    cfg: dict[str, Value], samples_per_client: int | None = None, *seed_path: str | int, kind: str | None = None
+) -> PartitionPlan:
+    """fed.num_clients shards seeded by derive_seed(seed, "partition", *seed_path).
+
+    kind and samples_per_client default to partition.kind and
+    partition.samples_per_client.
+    """
+    kind = kind or get_typed(cfg, "partition.kind", str, IID)
+    if samples_per_client is None:
+        samples_per_client = get_typed(cfg, "partition.samples_per_client", int)
+    return PartitionPlan(
+        kind=kind,
+        num_clients=get_typed(cfg, "fed.num_clients", int),
+        samples_per_client=samples_per_client,
+        seed=derive_seed(get_typed(cfg, "seed", int), "partition", *seed_path),
+    )
 
 
-def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
+def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path], str]:
+    """Train the runs in order, writing each one's rounds CSV; a diverged run keeps its completed rounds.
+
+    A grid also writes summary.csv, the last evaluated accuracies of every
+    run; a single run writes its gnuplot script instead.
+    """
+    outputs: list[Path] = []
+    summary = []
+    for arch, samples_per_client, name, train in runs:
+        path = out_dir / name
+        try:
+            history = train()
+        except ClientDivergedError as err:
+            write_rounds_csv(path, err.history)
+            raise
+        write_rounds_csv(path, history)
+        outputs.append(path)
+        last = next((m for m in reversed(history) if m.train_accuracy is not None), None)
+        summary.append([arch, samples_per_client, last and last.train_accuracy, last and last.test_accuracy])
+    if grid:
+        path = out_dir / "summary.csv"
+        _write_csv(path, ["arch", "samples_per_client", "final_train_acc", "final_test_acc"], summary)
+    else:
+        path = out_dir / "plot_rounds.gnuplot"
+        path.write_text(GNUPLOT_TEMPLATE.format(csv=outputs[0].name))
+    return outputs + [path], ""
+
+
+def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     experiment = cfg["experiment"]
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
-    outputs: list[Path] = []
+    activation = get_typed(cfg, "model.activation", str, "relu")
+
+    def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
+        def train() -> list[RoundMetrics]:
+            shards = partition(dataset, plan)  # before train_federated, whose call ends set-up
+            return train_federated(model, build_fed_config(cfg, run_seed), shards, dataset, test_set)[0]
+
+        return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
     if experiment == CUSTOM:
-        model = build_model(cfg)
-        plan = build_plan(cfg)
-        path = out_dir / "rounds.csv"
-        with _rounds_kept_on_divergence(path):
-            history, _, _ = _fed_single_run(cfg, dataset, test_set, model, plan, seed)
-        write_rounds_csv(path, history)
-        plot_path = out_dir / "plot_rounds.gnuplot"
-        write_rounds_plot_script(plot_path, path.name)
-        return [path, plot_path]
-
-    if experiment in (SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
-        archs = _preset_archs(cfg)
-        samples_values = _typed_list(cfg, "preset.samples_per_client", int)
-        base_kind = get_typed(cfg, "partition.kind", str, IID)
-        summary = []
-        for layers in archs:
-            model = build_model(cfg, layers)
-            for spc in samples_values:
-                kind = base_kind
-                if experiment == ROUND_CURVES and base_kind == SINGLE_LABEL and spc == 1:
-                    kind = SINGLE_SAMPLE
-                plan = PartitionPlan(
-                    kind=kind,
-                    num_clients=get_typed(cfg, "fed.num_clients", int),
-                    samples_per_client=spc,
-                    seed=derive_seed(seed, "partition", _arch_label(layers), spc),
-                )
-                run_seed = derive_seed(seed, "run", _arch_label(layers), spc)
-                path = out_dir / f"rounds_{_arch_label(layers)}_spc{spc}.csv"
-                with _rounds_kept_on_divergence(path):
-                    history, final_train, final_test = _fed_single_run(cfg, dataset, test_set, model, plan, run_seed)
-                write_rounds_csv(path, history)
-                outputs.append(path)
-                summary.append({
-                    "arch": _arch_label(layers),
-                    "samples_per_client": spc,
-                    "final_train_acc": final_train,
-                    "final_test_acc": final_test,
-                })
-        summary_path = out_dir / "summary.csv"
-        write_summary_csv(summary_path, summary)
-        outputs.append(summary_path)
-        return outputs
-
-    raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
+        model = MlpSpec(tuple(_typed_list(cfg, "model.layers", int)), activation)
+        return _train_plan(out_dir, [run(model, _partition_plan(cfg), "rounds.csv", seed)], grid=False)
+    if experiment not in (SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
+        raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
+    archs = _preset_archs(cfg)
+    samples_values = _typed_list(cfg, "preset.samples_per_client", int)
+    kind = get_typed(cfg, "partition.kind", str, IID)
+    runs = []
+    for layers in archs:
+        model, arch = MlpSpec(tuple(layers), activation), _arch_label(layers)
+        for spc in samples_values:
+            single_sample = experiment == ROUND_CURVES and kind == SINGLE_LABEL and spc == 1
+            plan = _partition_plan(cfg, spc, arch, spc, kind=SINGLE_SAMPLE if single_sample else kind)
+            runs.append(run(model, plan, f"rounds_{arch}_spc{spc}.csv", derive_seed(seed, "run", arch, spc)))
+    return _train_plan(out_dir, runs, grid=True)
 
 
-def run_train_central(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
-    experiment = cfg["experiment"]
+def run_train_central(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     lr = get_typed(cfg, "central.lr", float, 0.1)
     batch = _batch_size(cfg, "central.batch_size", 32)
     epochs = get_typed(cfg, "central.epochs", int, 5)
+    grid = cfg["experiment"] == CENTRAL_BASELINE
+    archs = _preset_archs(cfg) if grid else [_typed_list(cfg, "model.layers", int)]
+    activation = get_typed(cfg, "model.activation", str, "relu")
 
-    archs = _preset_archs(cfg) if experiment == CENTRAL_BASELINE else [_typed_list(cfg, "model.layers", int)]
+    def run(layers: list[int]) -> Run:
+        model, arch = MlpSpec(tuple(layers), activation), _arch_label(layers)
 
-    outputs: list[Path] = []
-    summary = []
-    for layers in archs:
-        model = build_model(cfg, layers)
-        name = "rounds.csv" if len(archs) == 1 else f"central_{_arch_label(layers)}.csv"
-        path = out_dir / name
-        with _rounds_kept_on_divergence(path):
-            history, _ = train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", _arch_label(layers)))
-        write_rounds_csv(path, history)
-        outputs.append(path)
-        last = history[-1] if history else None
-        summary.append({
-            "arch": _arch_label(layers),
-            "samples_per_client": len(dataset),
-            "final_train_acc": last.train_accuracy if last else None,
-            "final_test_acc": last.test_accuracy if last else None,
-        })
-    if len(archs) > 1:
-        summary_path = out_dir / "summary.csv"
-        write_summary_csv(summary_path, summary)
-        outputs.append(summary_path)
-    return outputs
+        def train() -> list[RoundMetrics]:
+            try:
+                return train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", arch))[0]
+            except FieldError as err:
+                raise ConfigError(str(err), key=f"central.{err.field}") from err
+
+        return arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train
+
+    return _train_plan(out_dir, [run(layers) for layers in archs], grid)
 
 
 def run_cost(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
-    experiment = cfg["experiment"]
+    if cfg["experiment"] in (COST_MODEL_SIZE_SWEEP, COST_ROUNDS_SWEEP, COST_ROUNDS_PER_DAY_SWEEP):
+        return run_sweep(cfg, out_dir)
     sheet = build_price_sheet(cfg)
+    scenario = get_typed(cfg, "cost.scenario", str, "all")
+    if scenario != "all" and scenario not in COST_SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}", key="cost.scenario")
     outputs: list[Path] = []
     texts: list[str] = []
-
-    if experiment in (COST_MODEL_SIZE_SWEEP, COST_ROUNDS_SWEEP, COST_ROUNDS_PER_DAY_SWEEP):
-        return run_sweep(cfg, out_dir)
-
-    scenario_kind = get_typed(cfg, "cost.scenario", str, "all")
-    if scenario_kind not in ("fl_training", "fl_deployment", "central", "all"):
-        raise ConfigError(f"unknown scenario {scenario_kind!r}", key="cost.scenario")
-
-    wanted = ("fl_training", "fl_deployment", "central") if scenario_kind == "all" else (scenario_kind,)
-    for kind in wanted:
-        if kind == "fl_training":
-            breakdown = fl_training_cost(from_config(FlScenario, cfg, "cost."), sheet)
-            title = "federated training cost"
-        elif kind == "fl_deployment":
-            breakdown = fl_deployment_cost(from_config(FlScenario, cfg, "cost."), sheet)
-            title = "federated deployment cost"
-        else:
-            breakdown = central_cost(from_config(CentralScenario, cfg, "cost."), sheet)
-            title = "centralized training cost"
+    for kind in COST_SCENARIOS if scenario == "all" else (scenario,):
+        title, scenario_cls, cost = COST_SCENARIOS[kind]
+        breakdown = cost(from_config(scenario_cls, cfg, "cost."), sheet)
         path = out_dir / f"breakdown_{kind}.csv"
         write_breakdown_csv(path, breakdown)
         outputs.append(path)
@@ -629,17 +592,16 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     base = from_config(FlScenario, cfg, "cost.")
     try:
         rows = sweep(dimension, values, base, sheet)
-    except FieldError as err:  # a swept value the scenario rejects
-        raise ConfigError(str(err), key="cost.sweep.values") from err
+    except FieldError as err:  # an unknown dimension, or a swept value the scenario rejects
+        raise ConfigError(str(err), key="cost.sweep." + ("dimension" if err.field == "dimension" else "values")) from err
     path = out_dir / "sweep.csv"
     write_sweep_csv(path, rows)
     return [path], format_sweep_table(dimension, rows)
 
 
-def run_partition_stats(cfg: dict[str, Value], out_dir: Path) -> list[Path]:
+def run_partition_stats(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     dataset, _ = resolve_datasets(cfg)
-    plan = build_plan(cfg)
-    shards = partition(dataset, plan)
+    shards = partition(dataset, _partition_plan(cfg))
     path = out_dir / "shards.csv"
     write_partition_csv(path, shards, dataset)
-    return [path]
+    return [path], ""

@@ -84,15 +84,8 @@ class ParamVector:
         object.__setattr__(self, "values", _check_vector(self.values, self.spec))
 
 
-@dataclass(frozen=True)
-class GradVector:
-    """Flat gradient (or pseudo-gradient) with the same shape law as ParamVector."""
-
-    values: Array
-    spec: MlpSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_vector(self.values, self.spec))
+# a flat gradient (or pseudo-gradient) has the same fields and shape law as parameters
+GradVector = ParamVector
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fedsim.cli import main
@@ -141,12 +140,11 @@ class TestCliTrainFed:
         assert code == 4
 
     def test_divergence_exit_code(self, tmp_path):
-        with np.errstate(all="ignore"):
-            code = main(
-                ["train-fed", "--out", str(tmp_path)]
-                + SYNTH_FED
-                + ["--set", "model.layers=6,8,3", "--set", "fed.client_lr=1e200", "--set", "fed.local_epochs=4"]
-            )
+        code = main(
+            ["train-fed", "--out", str(tmp_path)]
+            + SYNTH_FED
+            + ["--set", "model.layers=6,8,3", "--set", "fed.client_lr=1e200", "--set", "fed.local_epochs=4"]
+        )
         assert code == 3
         assert "run.status = failed" in (tmp_path / "manifest.txt").read_text()
 
@@ -204,6 +202,19 @@ class TestCliTrainCentral:
         assert code == 0
         rows = read_csv(tmp_path / "rounds.csv")
         assert len(rows) == 1 + 2
+        assert "run.outputs = rounds.csv,plot_rounds.gnuplot" in (tmp_path / "manifest.txt").read_text().splitlines()
+        assert (tmp_path / "plot_rounds.gnuplot").exists()
+
+    @pytest.mark.parametrize("override", ["central.lr=-1", "central.batch_size=0", "central.epochs=-1"])
+    def test_range_errors_name_the_key(self, tmp_path, capsys, override):
+        assert main(["train-central", "--out", str(tmp_path)] + SYNTH_CENTRAL + ["--set", override]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {override.split('=')[0]}: " in err
+        assert "Traceback" not in err
+
+    def test_zero_epochs_header_only(self, tmp_path):
+        assert main(["train-central", "--out", str(tmp_path)] + SYNTH_CENTRAL + ["--set", "central.epochs=0"]) == 0
+        assert read_csv(tmp_path / "rounds.csv") == [["round", "train_acc", "test_acc", "mean_client_loss", "elapsed_s"]]
 
     def test_diverged_run_keeps_completed_epochs(self, tmp_path, monkeypatch):
         import fedsim.federation as federation
@@ -283,10 +294,7 @@ class TestCliSweepAndPartition:
         assert len(rows) == 3
         assert float(rows[2][1]) > float(rows[1][1])
 
-    @pytest.mark.parametrize(
-        "dimension, values", [("rounds_per_day", "0,10"), ("rounds", "100,-1"), ("model_size", "-5")]
-    )
-    def test_rejected_swept_value_names_its_key(self, tmp_path, capsys, dimension, values):
+    def _sweep_rejects(self, tmp_path, capsys, dimension, values, key):
         code = main([
             "sweep", "--out", str(tmp_path),
             "--set", f"cost.sweep.dimension={dimension}",
@@ -296,8 +304,17 @@ class TestCliSweepAndPartition:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert "config error: cost.sweep.values: " in err
+        assert f"config error: {key}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "dimension, values", [("rounds_per_day", "0,10"), ("rounds", "100,-1"), ("model_size", "-5")]
+    )
+    def test_rejected_swept_value_names_its_key(self, tmp_path, capsys, dimension, values):
+        self._sweep_rejects(tmp_path, capsys, dimension, values, "cost.sweep.values")
+
+    def test_unknown_sweep_dimension_names_its_key(self, tmp_path, capsys):
+        self._sweep_rejects(tmp_path, capsys, "bogus", "100", "cost.sweep.dimension")
 
     def test_partition_stats(self, tmp_path):
         code = main([
