@@ -7,12 +7,16 @@ average) or send weight deltas (the server treats the negated weighted mean
 delta as a pseudo-gradient for any server optimizer; with plain sgd at rate
 1.0 the two modes coincide).
 
-A round streams its cohort: each client trains into one round buffer and is
-folded into a running weighted sum (acc += (n_k / denom) * x_k, the
-denominator known before training) as soon as it finishes, in client-id
-order. A round therefore holds O(model) memory, not O(cohort x model), and
-gives bit for bit the mean that aggregate_weights and aggregate_deltas
-compute from a list of updates, since all three fold with the same step.
+A round streams its cohort: each client trains into a buffer of its own,
+leaves there its term (n_k / denom) * x_k of the weighted sum (the
+denominator is known before training), and is folded into a running sum
+(acc += term) in client-id order. A round therefore holds O(model) memory per
+process, not O(cohort x model), and gives bit for bit the mean that
+aggregate_weights and aggregate_deltas compute from a list of updates, since
+all three fold with the same step. When the local steps are too small for
+BLAS to thread, train_federated spreads each cohort over forked worker
+processes (see fedsim.pool); the parent still folds in client-id order, so
+the bits do not depend on the worker count.
 
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
@@ -20,16 +24,18 @@ order, and init all draw from seeds derived per (seed, round, client).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .config import FieldError
 from .data import ClientShard, Dataset
 from .data import shard_batches  # noqa: F401  unused here; bench/child.py traces this name
+from .machine import usable_cpus
 from .nn import loss  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
     GradVector,
@@ -45,6 +51,9 @@ from .nn import (
     server_apply,
 )
 from .rng import derive_seed
+
+if TYPE_CHECKING:
+    from .pool import CohortPool
 
 SEND_WEIGHTS = "send_weights"
 SEND_DELTA = "send_delta"
@@ -65,6 +74,9 @@ class ClientDivergedError(RuntimeError):
         self.history = list(history)
         where = f" in round {round_index}" if round_index is not None else ""
         super().__init__(f"client {client_id} diverged{where} (non-finite loss or weights)")
+
+    def __reduce__(self):  # a cohort worker sends it to the parent pickled
+        return type(self), (self.client_id, self.round_index)
 
 
 @dataclass(frozen=True)
@@ -212,26 +224,20 @@ def client_update(
         raise ClientDivergedError(shard.client_id) from err
 
 
-def _fold(acc: np.ndarray, vec: np.ndarray, weight: float, scratch: np.ndarray) -> None:
-    """acc += weight * vec, with the product written to scratch (which may be vec).
-
-    The one weighted-mean step: run_round's streamed cohort and both
-    aggregate_* functions fold with it, so they agree bit for bit.
-    """
-    np.multiply(vec, weight, out=scratch)
-    acc += scratch
-
-
 def _fold_all(updates: Sequence[tuple[ParamVector, int]], total: float | None) -> np.ndarray:
-    """The weighted mean of a list of updates: each folded in list order with weight n_k / denom.
+    """The weighted mean of a list of updates: acc += (n_k / denom) * x_k, in list order.
 
-    denom is total when given, else sum(n_k).
+    denom is total when given, else sum(n_k). run_round takes the same two
+    steps per client, the product where the client trained (_train_client)
+    and the sum in the parent, so a round and both aggregate_* functions
+    agree bit for bit.
     """
     denom = float(total) if total is not None else float(sum(n for _, n in updates))
     acc = np.zeros_like(updates[0][0].values)
-    scratch = np.empty_like(acc)
+    term = np.empty_like(acc)
     for vec, n in updates:
-        _fold(acc, vec.values, n / denom, scratch)
+        np.multiply(vec.values, n / denom, out=term)
+        acc += term
     return acc
 
 
@@ -310,6 +316,69 @@ def _round_workspace(spec: MlpSpec, shards: Sequence[ClientShard]) -> Workspace:
     return Workspace(spec, max(s.num_samples for s in shards))
 
 
+def _train_client(
+    out: np.ndarray,
+    shard: ClientShard,
+    dataset: Dataset,
+    weights: ParamVector,
+    config: FedConfig,
+    client_seed: int,
+    denom: float,
+    workspace: Workspace,
+) -> float:
+    """Train one client of a round in out, leave there its term of the weighted sum, and return its loss.
+
+    The term is (n_k / denom) * x_k, where x_k is the client's new weights,
+    or its delta from weights in send_delta mode. The loss is the new
+    weights' mean loss on the client's shard.
+    """
+    local = client_update(
+        shard,
+        dataset,
+        weights,
+        config.local_epochs,
+        config.batch_size,
+        config.client_lr,
+        client_seed,
+        workspace,
+        out=out,
+    )
+    x, n = local.values, shard.num_samples
+    inputs, labels = workspace.inputs[:n], workspace.labels[:n]
+    np.take(dataset.inputs, shard.indices, axis=0, out=inputs)
+    np.take(dataset.labels, shard.indices, out=labels)
+    client_loss = loss_raw(x, weights.spec, inputs, labels, workspace)
+    if config.update_mode == SEND_DELTA:
+        x = np.subtract(x, weights.values, out=out)
+    np.multiply(x, n / denom, out=out)
+    return client_loss
+
+
+# OpenBLAS runs a dgemm on one thread while m * n * k is at most
+# SMP_THRESHOLD_MIN (65,536) times GEMM_MULTITHREAD_THRESHOLD (4).
+_BLAS_ONE_THREAD_MNK = 4 * 65_536
+
+
+def _pool_workers(spec: MlpSpec, batch_rows: int, cohort: int) -> int:
+    """How many processes train a round's cohort: one per usable CPU, or 1.
+
+    Processes pay off only while a local step runs BLAS on one thread, that
+    is while every layer's product batch_rows * d_in * d_out is at most
+    _BLAS_ONE_THREAD_MNK. A larger step already spreads over the cores, and
+    processes beside its BLAS threads only contend for them.
+    """
+    sizes = spec.layer_sizes
+    if max(batch_rows * d_in * d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])) > _BLAS_ONE_THREAD_MNK:
+        return 1
+    return min(usable_cpus(), cohort)
+
+
+def cohort_workers(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int:
+    """The number of processes train_federated trains each round's cohort on."""
+    batch_rows = _batch_rows(config.batch_size, max(s.num_samples for s in shards))
+    return _pool_workers(spec, batch_rows, config.cohort_size)
+
+
 def run_round(
     state: GlobalState,
     config: FedConfig,
@@ -319,16 +388,18 @@ def run_round(
     train_rows: np.ndarray | None = None,
     compute_accuracy: bool = True,
     workspace: Workspace | None = None,
+    pool: CohortPool | None = None,
 ) -> tuple[GlobalState, RoundMetrics]:
     """Execute one aggregation round and return the advanced state plus metrics.
 
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
-    Every client trains, and has its loss measured, in workspace, which must
-    fit the largest shard; one is made when it is omitted. Each client's
-    weights go into one round buffer and are folded into the weighted sum
-    before the next client trains, so no cohort-sized state is kept. Train
-    accuracy is measured on the dataset rows train_rows (default: all).
+    The clients this process trains train, and have their loss measured, in
+    workspace, which must fit the largest shard; one is made when it is
+    omitted. With a pool, its workers train the other clients. Each client's
+    term goes into one buffer (or a worker's slot) and is folded into the
+    weighted sum before the next client's, so no cohort-sized state is kept.
+    Train accuracy is measured on the dataset rows train_rows (default: all).
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
@@ -343,36 +414,24 @@ def run_round(
     spec, w_t = state.weights.spec, state.weights.values
     weighted = shards if config.alg1_literal_normalization else [shards[int(c)] for c in selected]
     denom = float(sum(s.num_samples for s in weighted))
-    send_delta = config.update_mode == SEND_DELTA
+    workers = 1 if pool is None else pool.workers
+    if pool is not None:
+        pool.start_round(t, w_t, selected, denom)
     acc = np.zeros_like(w_t)
     buf = np.empty_like(w_t)
     losses = []
-    for client_id in selected:
-        shard = shards[int(client_id)]
+    for k, client_id in enumerate(selected):
         try:
-            local = client_update(
-                shard,
-                dataset,
-                state.weights,
-                config.local_epochs,
-                config.batch_size,
-                config.client_lr,
-                _client_seed(config.seed, t, int(client_id)),
-                workspace,
-                out=buf,
-            )
+            if k % workers:
+                losses.append(pool.fold(acc, k))
+            else:
+                shard, seed = shards[int(client_id)], _client_seed(config.seed, t, int(client_id))
+                losses.append(_train_client(buf, shard, dataset, state.weights, config, seed, denom, workspace))
+                acc += buf
         except ClientDivergedError as err:
             raise ClientDivergedError(err.client_id, t) from err
-        x, n = local.values, shard.num_samples
-        inputs, labels = workspace.inputs[:n], workspace.labels[:n]
-        np.take(dataset.inputs, shard.indices, axis=0, out=inputs)
-        np.take(dataset.labels, shard.indices, out=labels)
-        losses.append(loss_raw(x, spec, inputs, labels, workspace))
-        if send_delta:
-            x = np.subtract(x, w_t, out=buf)
-        _fold(acc, x, n / denom, buf)
 
-    if send_delta:
+    if config.update_mode == SEND_DELTA:
         np.negative(acc, out=acc)
         new_weights, new_server_state = server_apply(state.server_opt_state, state.weights, GradVector(acc, spec))
     else:
@@ -409,6 +468,8 @@ def train_federated(
     Accuracy is computed on the union of the shards (the data the federation
     actually trains on) and on test_set, every eval_every rounds plus the
     final round. eval_every defaults to 1 for short runs and 5 for long ones.
+    The cohorts train on cohort_workers processes; the workers are forked
+    once for the run and stopped when it ends, however it ends.
     """
     weights = initial_weights if initial_weights is not None else init_params(model, derive_seed(config.seed, "init"))
     state = GlobalState(weights, 0, config.server_opt)
@@ -421,20 +482,28 @@ def train_federated(
     # shards that cover every row exactly once are scored on the dataset as it is
     train_rows = None if np.array_equal(union, np.arange(len(dataset))) else union
 
-    workspace = _round_workspace(weights.spec, shards)
+    spec = weights.spec
+    workspace = _round_workspace(spec, shards)
+    workers = cohort_workers(spec, config, shards)
     history: list[RoundMetrics] = []
-    for t in range(config.rounds):
-        eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
-        try:
-            state, metrics = run_round(
-                state, config, shards, dataset,
-                test_set=test_set, train_rows=train_rows, compute_accuracy=eval_now,
-                workspace=workspace,
-            )
-        except ClientDivergedError as err:
-            err.history = history
-            raise
-        history.append(metrics)
+    pool_context = contextlib.nullcontext()
+    if workers > 1:
+        from .pool import CohortPool  # imported here: multiprocessing would add ~10 ms to every CLI start
+
+        pool_context = CohortPool(workers, spec, config, shards, dataset)
+    with pool_context as pool:
+        for t in range(config.rounds):
+            eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
+            try:
+                state, metrics = run_round(
+                    state, config, shards, dataset,
+                    test_set=test_set, train_rows=train_rows, compute_accuracy=eval_now,
+                    workspace=workspace, pool=pool,
+                )
+            except ClientDivergedError as err:
+                err.history = history
+                raise
+            history.append(metrics)
     return history, state
 
 

@@ -59,9 +59,11 @@ from .federation import (
     ClientDivergedError,
     FedConfig,
     RoundMetrics,
+    cohort_workers,
     train_centralized,
     train_federated,
 )
+from .machine import fingerprint
 from .nn import MlpSpec, ServerOptimizerState
 from .rng import derive_seed
 
@@ -402,13 +404,17 @@ def _utc_now() -> str:
 
 
 def _write_manifest(path: Path, cfg: dict[str, Value], command: str, meta: dict[str, Value]) -> None:
-    """Write cfg plus this run's run.* metadata; run.* keys a rerun config carries are dropped."""
+    """Write cfg plus this run's run.* metadata; run.* keys a rerun config carries are dropped.
+
+    run.platform.* is the envelope the run's bits depend on (see fedsim.machine).
+    """
     path.write_text(format_config({
         **{key: value for key, value in cfg.items() if not key.startswith("run.")},
         "run.package_version": __version__,
         "run.command": command,
         "run.seed": cfg.get("seed", 0),
         "run.note": MANIFEST_NOTE,
+        **{f"run.platform.{key}": value for key, value in fingerprint().items()},
         **meta,
     }))
 
@@ -427,13 +433,18 @@ def finish_manifest(
     outputs: list[Path],
     error: str | None = None,
     failed_round: int | None = None,
+    run_meta: dict[str, Value] | None = None,
+    interrupted: bool = False,
 ) -> None:
-    """Mark the run complete with its outputs, or failed with the error message.
+    """Mark the run complete with its outputs, failed with the error message, or interrupted.
 
     A run that diverged also records the round (epoch) it failed in.
+    run_meta holds the run.* entries the command added.
     """
-    meta: dict[str, Value] = {"run.finished_utc": _utc_now()}
-    if error is None:
+    meta: dict[str, Value] = {"run.finished_utc": _utc_now(), **(run_meta or {})}
+    if interrupted:
+        meta["run.status"] = "interrupted"
+    elif error is None:
         meta.update({"run.status": "complete", "run.outputs": ",".join(p.name for p in outputs)})
     else:
         meta.update({"run.status": "failed", "run.error": " ".join(error.split())})
@@ -511,8 +522,11 @@ def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path],
     return outputs + [path], ""
 
 
-def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
+def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
+    """Train the custom run or the preset's grid; meta gets run.workers, each run's cohort processes."""
     experiment = cfg["experiment"]
+    if experiment not in (CUSTOM, SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
+        raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     activation = get_typed(cfg, "model.activation", str, "relu")
@@ -520,15 +534,15 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str
     def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
         def train() -> list[RoundMetrics]:
             shards = partition(dataset, plan)  # before train_federated, whose call ends set-up
-            return train_federated(model, build_fed_config(cfg, run_seed), shards, dataset, test_set)[0]
+            config = build_fed_config(cfg, run_seed)
+            meta.setdefault("run.workers", []).append(cohort_workers(model, config, shards))
+            return train_federated(model, config, shards, dataset, test_set)[0]
 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
     if experiment == CUSTOM:
         model = MlpSpec(tuple(_typed_list(cfg, "model.layers", int)), activation)
         return _train_plan(out_dir, [run(model, _partition_plan(cfg), "rounds.csv", seed)], grid=False)
-    if experiment not in (SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
-        raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
     archs = _preset_archs(cfg)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
     kind = get_typed(cfg, "partition.kind", str, IID)
@@ -542,7 +556,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str
     return _train_plan(out_dir, runs, grid=True)
 
 
-def run_train_central(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
+def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     lr = get_typed(cfg, "central.lr", float, 0.1)
@@ -566,9 +580,9 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path],
     return _train_plan(out_dir, [run(layers) for layers in archs], grid)
 
 
-def run_cost(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
+def run_cost(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     if cfg["experiment"] in (COST_MODEL_SIZE_SWEEP, COST_ROUNDS_SWEEP, COST_ROUNDS_PER_DAY_SWEEP):
-        return run_sweep(cfg, out_dir)
+        return run_sweep(cfg, out_dir, meta)
     sheet = build_price_sheet(cfg)
     scenario = get_typed(cfg, "cost.scenario", str, "all")
     if scenario != "all" and scenario not in COST_SCENARIOS:
@@ -585,7 +599,7 @@ def run_cost(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     return outputs, "\n\n".join(texts)
 
 
-def run_sweep(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
+def run_sweep(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     sheet = build_price_sheet(cfg)
     dimension = get_typed(cfg, "cost.sweep.dimension", str)
     values = _typed_list(cfg, "cost.sweep.values", float)
@@ -599,7 +613,7 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
     return [path], format_sweep_table(dimension, rows)
 
 
-def run_partition_stats(cfg: dict[str, Value], out_dir: Path) -> tuple[list[Path], str]:
+def run_partition_stats(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     dataset, _ = resolve_datasets(cfg)
     shards = partition(dataset, _partition_plan(cfg))
     path = out_dir / "shards.csv"

@@ -161,12 +161,38 @@ class TestCliTrainFed:
             return original(shard, *args, **kwargs)
 
         monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
+        monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 3
         rows = read_csv(tmp_path / "rounds.csv")
         assert [row[0] for row in rows[1:]] == ["0", "1"]
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
         assert "run.status = failed" in lines
         assert "run.failed_round = 2" in lines
+
+    def test_interrupted_run_says_so_and_exits_130(self, tmp_path, monkeypatch, capsys):
+        import fedsim.federation as federation
+
+        original = federation.client_update
+        calls = []
+
+        def interrupt_in_round_2(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 2 * 3:  # 3 updates a round
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "client_update", interrupt_in_round_2)
+        monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 130
+        assert capsys.readouterr().err == "interrupted: stopped by SIGINT\n"
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.status = interrupted" in lines
+        assert not any(line.startswith(("run.error", "run.outputs")) for line in lines)
+
+    def test_non_federated_preset_is_a_config_error_before_any_data_is_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path / "nowhere"))
+        assert main(["train-fed", "--out", str(tmp_path), "--set", "experiment=central_baseline"]) == 2
+        assert capsys.readouterr().err.startswith("config error: experiment: experiment 'central_baseline' is not a")
 
     def test_preset_sweep_writes_summary(self, tmp_path):
         # shrink the preset to desk size via overrides

@@ -228,6 +228,7 @@ class TestSharedSgdLoop:
             return client_update(shard, *args, **kwargs)
 
         monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
+        monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
         with pytest.raises(ClientDivergedError) as err:
             train_federated(spec, config, shards, ds)
         assert err.value.round_index == 2
