@@ -3,21 +3,26 @@
 Subcommands: train-fed, train-central, cost, sweep, partition-stats. Each
 takes --config <path>, repeatable --set key=value overrides, and --out <dir>.
 Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O error,
-130 interrupted (SIGINT, Ctrl-C). A run that fails after its manifest is
-started leaves run.status = failed; a diverged run also keeps the rounds it
-completed in its rounds CSV and records run.failed_round. An interrupted run
-leaves run.status = interrupted and prints one line, no traceback.
+130 interrupted by SIGINT (Ctrl-C), 143 stopped by SIGTERM. Every way a run
+ends after its manifest is started goes through one finish path, which
+records the outcome in the manifest: run.status = complete, failed (with
+run.error; a diverged run also records run.failed_round) or interrupted.
+A stopped training run keeps the rounds it completed in its rounds CSV. A
+stop prints one stderr line and no traceback; any other exception is a bug:
+its run is recorded as failed and the exception is raised again (exit 1,
+with its traceback). SIGKILL is the one stop that leaves run.status =
+running and no rounds CSV, since the process gets no chance to write them.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import signal
 import sys
 from pathlib import Path
 
-from .config import ConfigError, apply_overrides, load_config
-from .data import IdxFormatError, PartitionError
+from .config import Value, apply_overrides, load_config
+from .data import IdxFormatError
 from .federation import ClientDivergedError
 from .harness import (
     effective_config,
@@ -44,7 +49,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for a command stopped by Ctrl-C
+EXIT_INTERRUPTED = 128  # plus the signal number, as a shell reports it: 130 for SIGINT, 143 for SIGTERM
+
+# (exception types, exit code, stderr label) of the stops that are not bugs; the first match wins
+STOPS = (
+    (ClientDivergedError, EXIT_DIVERGED, "diverged"),
+    ((IdxFormatError, OSError), EXIT_IO, "i/o error"),
+    (ValueError, EXIT_CONFIG, "config error"),  # ConfigError, FieldError, PartitionError, ShapeMismatchError
+)
 
 
 def _add_common_args(sub: argparse.ArgumentParser) -> None:
@@ -74,42 +86,55 @@ def _load_effective(args) -> dict:
     return effective_config(cfg)
 
 
+def _raise_interrupt(signum, frame):
+    """SIGTERM handler: stop the way Python stops on SIGINT, naming the signal."""
+    raise KeyboardInterrupt(signum)
+
+
+def _outcome(stop: BaseException) -> tuple[int | None, str, dict[str, Value]]:
+    """Exit code (None for a bug), stderr line and manifest run.* entries of a run that stop ended."""
+    if isinstance(stop, KeyboardInterrupt):
+        signum = signal.Signals(stop.args[0] if stop.args else signal.SIGINT)
+        return EXIT_INTERRUPTED + signum, f"interrupted: stopped by {signum.name}", {"run.status": "interrupted"}
+    code, label = next(((code, label) for kinds, code, label in STOPS if isinstance(stop, kinds)), (None, None))
+    message = f"{label or type(stop).__name__}: {stop}"
+    entries: dict[str, Value] = {"run.status": "failed", "run.error": " ".join(message.split())}
+    if isinstance(stop, ClientDivergedError) and stop.round_index is not None:
+        entries["run.failed_round"] = stop.round_index
+    return code, message, entries
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = None
-    meta: dict = {}
+    manifest, cfg, meta, stop = None, {}, {}, None
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
-        cfg = _load_effective(args)
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = start_manifest(out_dir, args.command, cfg)
-        _, run = COMMANDS[args.command]
-        outputs, text = run(cfg, out_dir, meta)
-        finish_manifest(manifest, cfg, args.command, outputs, run_meta=meta)
+        try:
+            cfg = _load_effective(args)
+            args.out.mkdir(parents=True, exist_ok=True)
+            manifest = start_manifest(args.out, args.command, cfg)
+            outputs, text = COMMANDS[args.command][1](cfg, args.out, meta)
+            meta.update({"run.status": "complete", "run.outputs": ",".join(p.name for p in outputs)})
+        except BaseException as err:  # a bug too: its run is recorded as failed, then it is raised again
+            stop = err
+            meta.update(_outcome(stop)[2])
+        if manifest is not None:  # the one finish path, whatever the outcome
+            try:
+                finish_manifest(manifest, cfg, args.command, meta)
+            except OSError as err:
+                stop = stop or err  # a run that already stopped reports its own stop
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    if stop is None:
         if text:
             print(text)
         for path in outputs:
             print(f"wrote {path}")
         return EXIT_OK
-    except ConfigError as err:
-        code, label, error = EXIT_CONFIG, "config error", err
-    except ClientDivergedError as err:
-        code, label, error = EXIT_DIVERGED, "diverged", err
-    except (IdxFormatError, OSError) as err:
-        code, label, error = EXIT_IO, "i/o error", err
-    except (PartitionError, ValueError) as err:
-        code, label, error = EXIT_CONFIG, "config error", err
-    except KeyboardInterrupt:
-        code, label, error = EXIT_INTERRUPTED, "interrupted", "stopped by SIGINT"
-    message = f"{label}: {error}"
+    code, message, _ = _outcome(stop)
+    if code is None:
+        raise stop
     print(message, file=sys.stderr)
-    if manifest is not None:
-        failed_round = error.round_index if isinstance(error, ClientDivergedError) else None
-        with contextlib.suppress(OSError):
-            finish_manifest(
-                manifest, cfg, args.command, [], error=message, failed_round=failed_round,
-                run_meta=meta, interrupted=code == EXIT_INTERRUPTED,
-            )
     return code
 
 

@@ -10,6 +10,7 @@ re-runnable as configs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields
 from typing import Any, get_type_hints
 
@@ -129,6 +130,8 @@ def get_typed(cfg: dict[str, Value], key: str, kind: type, default: Any = ...) -
         value = float(value)
     if not isinstance(value, kind):
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__} ({value!r})", key=key)
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}", key=key)
     return value
 
 

@@ -279,6 +279,8 @@ def sweep(dimension: str, values: Iterable[float], base: FlScenario, p: PriceShe
         if dimension == "model_size":
             scenario = replace(base, model_size_bytes=float(value))
         elif dimension == "rounds":
+            if not float(value).is_integer():  # nor are inf and nan
+                raise FieldError("rounds", f"must be a whole number, got {value!r}")
             scenario = replace(base, rounds=int(value))
         else:
             scenario = replace(base, rounds_per_day=float(value))

@@ -28,7 +28,7 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -62,16 +62,11 @@ EVAL_EVERY_DEFAULT_THRESHOLD = 200  # above this many rounds, evaluate every 5th
 
 
 class ClientDivergedError(RuntimeError):
-    """Local training produced a non-finite loss or non-finite weights.
+    """Local training produced a non-finite loss or non-finite weights."""
 
-    .history holds the metrics of the rounds (epochs) completed before the
-    failing one; train_federated and train_centralized fill it in.
-    """
-
-    def __init__(self, client_id: int, round_index: int | None = None, history: Sequence[RoundMetrics] = ()):
+    def __init__(self, client_id: int, round_index: int | None = None):
         self.client_id = client_id
         self.round_index = round_index
-        self.history = list(history)
         where = f" in round {round_index}" if round_index is not None else ""
         super().__init__(f"client {client_id} diverged{where} (non-finite loss or weights)")
 
@@ -462,14 +457,16 @@ def train_federated(
     dataset: Dataset,
     test_set: Dataset | None = None,
     initial_weights: ParamVector | None = None,
+    on_round: Callable[[RoundMetrics], object] | None = None,
 ) -> tuple[list[RoundMetrics], GlobalState]:
     """Run the full federated loop and return per-round metrics and final state.
 
     Accuracy is computed on the union of the shards (the data the federation
     actually trains on) and on test_set, every eval_every rounds plus the
     final round. eval_every defaults to 1 for short runs and 5 for long ones.
-    The cohorts train on cohort_workers processes; the workers are forked
-    once for the run and stopped when it ends, however it ends.
+    on_round, when given, gets each round's metrics as soon as the round
+    completes. The cohorts train on cohort_workers processes; the workers are
+    forked once for the run and stopped when it ends, however it ends.
     """
     weights = initial_weights if initial_weights is not None else init_params(model, derive_seed(config.seed, "init"))
     state = GlobalState(weights, 0, config.server_opt)
@@ -494,16 +491,14 @@ def train_federated(
     with pool_context as pool:
         for t in range(config.rounds):
             eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
-            try:
-                state, metrics = run_round(
-                    state, config, shards, dataset,
-                    test_set=test_set, train_rows=train_rows, compute_accuracy=eval_now,
-                    workspace=workspace, pool=pool,
-                )
-            except ClientDivergedError as err:
-                err.history = history
-                raise
+            state, metrics = run_round(
+                state, config, shards, dataset,
+                test_set=test_set, train_rows=train_rows, compute_accuracy=eval_now,
+                workspace=workspace, pool=pool,
+            )
             history.append(metrics)
+            if on_round is not None:
+                on_round(metrics)
     return history, state
 
 
@@ -516,10 +511,12 @@ def train_centralized(
     batch_size: int | None,
     epochs: int,
     seed: int,
+    on_round: Callable[[RoundMetrics], object] | None = None,
 ) -> tuple[list[RoundMetrics], ParamVector]:
     """Plain mini-batch SGD baseline; batch_size None is full-batch descent.
 
-    Returns one RoundMetrics per epoch (round_index reused as epoch index).
+    Returns one RoundMetrics per epoch (round_index reused as epoch index),
+    and passes each to on_round, when given, as soon as the epoch completes.
     lr < 0, batch_size < 1 and epochs < 0 raise config.FieldError.
     """
     if lr < 0:
@@ -539,7 +536,7 @@ def train_centralized(
         perm = np.random.default_rng(derive_seed(seed, "epoch", epoch)).permutation(n)
         epoch_losses = _sgd_epoch(w, model, dataset, perm, effective_b, lr, ws)
         if not np.isfinite(epoch_losses[-1]):
-            raise ClientDivergedError(client_id=-1, round_index=epoch, history=history)
+            raise ClientDivergedError(client_id=-1, round_index=epoch)
         params = ParamVector(w.copy(), model)
         history.append(
             RoundMetrics(
@@ -551,4 +548,6 @@ def train_centralized(
                 elapsed_s=time.perf_counter() - started,
             )
         )
+        if on_round is not None:
+            on_round(history[-1])
     return history, ParamVector(w, model)

@@ -56,7 +56,6 @@ from .data import (
     synth_dataset,
 )
 from .federation import (
-    ClientDivergedError,
     FedConfig,
     RoundMetrics,
     cohort_workers,
@@ -426,38 +425,20 @@ def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> Path:
     return path
 
 
-def finish_manifest(
-    path: Path,
-    cfg: dict[str, Value],
-    command: str,
-    outputs: list[Path],
-    error: str | None = None,
-    failed_round: int | None = None,
-    run_meta: dict[str, Value] | None = None,
-    interrupted: bool = False,
-) -> None:
-    """Mark the run complete with its outputs, failed with the error message, or interrupted.
+def finish_manifest(path: Path, cfg: dict[str, Value], command: str, run_meta: dict[str, Value]) -> None:
+    """Rewrite the manifest with the finish time and run_meta, the run.* entries its outcome decided.
 
-    A run that diverged also records the round (epoch) it failed in.
-    run_meta holds the run.* entries the command added.
+    run_meta holds run.status (complete, failed or interrupted) and whatever
+    the command and its outcome added: run.outputs, run.error, run.workers.
     """
-    meta: dict[str, Value] = {"run.finished_utc": _utc_now(), **(run_meta or {})}
-    if interrupted:
-        meta["run.status"] = "interrupted"
-    elif error is None:
-        meta.update({"run.status": "complete", "run.outputs": ",".join(p.name for p in outputs)})
-    else:
-        meta.update({"run.status": "failed", "run.error": " ".join(error.split())})
-    if failed_round is not None:
-        meta["run.failed_round"] = failed_round
-    _write_manifest(path, cfg, command, meta)
+    _write_manifest(path, cfg, command, {"run.finished_utc": _utc_now(), **run_meta})
 
 
 # ---------------------------------------------------------------- commands
 
 # One run of a plan: arch label, samples per client, rounds CSV name, and a
-# closure that trains the run and returns its per-round history.
-Run = tuple[str, int, str, Callable[[], list[RoundMetrics]]]
+# closure that trains the run, passing each round's metrics to its argument.
+Run = tuple[str, int, str, Callable[[Callable[[RoundMetrics], object]], object]]
 
 COST_SCENARIOS = {
     "fl_training": ("federated training cost", FlScenario, fl_training_cost),
@@ -495,23 +476,30 @@ def _partition_plan(
 
 
 def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path], str]:
-    """Train the runs in order, writing each one's rounds CSV; a diverged run keeps its completed rounds.
+    """Train the runs in order and write each one's rounds CSV, however the run ends.
 
-    A grid also writes summary.csv, the last evaluated accuracies of every
-    run; a single run writes its gnuplot script instead.
+    A run that stops early (diverged, interrupted, failed) keeps the rounds
+    it completed. Only a config error (a ValueError) that stops a run before
+    its first round completes leaves no CSV: the run trained nothing. A grid
+    also writes summary.csv, the last evaluated accuracies of every run; a
+    single run writes its gnuplot script instead.
     """
     outputs: list[Path] = []
     summary = []
     for arch, samples_per_client, name, train in runs:
         path = out_dir / name
+        rows: list[RoundMetrics] = []
+        rejected = False
         try:
-            history = train()
-        except ClientDivergedError as err:
-            write_rounds_csv(path, err.history)
+            train(rows.append)
+        except ValueError:
+            rejected = not rows
             raise
-        write_rounds_csv(path, history)
+        finally:
+            if not rejected:  # one write per run, after training: no file I/O inside the timed call
+                write_rounds_csv(path, rows)
         outputs.append(path)
-        last = next((m for m in reversed(history) if m.train_accuracy is not None), None)
+        last = next((m for m in reversed(rows) if m.train_accuracy is not None), None)
         summary.append([arch, samples_per_client, last and last.train_accuracy, last and last.test_accuracy])
     if grid:
         path = out_dir / "summary.csv"
@@ -532,11 +520,13 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     activation = get_typed(cfg, "model.activation", str, "relu")
 
     def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
-        def train() -> list[RoundMetrics]:
-            shards = partition(dataset, plan)  # before train_federated, whose call ends set-up
-            config = build_fed_config(cfg, run_seed)
+        # built with the plan, so a grid point that cannot be met fails before any run trains
+        shards = partition(dataset, plan)
+        config = build_fed_config(cfg, run_seed)
+
+        def train(on_round) -> None:
             meta.setdefault("run.workers", []).append(cohort_workers(model, config, shards))
-            return train_federated(model, config, shards, dataset, test_set)[0]
+            train_federated(model, config, shards, dataset, test_set, on_round=on_round)
 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
@@ -569,9 +559,9 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
     def run(layers: list[int]) -> Run:
         model, arch = MlpSpec(tuple(layers), activation), _arch_label(layers)
 
-        def train() -> list[RoundMetrics]:
+        def train(on_round) -> None:
             try:
-                return train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", arch))[0]
+                train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", arch), on_round)
             except FieldError as err:
                 raise ConfigError(str(err), key=f"central.{err.field}") from err
 

@@ -353,8 +353,13 @@ class ServerOptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam", "rmsprop"):
             raise FieldError("kind", f"must be sgd, adam or rmsprop, got {self.kind!r}")
-        if self.lr <= 0:
+        if not self.lr > 0:  # written so that nan fails too
             raise FieldError("lr", "must be positive")
+        for name in ("beta1", "beta2", "rho"):  # a decay rate of 1 or more divides by zero or overflows
+            if not 0 <= getattr(self, name) < 1:
+                raise FieldError(name, "must be in [0, 1)")
+        if not self.eps > 0:
+            raise FieldError("eps", "must be positive")
 
 
 def server_apply(

@@ -22,6 +22,7 @@ from .federation import FedConfig, _client_seed, _round_workspace, _train_client
 from .nn import MlpSpec, ParamVector
 
 _SLOTS = 2  # a worker trains into a ring of two slots: the next client while the parent folds the last
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 class CohortPool:
@@ -38,7 +39,8 @@ class CohortPool:
     OpenBLAS, which stops its threads around a fork. A worker's exception is
     sent through its pipe and raised in the parent when the parent reaches
     that client, so it is raised where a single process would raise it.
-    Workers ignore SIGINT; close() terminates and joins them.
+    Workers ignore SIGINT and take SIGTERM's default action, whatever
+    handlers the parent has: close() terminates (SIGTERM) and joins them.
     """
 
     def __init__(self, workers: int, spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard], dataset: Dataset):
@@ -56,8 +58,8 @@ class CohortPool:
         self._conns = [parent_end for parent_end, _ in pipes]
         self._procs: list[multiprocessing.process.BaseProcess] = []
         parent = os.getpid()
-        # a worker is born with SIGINT blocked and ignores it before unblocking it
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        # a worker is born with both signals blocked and sets their actions before unblocking them
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
             for j, (_, child_end) in enumerate(pipes):
                 args = (j, child_end, parent, spec, config, shards, dataset)
@@ -110,7 +112,8 @@ class CohortPool:
     def _serve(self, j, conn, parent, spec, config, shards, dataset) -> None:
         """Worker j's loop: train its share of each announced round, until the parent goes away."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         for parent_end in self._conns:  # so that recv sees EOF once the parent is gone
             parent_end.close()
         ready, free, slots, table = self._ready[j], self._free[j], self._slots[j], self._table[j]

@@ -132,10 +132,11 @@ class TestPoolFailures:
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config, kept = FedConfig(CLIENTS, FRACTION, 1, 5, 0.2, 4, SEED), []
         with pytest.raises(ClientDivergedError) as err:
-            train_federated(MlpSpec((6, 5, 3)), FedConfig(CLIENTS, FRACTION, 1, 5, 0.2, 4, SEED), shards, ds)
+            train_federated(MlpSpec((6, 5, 3)), config, shards, ds, on_round=kept.append)
         assert (err.value.client_id, err.value.round_index) == (client, 1)
-        assert [m.round_index for m in err.value.history] == [0]
+        assert [m.round_index for m in kept] == [0]
 
     def test_a_worker_exception_is_raised_with_its_type(self, tmp_path, monkeypatch, capsys):
         fail_at(monkeypatch, 1, 1, ShapeMismatchError)
@@ -177,6 +178,7 @@ class TestPoolFailures:
         assert main(["train-fed", "--out", str(tmp_path)] + FED) == 130
         assert capsys.readouterr().err == "interrupted: stopped by SIGINT\n"
         assert "run.status = interrupted" in manifest_lines(tmp_path)
+        assert [row[0] for row in data_rows(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
         assert multiprocessing.active_children() == []
 
     def test_normal_run_leaves_no_worker_and_records_the_pool(self, tmp_path, monkeypatch):
@@ -207,4 +209,28 @@ class TestPoolFailures:
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
         with pytest.raises(RuntimeError, match="exited with code 9"):
             train_federated(MlpSpec((6, 5, 3)), FedConfig(CLIENTS, FRACTION, 1, 5, 0.2, 2, SEED), shards, ds)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_mid_run_is_recorded_as_failed_and_raised(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        original = federation.client_update
+        calls = []
+
+        def dies_in_round_2(*args, **kwargs):
+            if os.getpid() != parent:
+                calls.append(1)  # the worker's own copy: it trains positions 1 and 3 of each round of 4
+                if len(calls) > 2 * 2:
+                    os._exit(9)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "client_update", dies_in_round_2)
+        pin_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="exited with code 9") as err:
+            main(["train-fed", "--out", str(tmp_path)] + FED)
+        assert type(err.value) is RuntimeError
+        lines = manifest_lines(tmp_path)
+        assert "run.status = failed" in lines
+        assert f"run.error = RuntimeError: {err.value}" in lines
+        assert [row[0] for row in data_rows(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
+        assert capsys.readouterr().err == ""  # a bug's traceback is left to the interpreter
         assert multiprocessing.active_children() == []

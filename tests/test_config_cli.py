@@ -188,6 +188,7 @@ class TestCliTrainFed:
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
         assert "run.status = interrupted" in lines
         assert not any(line.startswith(("run.error", "run.outputs")) for line in lines)
+        assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
 
     def test_non_federated_preset_is_a_config_error_before_any_data_is_read(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path / "nowhere"))
@@ -213,6 +214,20 @@ class TestCliTrainFed:
         assert rows[0] == ["arch", "samples_per_client", "final_train_acc", "final_test_acc"]
         assert len(rows) == 1 + 3 * 2
         assert (tmp_path / "rounds_6-3_spc1.csv").exists()
+
+    def test_unpartitionable_grid_point_fails_before_any_run_trains(self, tmp_path, capsys):
+        code = main([
+            "train-fed", "--out", str(tmp_path),
+            "--set", "experiment=single_label_sweep", "--set", "seed=5", "--set", "data.source=synth",
+            "--set", "data.num_classes=3", "--set", "data.features=6",
+            "--set", "data.train_samples=300", "--set", "data.test_samples=60",
+            "--set", "model.layers=6,8,3", "--set", "fed.num_clients=10", "--set", "fed.rounds=2",
+            "--set", "preset.samples_per_client=5,200",  # 10 clients of 200 one-class samples: the pools run out
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: class 0 exhausted")
+        assert list(tmp_path.glob("*.csv")) == []
+        assert "run.status = failed" in (tmp_path / "manifest.txt").read_text().splitlines()
 
 
 class TestCliTrainCentral:
@@ -334,7 +349,8 @@ class TestCliSweepAndPartition:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "dimension, values", [("rounds_per_day", "0,10"), ("rounds", "100,-1"), ("model_size", "-5")]
+        "dimension, values",
+        [("rounds_per_day", "0,10"), ("rounds", "100,-1"), ("model_size", "-5"), ("rounds", "inf"), ("rounds", "2.5")],
     )
     def test_rejected_swept_value_names_its_key(self, tmp_path, capsys, dimension, values):
         self._sweep_rejects(tmp_path, capsys, dimension, values, "cost.sweep.values")
@@ -425,7 +441,11 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize(
         "override",
-        ["fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5", "server.lr=0", "server.kind=bogus"],
+        [
+            "fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5", "server.lr=0", "server.kind=bogus",
+            "server.lr=nan", "server.beta1=1e300", "server.beta2=1", "server.rho=-0.5", "server.eps=0",
+            "fed.client_lr=inf",
+        ],
     )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == 2
@@ -435,7 +455,10 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize(
         "scenario, override",
-        [("fl_training", "cost.rounds_per_day=0"), ("central", "cost.label_bytes_back=-1")],
+        [
+            ("fl_training", "cost.rounds_per_day=0"), ("central", "cost.label_bytes_back=-1"),
+            ("fl_training", "cost.model_size_bytes=nan"), ("fl_training", "price.data_out_per_gb=inf"),
+        ],
     )
     def test_cost_range_errors_name_the_key(self, tmp_path, capsys, scenario, override):
         fl_keys = ["--set", "cost.model_size_bytes=500000", "--set", "cost.rounds=200", "--set", "cost.rounds_per_day=100"]

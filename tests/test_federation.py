@@ -229,10 +229,11 @@ class TestSharedSgdLoop:
 
         monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
         monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
+        kept = []
         with pytest.raises(ClientDivergedError) as err:
-            train_federated(spec, config, shards, ds)
+            train_federated(spec, config, shards, ds, on_round=kept.append)
         assert err.value.round_index == 2
-        assert [m.round_index for m in err.value.history] == [0, 1]
+        assert [m.round_index for m in kept] == [0, 1]
 
     def test_diverged_centralized_run_keeps_completed_epochs(self, monkeypatch):
         import fedsim.federation as federation
@@ -246,10 +247,11 @@ class TestSharedSgdLoop:
             return (np.nan if len(calls) > 6 else value), grad  # 90 rows in batches of 16: 6 steps an epoch
 
         monkeypatch.setattr(federation, "loss_and_grad_raw", nan_loss_in_epoch_1)
+        kept = []
         with pytest.raises(ClientDivergedError) as err:
-            train_centralized(MlpSpec((6, 3)), ds, None, lr=0.1, batch_size=16, epochs=3, seed=26)
+            train_centralized(MlpSpec((6, 3)), ds, None, lr=0.1, batch_size=16, epochs=3, seed=26, on_round=kept.append)
         assert err.value.round_index == 1
-        assert [m.round_index for m in err.value.history] == [0]
+        assert [m.round_index for m in kept] == [0]
         assert len(calls) == 7  # the loop stops at the first non-finite loss
 
 

@@ -1,8 +1,9 @@
 """Golden digests: one tiny run per training path, hashed as the benchmark hashes its runs.
 
 A digest is sha256 over the data columns of the run's rounds.csv and its
-final weights (bench/child.py digest_and_rows). Every federated run must give
-its recorded digest with its cohort trained on 1 process and on 2. The
+final weights (bench/child.py digest_and_rows); a run that diverges has no
+final weights, so its digest covers the rounds it kept. Every federated run
+must give its recorded digest with its cohort trained on 1 process and on 2. The
 digests hold within the envelope recorded in golden.json (fedsim.machine);
 elsewhere each test skips and names the field that differs.
 
@@ -24,7 +25,7 @@ import pytest
 
 from fedsim import federation
 from fedsim.data import IID, SINGLE_LABEL, SINGLE_SAMPLE, PartitionPlan, partition, synth_dataset
-from fedsim.federation import SEND_DELTA, FedConfig, train_centralized, train_federated
+from fedsim.federation import SEND_DELTA, ClientDivergedError, FedConfig, train_centralized, train_federated
 from fedsim.harness import write_rounds_csv
 from fedsim.machine import fingerprint
 from fedsim.nn import MlpSpec, ServerOptimizerState
@@ -49,7 +50,8 @@ digest_and_rows = _digest_and_rows()
 
 
 def federated(
-    kind=IID, samples_per_client=10, num_clients=12, client_fraction=0.5, batch_size=4, activation="relu", **config
+    kind=IID, samples_per_client=10, num_clients=12, client_fraction=0.5, batch_size=4, activation="relu",
+    client_lr=0.3, on_round=None, **config,
 ):
     """A 3-round run on 3-class synthetic data: 12 clients of 10 samples and cohorts of 6 by default."""
     ds = synth_dataset(3, 8, 240, seed=41)
@@ -57,9 +59,9 @@ def federated(
     shards = partition(ds, PartitionPlan(kind, num_clients, samples_per_client, seed=43))
     config = FedConfig(
         num_clients=num_clients, client_fraction=client_fraction, local_epochs=2, batch_size=batch_size,
-        client_lr=0.3, rounds=3, seed=44, eval_every=1, **config,
+        client_lr=client_lr, rounds=3, seed=44, eval_every=1, **config,
     )
-    history, state = train_federated(MlpSpec((8, 6, 3), activation), config, shards, ds, test)
+    history, state = train_federated(MlpSpec((8, 6, 3), activation), config, shards, ds, test, on_round=on_round)
     return history, state.weights.values
 
 
@@ -80,12 +82,26 @@ FEDERATED = {
     "single_label": {"kind": SINGLE_LABEL},
     "identity_activation": {"activation": "identity"},
 }
+# runs that diverge in a round >= 1: the digest covers the rounds on_round kept, and no weights
+DIVERGED = {"diverged_history": {"activation": "identity", "client_lr": 1e10}}
 CENTRALIZED = {"central_minibatch": 16, "central_full_batch": None}
+
+
+def diverged(name: str) -> list:
+    history = []
+    try:
+        federated(on_round=history.append, **DIVERGED[name])
+    except ClientDivergedError as err:
+        assert err.round_index >= 1 and [m.round_index for m in history] == list(range(err.round_index))
+        return history
+    raise AssertionError(f"{name} did not diverge")
 
 
 def run_digest(name: str) -> str:
     if name in FEDERATED:
         history, weights = federated(**FEDERATED[name])
+    elif name in DIVERGED:
+        history, weights = diverged(name), np.empty(0)
     else:
         history, final = centralized(CENTRALIZED[name])
         weights = final.values
@@ -107,7 +123,7 @@ def recorded() -> dict:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", sorted(FEDERATED))
+@pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
 def test_federated_digest(name, workers, monkeypatch):
     digests = recorded()
     monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
@@ -120,7 +136,7 @@ def test_centralized_digest(name):
 
 
 def test_every_run_has_a_digest():
-    assert set(json.loads(GOLDEN.read_text())["digests"]) == set(FEDERATED) | set(CENTRALIZED)
+    assert set(json.loads(GOLDEN.read_text())["digests"]) == set(FEDERATED) | set(DIVERGED) | set(CENTRALIZED)
 
 
 if __name__ == "__main__":
@@ -129,5 +145,5 @@ if __name__ == "__main__":
     env = fingerprint()
     GOLDEN.write_text(json.dumps({
         "envelope": {field: env[field] for field in ENVELOPE},
-        "digests": {name: run_digest(name) for name in sorted(FEDERATED) + sorted(CENTRALIZED)},
+        "digests": {name: run_digest(name) for name in sorted(FEDERATED) + sorted(DIVERGED) + sorted(CENTRALIZED)},
     }, indent=2) + "\n")
