@@ -12,6 +12,10 @@ stop prints one stderr line and no traceback; any other exception is a bug:
 its run is recorded as failed and the exception is raised again (exit 1,
 with its traceback). SIGKILL is the one stop that leaves run.status =
 running and no rounds CSV, since the process gets no chance to write them.
+A config read back from a manifest carries its run.platform.* entries;
+where they differ from the fingerprint of the machine the rerun runs on, one
+note: line on stderr names the fields first, and the exit code and outputs
+stay as they are.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .federation import ClientDivergedError
 from .harness import (
     effective_config,
     finish_manifest,
+    platform_note,
     run_cost,
     run_partition_stats,
     run_sweep,
@@ -111,6 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             cfg = _load_effective(args)
+            note = platform_note(cfg)
+            if note is not None:  # a rerun from a manifest written on another platform
+                print(note, file=sys.stderr)
             args.out.mkdir(parents=True, exist_ok=True)
             manifest = start_manifest(args.out, args.command, cfg)
             outputs, text = COMMANDS[args.command][1](cfg, args.out, meta)

@@ -7,16 +7,19 @@ average) or send weight deltas (the server treats the negated weighted mean
 delta as a pseudo-gradient for any server optimizer; with plain sgd at rate
 1.0 the two modes coincide).
 
-A round streams its cohort: each client trains into a buffer of its own,
-leaves there its term (n_k / denom) * x_k of the weighted sum (the
+A round streams its cohort: each client trains into a buffer row of its
+own, leaves there its term (n_k / denom) * x_k of the weighted sum (the
 denominator is known before training), and is folded into a running sum
-(acc += term) in client-id order. A round therefore holds O(model) memory per
-process, not O(cohort x model), and gives bit for bit the mean that
+(acc += term) in client-id order. A round therefore holds O(K x model) memory
+per process, not O(cohort x model), and gives bit for bit the mean that
 aggregate_weights and aggregate_deltas compute from a list of updates, since
-all three fold with the same step. When the local steps are too small for
-BLAS to thread, train_federated spreads each cohort over forked worker
-processes (see fedsim.pool); the parent still folds in client-id order, so
-the bits do not depend on the worker count.
+all three fold with the same step. A process trains its clients in lockstep
+groups of up to K clients of equal size (group_update): one stacked kernel
+call a step for the whole group, which gives each client the bits it gets
+alone. K comes from the model size (client_group). When the local steps are
+too small for BLAS to thread, train_federated spreads each cohort over
+forked worker processes (see fedsim.pool); the parent still folds in
+client-id order, so the bits depend neither on the worker count nor on K.
 
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
@@ -148,32 +151,38 @@ def _batch_rows(batch_size: int | None, num_samples: int) -> int:
 
 def _sgd_epoch(
     w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace
-) -> list[float]:
+) -> list:
     """One epoch of plain mini-batch SGD on w, in place, over dataset rows in order.
 
-    This is the one local-SGD inner loop, shared by client_update and
-    train_centralized. Each batch is gathered into the workspace, and the
-    step grad *= lr; w -= grad rounds exactly like w -= lr * grad. Returns the
-    batch losses; it stops without stepping at the first non-finite loss,
-    which is then the last one returned.
+    This is the one local-SGD inner loop, shared by client_update,
+    group_update and train_centralized. w (P,) with order (n,) is one model;
+    a stack w (k, P) with order (k, n) is k models in lockstep, model i on
+    the rows order[i], with one kernel call a step for all of them. Each
+    batch is gathered into the workspace, and the step grad *= lr; w -= grad
+    rounds exactly like w -= lr * grad. Returns the batch losses (arrays of k
+    for a stack). One model stops without stepping at the first non-finite
+    loss, which is then the last one returned. A stack takes every step: a
+    model whose loss goes non-finite gets a nan output bias that stays nan,
+    and its rows never touch the other models'.
     """
-    ws.check_fits(spec, batch_size)
+    lead = w.shape[:-1]
+    ws.check_fits(spec, batch_size, *lead)
     if dataset.num_features != spec.input_dim or dataset.num_classes > spec.num_classes:
         raise ShapeMismatchError(
             f"a dataset of {dataset.num_features} features and {dataset.num_classes} classes does not fit "
             f"spec {spec.layer_sizes}"
         )
     losses = []
-    for start in range(0, order.size, batch_size):
-        idx = order[start : start + batch_size]
-        m = idx.size
-        x, y = ws.inputs[:m], ws.labels[:m]
+    for start in range(0, order.shape[-1], batch_size):
+        idx = order[..., start : start + batch_size]
+        views = ws.fit(spec, lead, idx.shape[-1])
+        x, y = views.inputs, views.labels
         np.take(dataset.inputs, idx, axis=0, out=x)
         np.take(dataset.labels, idx, out=y)
         # called through this module's global, where the benchmark's tracer wraps it
         batch_loss, grad = loss_and_grad_raw(w, spec, x, y, ws)
         losses.append(batch_loss)
-        if not np.isfinite(batch_loss):
+        if not lead and not np.isfinite(batch_loss):
             break
         grad *= lr
         w -= grad
@@ -219,11 +228,54 @@ def client_update(
         raise ClientDivergedError(shard.client_id) from err
 
 
+def group_update(
+    shards: Sequence[ClientShard],
+    dataset: Dataset,
+    weights: ParamVector,
+    local_epochs: int,
+    batch_size: int | None,
+    client_lr: float,
+    client_seeds: Sequence[int],
+    workspace: Workspace,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Train k clients of equally many samples in lockstep, client i in row i of out (k, P); return who diverged.
+
+    Row i ends as the weights client_update gives shards[i] with
+    client_seeds[i], bit for bit: the same epoch permutations (a copy and
+    shuffle is what permutation runs), the same batches and, through
+    _sgd_epoch on the stack, the same kernel operations. workspace must fit
+    k clients' batches. A client whose loss or weights go non-finite does not
+    stop the others; it is flagged in the returned (k,) bool array instead.
+    A group of one is client_update, trained in out[0].
+    """
+    if len(shards) == 1:
+        try:
+            client_update(
+                shards[0], dataset, weights, local_epochs, batch_size, client_lr, client_seeds[0], workspace, out[0]
+            )
+        except ClientDivergedError:
+            return np.ones(1, dtype=bool)
+        return np.zeros(1, dtype=bool)
+    n = shards[0].num_samples
+    if any(s.num_samples != n for s in shards):
+        raise ValueError("a lockstep group needs clients of equally many samples")
+    np.copyto(out, weights.values)
+    order = np.empty((len(shards), n), dtype=np.int64)
+    for epoch in range(local_epochs):
+        for row, shard, seed in zip(order, shards, client_seeds):
+            row[:] = shard.indices
+            if n > 1:  # one index has one permutation, and client_update draws none for it
+                np.random.default_rng(derive_seed(seed, "epoch", epoch)).shuffle(row)
+        _sgd_epoch(out, weights.spec, dataset, order, _batch_rows(batch_size, n), client_lr, workspace)
+    return ~np.isfinite(out).all(axis=-1)
+
+
 def _fold_all(updates: Sequence[tuple[ParamVector, int]], total: float | None) -> np.ndarray:
     """The weighted mean of a list of updates: acc += (n_k / denom) * x_k, in list order.
 
     denom is total when given, else sum(n_k). run_round takes the same two
-    steps per client, the product where the client trained (_train_client)
+    steps per client, the product where the client trained (_train_group)
     and the sum in the parent, so a round and both aggregate_* functions
     agree bit for bit.
     """
@@ -306,47 +358,59 @@ def _client_seed(run_seed: int, round_index: int, client_id: int) -> int:
     return derive_seed(run_seed, "round", round_index, "client", client_id)
 
 
-def _round_workspace(spec: MlpSpec, shards: Sequence[ClientShard]) -> Workspace:
-    """A workspace that fits the largest shard, so every local batch and every client's loss."""
-    return Workspace(spec, max(s.num_samples for s in shards))
+def _round_workspace(spec: MlpSpec, shards: Sequence[ClientShard], clients: int) -> Workspace:
+    """A workspace that fits the largest shard, for up to clients clients at once: every local batch and every loss."""
+    return Workspace(spec, max(s.num_samples for s in shards), clients)
 
 
-def _train_client(
+def _groups(shards: Sequence[ClientShard], share: Sequence[int], cap: int) -> list[list[int]]:
+    """A process's share of a cohort (client ids in cohort order) cut into lockstep groups.
+
+    A group is a run of consecutive clients of the share that hold equally
+    many samples, at most cap of them.
+    """
+    groups: list[list[int]] = []
+    for client_id in share:
+        if groups and len(groups[-1]) < cap and shards[groups[-1][0]].num_samples == shards[client_id].num_samples:
+            groups[-1].append(client_id)
+        else:
+            groups.append([client_id])
+    return groups
+
+
+def _train_group(
     out: np.ndarray,
-    shard: ClientShard,
+    shards: Sequence[ClientShard],
     dataset: Dataset,
     weights: ParamVector,
     config: FedConfig,
-    client_seed: int,
+    client_seeds: Sequence[int],
     denom: float,
     workspace: Workspace,
-) -> float:
-    """Train one client of a round in out, leave there its term of the weighted sum, and return its loss.
+) -> np.ndarray:
+    """Train a group of a round in out[:k], leave there the clients' terms of the weighted sum; return their losses.
 
-    The term is (n_k / denom) * x_k, where x_k is the client's new weights,
-    or its delta from weights in send_delta mode. The loss is the new
-    weights' mean loss on the client's shard.
+    A client's term is (n / denom) * x, where x is its new weights, or their
+    delta from weights in send_delta mode, and its loss is the new weights'
+    mean loss on its shard, or nan when its weights diverged. A client whose
+    loss is non-finite has failed.
     """
-    local = client_update(
-        shard,
-        dataset,
-        weights,
-        config.local_epochs,
-        config.batch_size,
-        config.client_lr,
-        client_seed,
-        workspace,
-        out=out,
+    k, n = len(shards), shards[0].num_samples
+    diverged = group_update(
+        shards, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, client_seeds,
+        workspace, out[:k],
     )
-    x, n = local.values, shard.num_samples
-    inputs, labels = workspace.inputs[:n], workspace.labels[:n]
-    np.take(dataset.inputs, shard.indices, axis=0, out=inputs)
-    np.take(dataset.labels, shard.indices, out=labels)
-    client_loss = loss_raw(x, weights.spec, inputs, labels, workspace)
+    # one client is one vector, as in client_update; a group is a stack (see nn.loss_raw)
+    x, idx = (out[0], shards[0].indices) if k == 1 else (out[:k], np.stack([s.indices for s in shards]))
+    views = workspace.fit(weights.spec, x.shape[:-1], n)
+    np.take(dataset.inputs, idx, axis=0, out=views.inputs)
+    np.take(dataset.labels, idx, out=views.labels)
+    losses = np.array(loss_raw(x, weights.spec, views.inputs, views.labels, workspace), ndmin=1)
+    losses[diverged] = np.nan
     if config.update_mode == SEND_DELTA:
-        x = np.subtract(x, weights.values, out=out)
-    np.multiply(x, n / denom, out=out)
-    return client_loss
+        np.subtract(x, weights.values, out=x)
+    np.multiply(x, n / denom, out=x)
+    return losses
 
 
 # OpenBLAS runs a dgemm on one thread while m * n * k is at most
@@ -374,6 +438,47 @@ def cohort_workers(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShar
     return _pool_workers(spec, batch_rows, config.cohort_size)
 
 
+# A lockstep group keeps a (K, P) stack of weights and one of gradients, 2 * 8 * K * P bytes of
+# float64. Held within this budget, about three quarters of the 2 MiB per-core L2 cache of the Xeon
+# it was measured on, a step's stacks stay in cache beside the batch's activations (see README
+# "Performance" for the sweep).
+_LOCKSTEP_BYTES = 3 << 19  # 1.5 MiB
+
+
+def _lockstep_clients(spec: MlpSpec, share: int) -> int:
+    """K, the most clients a process trains in lockstep: its share of the cohort, capped by _LOCKSTEP_BYTES, at least 1."""
+    return max(1, min(share, _LOCKSTEP_BYTES // (2 * 8 * spec.parameter_count())))
+
+
+def client_group(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int:
+    """The K train_federated trains each process's share of a cohort with, in lockstep groups of up to K clients."""
+    share = -(-config.cohort_size // cohort_workers(spec, config, shards))  # the parent's, the largest
+    return _lockstep_clients(spec, share)
+
+
+def _train_share(
+    out: np.ndarray,
+    share: Sequence[int],
+    shards: Sequence[ClientShard],
+    dataset: Dataset,
+    weights: ParamVector,
+    config: FedConfig,
+    round_index: int,
+    denom: float,
+    workspace: Workspace,
+):
+    """Train a process's share of a round group by group in out (K, P), yielding each client's (term, loss).
+
+    The clients come in the share's order, and each group trains when the
+    first of its clients is asked for, so out is free by then.
+    """
+    for group in _groups(shards, [int(c) for c in share], out.shape[0]):
+        seeds = [_client_seed(config.seed, round_index, c) for c in group]
+        losses = _train_group(out, [shards[c] for c in group], dataset, weights, config, seeds, denom, workspace)
+        for row, client_loss in enumerate(losses.tolist()):
+            yield out[row], client_loss
+
+
 def run_round(
     state: GlobalState,
     config: FedConfig,
@@ -390,16 +495,21 @@ def run_round(
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
     The clients this process trains train, and have their loss measured, in
-    workspace, which must fit the largest shard; one is made when it is
-    omitted. With a pool, its workers train the other clients. Each client's
-    term goes into one buffer (or a worker's slot) and is folded into the
-    weighted sum before the next client's, so no cohort-sized state is kept.
-    Train accuracy is measured on the dataset rows train_rows (default: all).
+    workspace, which must fit the largest shard. It trains them in lockstep
+    groups (see _groups) of up to workspace.clients clients, the group size
+    K; when workspace is omitted, one is made for client_group's K. With a
+    pool, its workers train the other clients. A group's terms go into one
+    (K, P) buffer (or a worker's slot) and are folded into the weighted sum,
+    one client at a time in cohort order, before the next group trains, so
+    the round holds O(K x model) state, not O(cohort x model). A client that
+    failed (non-finite weights or loss) raises ClientDivergedError when the
+    fold reaches it, as if it had trained alone. Train accuracy is measured on the dataset rows train_rows
+    (default: all).
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
     if workspace is None:
-        workspace = _round_workspace(state.weights.spec, shards)
+        workspace = _round_workspace(state.weights.spec, shards, client_group(state.weights.spec, config, shards))
     started = time.perf_counter()
     t = state.round_index
     selected = select_clients(
@@ -413,18 +523,24 @@ def run_round(
     if pool is not None:
         pool.start_round(t, w_t, selected, denom)
     acc = np.zeros_like(w_t)
-    buf = np.empty_like(w_t)
+    own = _train_share(
+        np.empty((workspace.clients, w_t.size)), selected[::workers], shards, dataset, state.weights, config, t,
+        denom, workspace,
+    )
     losses = []
     for k, client_id in enumerate(selected):
         try:
             if k % workers:
-                losses.append(pool.fold(acc, k))
+                client_loss = pool.fold(acc, k)
             else:
-                shard, seed = shards[int(client_id)], _client_seed(config.seed, t, int(client_id))
-                losses.append(_train_client(buf, shard, dataset, state.weights, config, seed, denom, workspace))
-                acc += buf
-        except ClientDivergedError as err:
+                term, client_loss = next(own)
+                if math.isfinite(client_loss):
+                    acc += term
+        except ClientDivergedError as err:  # raised rather than flagged: a worker's, or a patched trainer's
             raise ClientDivergedError(err.client_id, t) from err
+        if not math.isfinite(client_loss):
+            raise ClientDivergedError(int(client_id), t)
+        losses.append(client_loss)
 
     if config.update_mode == SEND_DELTA:
         np.negative(acc, out=acc)
@@ -465,8 +581,9 @@ def train_federated(
     actually trains on) and on test_set, every eval_every rounds plus the
     final round. eval_every defaults to 1 for short runs and 5 for long ones.
     on_round, when given, gets each round's metrics as soon as the round
-    completes. The cohorts train on cohort_workers processes; the workers are
-    forked once for the run and stopped when it ends, however it ends.
+    completes. The cohorts train on cohort_workers processes, each in
+    lockstep groups of up to client_group clients; the workers are forked
+    once for the run and stopped when it ends, however it ends.
     """
     weights = initial_weights if initial_weights is not None else init_params(model, derive_seed(config.seed, "init"))
     state = GlobalState(weights, 0, config.server_opt)
@@ -480,14 +597,14 @@ def train_federated(
     train_rows = None if np.array_equal(union, np.arange(len(dataset))) else union
 
     spec = weights.spec
-    workspace = _round_workspace(spec, shards)
     workers = cohort_workers(spec, config, shards)
+    workspace = _round_workspace(spec, shards, client_group(spec, config, shards))
     history: list[RoundMetrics] = []
     pool_context = contextlib.nullcontext()
     if workers > 1:
         from .pool import CohortPool  # imported here: multiprocessing would add ~10 ms to every CLI start
 
-        pool_context = CohortPool(workers, spec, config, shards, dataset)
+        pool_context = CohortPool(workers, spec, config, shards, dataset, workspace.clients)
     with pool_context as pool:
         for t in range(config.rounds):
             eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1

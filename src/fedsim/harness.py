@@ -28,8 +28,10 @@ from .config import (
     FieldError,
     Value,
     as_list,
+    coerce_value,
     config_fields,
     format_config,
+    format_value,
     from_config,
     get_typed,
 )
@@ -58,6 +60,7 @@ from .data import (
 from .federation import (
     FedConfig,
     RoundMetrics,
+    client_group,
     cohort_workers,
     train_centralized,
     train_federated,
@@ -418,6 +421,25 @@ def _write_manifest(path: Path, cfg: dict[str, Value], command: str, meta: dict[
     }))
 
 
+def platform_note(cfg: dict[str, Value]) -> str | None:
+    """One stderr line naming the run.platform.* fields a rerun config records differently from here, else None.
+
+    A config that carries run.platform.* entries is a manifest read back.
+    Each field is compared as the manifest writes and reads it.
+    """
+    recorded = {key[len("run.platform."):]: value for key, value in cfg.items() if key.startswith("run.platform.")}
+    if not recorded:
+        return None
+    differ = [
+        f"{field} {format_value(recorded[field])} -> {value}"
+        for field, value in fingerprint().items()
+        if field in recorded and format_value(recorded[field]) != format_value(coerce_value(format_value(value)))
+    ]
+    if not differ:
+        return None
+    return f"note: the manifest's platform differs here ({', '.join(differ)}); results may differ in their last bits"
+
+
 def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.txt"
@@ -429,7 +451,8 @@ def finish_manifest(path: Path, cfg: dict[str, Value], command: str, run_meta: d
     """Rewrite the manifest with the finish time and run_meta, the run.* entries its outcome decided.
 
     run_meta holds run.status (complete, failed or interrupted) and whatever
-    the command and its outcome added: run.outputs, run.error, run.workers.
+    the command and its outcome added: run.outputs, run.error, run.workers,
+    run.client_group.
     """
     _write_manifest(path, cfg, command, {"run.finished_utc": _utc_now(), **run_meta})
 
@@ -511,7 +534,11 @@ def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path],
 
 
 def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
-    """Train the custom run or the preset's grid; meta gets run.workers, each run's cohort processes."""
+    """Train the custom run or the preset's grid.
+
+    meta gets run.workers, each run's cohort processes, and run.client_group,
+    the most clients each of them trains in lockstep.
+    """
     experiment = cfg["experiment"]
     if experiment not in (CUSTOM, SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
         raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
@@ -526,6 +553,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
 
         def train(on_round) -> None:
             meta.setdefault("run.workers", []).append(cohort_workers(model, config, shards))
+            meta.setdefault("run.client_group", []).append(client_group(model, config, shards))
             train_federated(model, config, shards, dataset, test_set, on_round=on_round)
 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train

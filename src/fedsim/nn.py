@@ -8,10 +8,13 @@ vector arithmetic.
 The public wrappers (loss, loss_grad, sgd_step, server_apply) never mutate
 their inputs and return new vectors and states. The training hot path is
 loss_and_grad_raw: it writes every intermediate, and the gradient it returns,
-into a Workspace of buffers allocated once per (spec, batch rows), so a
-training loop can take each step, and update its weights in place, without
-allocating. It runs the same IEEE operations in the same order as the
-allocating formulation, so results are bit-identical.
+into a Workspace of buffers allocated once per (spec, batch rows, models),
+so a training loop can take each step, and update its weights in place,
+without allocating. It runs the same IEEE operations in the same order as
+the allocating formulation, so results are bit-identical. The raw functions
+take one model, a (P,) vector with (m, d) inputs, or a stack of k models, a
+(k, P) array with (k, m, d) inputs, which steps k independent models in
+lockstep with the bits each gets alone.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class MlpSpec:
             raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
+        sizes = self.layer_sizes
+        # not a field, so equality and hashing ignore it; every client's vector checks against it
+        object.__setattr__(self, "_parameter_count", sum((din + 1) * dout for din, dout in zip(sizes[:-1], sizes[1:])))
 
     @property
     def input_dim(self) -> int:
@@ -57,8 +63,7 @@ class MlpSpec:
 
     def parameter_count(self) -> int:
         """Total weights plus biases: sum of (d_in + 1) * d_out over layers."""
-        sizes = self.layer_sizes
-        return sum((din + 1) * dout for din, dout in zip(sizes[:-1], sizes[1:]))
+        return self._parameter_count
 
 
 def _check_vector(values: Array, spec: MlpSpec) -> Array:
@@ -68,7 +73,7 @@ def _check_vector(values: Array, spec: MlpSpec) -> Array:
             f"vector of length {values.size} does not fit spec {spec.layer_sizes} "
             f"(expected {spec.parameter_count()})"
         )
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():  # the method skips np.all's Python wrapper, a few us on every client
         raise ValueError("vector contains non-finite entries")
     return values
 
@@ -113,14 +118,22 @@ class Batch:
 
 
 def unflatten(values: Array, spec: MlpSpec) -> list[tuple[Array, Array]]:
-    """Split a flat vector into per-layer (W, b) views. Views share memory."""
+    """Split a flat vector into per-layer (W, b) views. Views share memory.
+
+    A stack of k vectors, shape (k, P), splits into W of shape (k, d_in,
+    d_out) and b of shape (k, 1, d_out): one row of biases per vector, which
+    broadcasts over that vector's batch rows.
+    """
     out = []
     offset = 0
+    lead = values.shape[:-1]
     sizes = spec.layer_sizes
     for din, dout in zip(sizes[:-1], sizes[1:]):
-        w = values[offset : offset + din * dout].reshape(din, dout)
+        w = values[..., offset : offset + din * dout].reshape(lead + (din, dout))
         offset += din * dout
-        b = values[offset : offset + dout]
+        b = values[..., offset : offset + dout]
+        if lead:
+            b = b.reshape(lead + (1, dout))
         offset += dout
         out.append((w, b))
     return out
@@ -155,18 +168,20 @@ def _check_batch(spec: MlpSpec, batch: Batch) -> None:
 def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Array] | None = None) -> Array:
     """Forward pass on raw arrays, returning the logits. Hot path, skips wrapper allocation.
 
-    Layer i is written into the leading rows of buffers[i] (one buffer per
-    layer, each with at least as many rows as inputs) when buffers are given,
-    else into a fresh array; hidden ReLUs run in place. Either way each layer
-    is matmul, += b, then ReLU: the operations of h @ w + b, so the same bits.
+    values (P,) with inputs (m, d) is one model; a stack (k, P) with inputs
+    (k, m, d) is k models, each on its own batch. Layer i is written into the
+    leading m rows of buffers[i] (one buffer per layer, each with at least
+    as many rows as inputs) when buffers are given, else into a fresh array;
+    hidden ReLUs run in place. Either way each layer is matmul, += b, then
+    ReLU: the operations of h @ w + b, so the same bits.
     """
-    m = inputs.shape[0]
+    m = inputs.shape[-2]
     relu = spec.activation == "relu"
     layers = unflatten(values, spec)
     last = len(layers) - 1
     h = inputs
     for i, (w, b) in enumerate(layers):
-        z = np.empty((m, w.shape[1])) if buffers is None else buffers[i][:m]
+        z = np.empty((*inputs.shape[:-1], w.shape[-1])) if buffers is None else buffers[i][..., :m, :]
         np.matmul(h, w, out=z)
         z += b
         if i < last and relu:
@@ -175,80 +190,139 @@ def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Ar
     return h
 
 
+def _picks(lead: tuple[int, ...], m: int) -> tuple[Array, ...]:
+    """Index arrays that, with the labels appended, pick each row's label entry of (*lead, m, C) probabilities."""
+    rows = np.arange(m)
+    return (rows,) if not lead else (np.arange(lead[0])[:, None], rows)
+
+
+class _Views:
+    """A Workspace's buffers shaped for one call: (m, .) for one model, (k, m, .) for a stack of k."""
+
+    def __init__(self, ws: Workspace, lead: tuple[int, ...], m: int):
+        spec = ws.spec
+        outs = spec.layer_sizes[1:]
+        rows = (lead[0] if lead else 1) * m
+
+        def view(flat: Array, d: int) -> Array:
+            return flat[: rows * d].reshape(*lead, m, d)
+
+        self.z = [view(flat, d) for flat, d in zip(ws._z, outs)]
+        self.acts = [view(flat, d) for flat, d in zip(ws._acts, outs)]
+        self.masks = [view(flat, d) for flat, d in zip(ws._masks, outs)]
+        self.deltas = [view(flat, d) for flat, d in zip(ws._deltas, outs)]
+        self.row_scratch = view(ws._row_scratch, 1)
+        self.inputs = view(ws._inputs, spec.input_dim)
+        self.labels = ws._labels[:rows].reshape(*lead, m)
+        self.picks = _picks(lead, m)
+        if lead:
+            self.grad = ws._grad[: lead[0] * spec.parameter_count()].reshape(*lead, -1)
+            # the bias gradients are (k, d_out), the shape np.add.reduce gives over each model's rows
+            self.grad_layers = [(gw, gb[..., 0, :]) for gw, gb in unflatten(self.grad, spec)]
+        else:
+            self.grad = ws.grad
+            self.grad_layers = unflatten(self.grad, spec)
+        self.outer = "...ki,...kj->...ij" if lead else "ki,kj->ij"
+
+
 class Workspace:
     """Reusable buffers for loss_and_grad_raw and loss_raw on batches of up to `rows` rows.
 
     Per layer: the pre-activations z, and for hidden layers the activations,
     the back-propagated deltas and (ReLU only) the active-unit masks. Also the
     flat gradient with its per-layer (W, b) views, and the inputs/labels
-    buffers a training loop gathers each batch into. A batch of m <= rows
-    rows uses the leading m rows of every buffer.
+    buffers a training loop gathers each batch into. Each buffer is flat and
+    holds `clients` times `rows` rows, so one workspace serves one model on
+    up to `rows` rows or a stack of up to `clients` models on up to `rows`
+    rows each. A call of k models on m rows uses the leading k * m rows of
+    every buffer, viewed as a contiguous (k, m, .) array (one model: (m, .));
+    fit() makes those views once per shape.
     """
 
-    def __init__(self, spec: MlpSpec, rows: int):
-        if rows < 1:
-            raise ValueError(f"a workspace needs at least one row, got {rows}")
+    def __init__(self, spec: MlpSpec, rows: int, clients: int = 1):
+        if rows < 1 or clients < 1:
+            raise ValueError(f"a workspace needs at least one row and one client, got {rows} and {clients}")
         self.spec = spec
         self.rows = rows
+        self.clients = clients
         outs = spec.layer_sizes[1:]
         relu = spec.activation == "relu"
-        self.z = [np.empty((rows, d)) for d in outs]
-        self.acts = [np.empty((rows, d)) for d in outs[:-1]] if relu else self.z[:-1]
-        self.masks = [np.empty((rows, d), dtype=bool) for d in outs[:-1]] if relu else []
-        self.deltas = [np.empty((rows, d)) for d in outs[:-1]]
-        self.row_scratch = np.empty((rows, 1))
-        self.row_index = np.arange(rows)
-        self.grad = np.empty(spec.parameter_count())
-        self.grad_layers = unflatten(self.grad, spec)
-        self.inputs = np.empty((rows, spec.input_dim))
-        self.labels = np.empty(rows, dtype=np.int64)
+        size = clients * rows
+        self._z = [np.empty(size * d) for d in outs]
+        self._acts = [np.empty(size * d) for d in outs[:-1]] if relu else self._z[:-1]
+        self._masks = [np.empty(size * d, dtype=bool) for d in outs[:-1]] if relu else []
+        self._deltas = [np.empty(size * d) for d in outs[:-1]]
+        self._row_scratch = np.empty(size)
+        self._inputs = np.empty(size * spec.input_dim)
+        self._labels = np.empty(size, dtype=np.int64)
+        self._grad = np.empty(clients * spec.parameter_count())
+        self.grad = self._grad[: spec.parameter_count()]  # one model's gradient
+        self._views: dict[tuple[tuple[int, ...], int], _Views] = {}
 
-    def check_fits(self, spec: MlpSpec, rows: int) -> None:
-        """Raise ShapeMismatchError unless batches of `rows` rows of spec fit here."""
-        if self.spec != spec or rows > self.rows:
+    def check_fits(self, spec: MlpSpec, rows: int, clients: int = 1) -> None:
+        """Raise ShapeMismatchError unless batches of `rows` rows of spec, for `clients` models, fit here."""
+        if self.spec != spec or rows > self.rows or clients > self.clients:
             raise ShapeMismatchError(
-                f"batches of {rows} rows for spec {spec.layer_sizes} do not fit a workspace of "
-                f"{self.rows} rows for spec {self.spec.layer_sizes}"
+                f"batches of {rows} rows for {clients} model(s) of spec {spec.layer_sizes} do not fit a "
+                f"workspace of {self.rows} rows for {self.clients} of spec {self.spec.layer_sizes}"
             )
+
+    def fit(self, spec: MlpSpec, lead: tuple[int, ...], m: int) -> _Views:
+        """The buffers for m rows of one model (lead ()) or of each of a stack of k (lead (k,)).
+
+        Raises ShapeMismatchError unless they fit.
+        """
+        views = self._views.get((lead, m))
+        if views is None or (spec is not self.spec and spec != self.spec):
+            self.check_fits(spec, m, *lead)
+            views = self._views[lead, m] = _Views(self, lead, m)
+        return views
 
 
 def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
-    """Overwrite logits (m, C) with their row-wise softmax; row_scratch is (m, 1).
+    """Overwrite logits (..., m, C) with their row-wise softmax; row_scratch is (..., m, 1).
 
     np.maximum.reduce and np.add.reduce are what np.max and np.sum run; called
     directly they skip a Python wrapper that costs microseconds per call,
     about as much as the arithmetic on a small batch.
     """
-    np.maximum.reduce(logits, axis=1, keepdims=True, out=row_scratch)
+    np.maximum.reduce(logits, axis=-1, keepdims=True, out=row_scratch)
     logits -= row_scratch
     np.exp(logits, out=logits)
-    np.add.reduce(logits, axis=1, keepdims=True, out=row_scratch)
+    np.add.reduce(logits, axis=-1, keepdims=True, out=row_scratch)
     logits /= row_scratch
     return logits
 
 
-def _loss_from_probs(probs: Array, labels: Array) -> float:
-    n = probs.shape[0]
-    picked = probs[np.arange(n), labels]
+def _loss_from_probs(probs: Array, labels: Array, picks: tuple[Array, ...]) -> float | Array:
+    """Mean cross-entropy of probabilities (m, C), a float, or of a stack (k, m, C), an array of k."""
+    n = probs.shape[-2]
+    picked = probs[(*picks, labels)]
     np.maximum(picked, PROB_FLOOR, out=picked)
     np.log(picked, out=picked)
     # the sum and division .mean() runs, negated after rather than before: the
-    # same bits, without mean()'s Python wrappers
-    return float(-(np.add.reduce(picked) / n))
+    # same bits, without mean()'s Python wrappers; a stack sums each row alone
+    losses = -(np.add.reduce(picked, axis=-1) / n)
+    return float(losses) if picked.ndim == 1 else losses
 
 
 def loss_and_grad_raw(
     values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
-) -> tuple[float, Array]:
+) -> tuple[float | Array, Array]:
     """Mean cross-entropy and its exact gradient, both on raw arrays.
 
+    values (P,) with inputs (m, d) and labels (m,) is one model's step: the
+    loss is a float and the gradient (P,). A stack (k, P) with inputs
+    (k, m, d) and labels (k, m) is k models' steps in lockstep: k losses and
+    a (k, P) gradient. Each model's slice runs the same operations, with the
+    same BLAS calls on the same shapes, as its own call, so the same bits.
     Every intermediate is written into workspace (a temporary one sized to
-    the batch when omitted). The returned gradient is workspace.grad, so the
-    next call on the same workspace overwrites it.
+    the batch when omitted). The returned gradient lives in the workspace,
+    so the next call on it overwrites it.
     """
-    m = inputs.shape[0]
-    ws = workspace if workspace is not None else Workspace(spec, m)
-    ws.check_fits(spec, m)
+    lead, m = values.shape[:-1], inputs.shape[-2]
+    ws = workspace if workspace is not None else Workspace(spec, m, *lead)
+    v = ws.fit(spec, lead, m)
     relu = spec.activation == "relu"
     layers = unflatten(values, spec)
     last = len(layers) - 1
@@ -256,58 +330,61 @@ def loss_and_grad_raw(
     # forward, keeping pre-activations for the backward pass
     h = inputs
     for i, (w, b) in enumerate(layers):
-        z = ws.z[i][:m]
+        z = v.z[i]
         np.matmul(h, w, out=z)
         z += b
-        h = ws.acts[i][:m] if i < last else z
+        h = v.acts[i] if i < last else z
         if i < last and relu:
             np.maximum(z, 0.0, out=h)
 
-    probs = _softmax_inplace(h, ws.row_scratch[:m])
-    loss = _loss_from_probs(probs, labels)
+    probs = _softmax_inplace(h, v.row_scratch)
+    loss = _loss_from_probs(probs, labels, v.picks)
 
     delta = probs  # the output delta (probs - onehot) / m overwrites the probabilities
-    delta[ws.row_index[:m], labels] -= 1.0
+    delta[(*v.picks, labels)] -= 1.0
     delta /= m
 
     for i in range(last, -1, -1):
-        gw, gb = ws.grad_layers[i]
-        a = inputs if i == 0 else ws.acts[i - 1][:m]
+        gw, gb = v.grad_layers[i]
+        a = inputs if i == 0 else v.acts[i - 1]
         if m == 1:
             # a one-row product is one rounded multiply added onto +0, as in the
             # dgemm, but einsum skips BLAS's fixed cost; wider batches keep BLAS,
             # whose summation order the results depend on
-            np.einsum("ki,kj->ij", a, delta, out=gw)
+            np.einsum(v.outer, a, delta, out=gw)
         else:
-            np.matmul(a.T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)
+            np.matmul(a.swapaxes(-1, -2) if lead else a.T, delta, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
-            upstream = ws.deltas[i - 1][:m]
-            np.matmul(delta, layers[i][0].T, out=upstream)
+            upstream = v.deltas[i - 1]
+            w = layers[i][0]
+            np.matmul(delta, w.swapaxes(-1, -2) if lead else w.T, out=upstream)
             if relu:
-                mask = ws.masks[i - 1][:m]
-                np.greater(ws.z[i - 1][:m], 0.0, out=mask)
+                mask = v.masks[i - 1]
+                np.greater(v.z[i - 1], 0.0, out=mask)
                 np.multiply(upstream, mask, out=upstream)
             delta = upstream
-    return loss, ws.grad
+    return loss, v.grad
 
 
 def loss_raw(
     values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
-) -> float:
+) -> float | Array:
     """Mean softmax cross-entropy on raw arrays, unchecked; loss() validates and wraps it.
 
-    With a workspace (which must fit the batch) the forward pass runs in its
-    z buffers and allocates no layer; the value is the same either way.
+    Shapes as in loss_and_grad_raw: one model gives a float, a stack of k an
+    array of k. With a workspace (which must fit the batch) the forward pass
+    runs in its z buffers and allocates no layer; the value is the same
+    either way.
     """
-    m = inputs.shape[0]
+    lead, m = values.shape[:-1], inputs.shape[-2]
     if workspace is None:
-        buffers, row_scratch = None, np.empty((m, 1))
+        buffers, row_scratch, picks = None, np.empty((*inputs.shape[:-1], 1)), _picks(lead, m)
     else:
-        workspace.check_fits(spec, m)
-        buffers, row_scratch = workspace.z, workspace.row_scratch[:m]
+        v = workspace.fit(spec, lead, m)
+        buffers, row_scratch, picks = v.z, v.row_scratch, v.picks
     logits = forward_logits(values, spec, inputs, buffers)
-    return _loss_from_probs(_softmax_inplace(logits, row_scratch), labels)
+    return _loss_from_probs(_softmax_inplace(logits, row_scratch), labels, picks)
 
 
 def loss(params: ParamVector, batch: Batch) -> float:

@@ -1,7 +1,9 @@
 """The cohort pool: which runs get one, that it changes no bit, and that its failures keep the one-process contract.
 
 Tests that need the pool force its size by patching federation._pool_workers,
-so they run the same on any number of CPUs.
+so they run the same on any number of CPUs. Tests that make a client fail
+patch federation.group_update, which every process calls once per lockstep
+group, whatever the group's size.
 """
 
 import csv
@@ -43,17 +45,17 @@ def cohort(round_index):
 
 
 def fail_at(monkeypatch, round_index, position, exc):
-    """Make client_update raise exc for the client at this cohort position of this round, wherever it trains."""
+    """Make group_update raise exc for the client at this cohort position of this round, wherever its group trains."""
     client = cohort(round_index)[position]
     target = federation._client_seed(SEED, round_index, client)
-    original = federation.client_update
+    original = federation.group_update
 
-    def failing(shard, dataset, weights, local_epochs, batch_size, client_lr, client_seed, *args, **kwargs):
-        if client_seed == target:
-            raise exc(shard.client_id) if exc is ClientDivergedError else exc("a patched failure")
-        return original(shard, dataset, weights, local_epochs, batch_size, client_lr, client_seed, *args, **kwargs)
+    def failing(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args, **kwargs):
+        if target in client_seeds:
+            raise exc(client) if exc is ClientDivergedError else exc("a patched failure")
+        return original(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args, **kwargs)
 
-    monkeypatch.setattr(federation, "client_update", failing)
+    monkeypatch.setattr(federation, "group_update", failing)
     return client
 
 
@@ -163,17 +165,17 @@ class TestPoolFailures:
 
     def test_interrupted_run_leaves_no_worker(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
-        original = federation.client_update
+        original = federation.group_update
         calls = []
 
-        def interrupt_in_round_2(*args, **kwargs):
+        def interrupt_in_round_2(shards, *args, **kwargs):
             if os.getpid() == parent:
-                calls.append(1)
+                calls.extend(shards)
                 if len(calls) > 2 * 2:  # the parent trains positions 0 and 2 of each round of 4
                     raise KeyboardInterrupt
-            return original(*args, **kwargs)
+            return original(shards, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "client_update", interrupt_in_round_2)
+        monkeypatch.setattr(federation, "group_update", interrupt_in_round_2)
         pin_workers(monkeypatch, 2)
         assert main(["train-fed", "--out", str(tmp_path)] + FED) == 130
         assert capsys.readouterr().err == "interrupted: stopped by SIGINT\n"
@@ -196,14 +198,14 @@ class TestPoolFailures:
 
     def test_a_worker_that_dies_fails_the_run_instead_of_hanging(self, monkeypatch):
         parent = os.getpid()
-        original = federation.client_update
+        original = federation.group_update
 
         def dies_in_a_worker(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(9)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(federation, "client_update", dies_in_a_worker)
+        monkeypatch.setattr(federation, "group_update", dies_in_a_worker)
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
@@ -213,17 +215,17 @@ class TestPoolFailures:
 
     def test_a_worker_that_dies_mid_run_is_recorded_as_failed_and_raised(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
-        original = federation.client_update
+        original = federation.group_update
         calls = []
 
-        def dies_in_round_2(*args, **kwargs):
+        def dies_in_round_2(shards, *args, **kwargs):
             if os.getpid() != parent:
-                calls.append(1)  # the worker's own copy: it trains positions 1 and 3 of each round of 4
+                calls.extend(shards)  # the worker's own copy: it trains positions 1 and 3 of each round of 4
                 if len(calls) > 2 * 2:
                     os._exit(9)
-            return original(*args, **kwargs)
+            return original(shards, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "client_update", dies_in_round_2)
+        monkeypatch.setattr(federation, "group_update", dies_in_round_2)
         pin_workers(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="exited with code 9") as err:
             main(["train-fed", "--out", str(tmp_path)] + FED)

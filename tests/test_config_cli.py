@@ -118,6 +118,37 @@ class TestCliTrainFed:
         assert main(["train-fed", "--config", str(first / "manifest.txt"), "--out", str(second)]) == 0
         assert drop_elapsed(read_csv(first / "rounds.csv")) == drop_elapsed(read_csv(second / "rounds.csv"))
 
+    def test_rerun_on_the_same_platform_prints_no_note(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train-fed", "--out", str(first)] + SYNTH_FED) == 0
+        capsys.readouterr()
+        assert main(["train-fed", "--config", str(first / "manifest.txt"), "--out", str(second)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_rerun_from_another_platform_notes_the_fields_that_differ(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train-fed", "--out", str(first)] + SYNTH_FED) == 0
+        capsys.readouterr()
+        lines = (first / "manifest.txt").read_text().splitlines()
+        here = {line.split(" = ")[0]: line.split(" = ")[1] for line in lines}
+        doctored = first / "doctored.txt"
+        doctored.write_text("".join(
+            {"run.platform.cpus": "run.platform.cpus = 640", "run.platform.numpy": "run.platform.numpy = 1.0e3"}.get(
+                line.split(" = ")[0], line
+            ) + "\n"
+            for line in lines
+        ))
+        assert main(["train-fed", "--config", str(doctored), "--out", str(second)]) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            f"note: the manifest's platform differs here (numpy 1000 -> {here['run.platform.numpy']}, "
+            f"cpus 640 -> {here['run.platform.cpus']}); results may differ in their last bits\n"
+        )
+        assert out == f"wrote {second / 'rounds.csv'}\nwrote {second / 'plot_rounds.gnuplot'}\n"
+        assert drop_elapsed(read_csv(first / "rounds.csv")) == drop_elapsed(read_csv(second / "rounds.csv"))
+        # the new manifest records the platform it ran on, not the one it was read from
+        assert f"run.platform.cpus = {here['run.platform.cpus']}" in (second / "manifest.txt").read_text().splitlines()
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", "fed.bogus=1"]) == 2
         assert "fed.bogus" in capsys.readouterr().err
@@ -151,16 +182,16 @@ class TestCliTrainFed:
     def test_diverged_run_keeps_completed_rounds(self, tmp_path, monkeypatch):
         import fedsim.federation as federation
 
-        original = federation.client_update
+        original = federation.group_update
         calls = []
 
-        def diverges_in_round_2(shard, *args, **kwargs):
-            calls.append(shard.client_id)
+        def diverges_in_round_2(shards, *args, **kwargs):
+            calls.extend(shard.client_id for shard in shards)
             if len(calls) > 2 * 3:  # 6 clients at fraction 0.5: 3 updates a round
-                raise federation.ClientDivergedError(shard.client_id)
-            return original(shard, *args, **kwargs)
+                raise federation.ClientDivergedError(shards[0].client_id)
+            return original(shards, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
+        monkeypatch.setattr(federation, "group_update", diverges_in_round_2)
         monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 3
         rows = read_csv(tmp_path / "rounds.csv")
@@ -172,16 +203,16 @@ class TestCliTrainFed:
     def test_interrupted_run_says_so_and_exits_130(self, tmp_path, monkeypatch, capsys):
         import fedsim.federation as federation
 
-        original = federation.client_update
+        original = federation.group_update
         calls = []
 
-        def interrupt_in_round_2(*args, **kwargs):
-            calls.append(1)
+        def interrupt_in_round_2(shards, *args, **kwargs):
+            calls.extend(shards)
             if len(calls) > 2 * 3:  # 3 updates a round
                 raise KeyboardInterrupt
-            return original(*args, **kwargs)
+            return original(shards, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "client_update", interrupt_in_round_2)
+        monkeypatch.setattr(federation, "group_update", interrupt_in_round_2)
         monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 130
         assert capsys.readouterr().err == "interrupted: stopped by SIGINT\n"

@@ -21,6 +21,7 @@ from fedsim.federation import (
     aggregate_weights,
     client_update,
     evaluate,
+    group_update,
     run_round,
     select_clients,
     train_centralized,
@@ -221,13 +222,13 @@ class TestSharedSgdLoop:
         config = fed_config(6, client_fraction=0.5, rounds=4, seed=25)
         calls = []
 
-        def diverges_in_round_2(shard, *args, **kwargs):
-            calls.append(shard.client_id)
+        def diverges_in_round_2(shards, *args, **kwargs):
+            calls.extend(shard.client_id for shard in shards)
             if len(calls) > 2 * config.cohort_size:
-                raise ClientDivergedError(shard.client_id)
-            return client_update(shard, *args, **kwargs)
+                raise ClientDivergedError(shards[0].client_id)
+            return group_update(shards, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "client_update", diverges_in_round_2)
+        monkeypatch.setattr(federation, "group_update", diverges_in_round_2)
         monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
         kept = []
         with pytest.raises(ClientDivergedError) as err:

@@ -3,7 +3,9 @@
 A digest is sha256 over the data columns of the run's rounds.csv and its
 final weights (bench/child.py digest_and_rows); a run that diverges has no
 final weights, so its digest covers the rounds it kept. Every federated run
-must give its recorded digest with its cohort trained on 1 process and on 2. The
+must give its recorded digest with its cohort trained on 1 process and on 2,
+and with each process training its clients in lockstep groups (the group
+size the rule derives, more than 1 for these tiny nets) and one at a time. The
 digests hold within the envelope recorded in golden.json (fedsim.machine);
 elsewhere each test skips and names the field that differs.
 
@@ -29,6 +31,7 @@ from fedsim.federation import SEND_DELTA, ClientDivergedError, FedConfig, train_
 from fedsim.harness import write_rounds_csv
 from fedsim.machine import fingerprint
 from fedsim.nn import MlpSpec, ServerOptimizerState
+from fedsim.rng import derive_seed
 
 GOLDEN = Path(__file__).with_name("golden.json")
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
@@ -49,11 +52,11 @@ def _digest_and_rows():
 digest_and_rows = _digest_and_rows()
 
 
-def federated(
+def federated_setup(
     kind=IID, samples_per_client=10, num_clients=12, client_fraction=0.5, batch_size=4, activation="relu",
-    client_lr=0.3, on_round=None, **config,
+    client_lr=0.3, **config,
 ):
-    """A 3-round run on 3-class synthetic data: 12 clients of 10 samples and cohorts of 6 by default."""
+    """(model, config, shards, dataset, test set) of a 3-round run: 12 clients of 10 samples, cohorts of 6 by default."""
     ds = synth_dataset(3, 8, 240, seed=41)
     test = synth_dataset(3, 8, 60, seed=42)
     shards = partition(ds, PartitionPlan(kind, num_clients, samples_per_client, seed=43))
@@ -61,7 +64,13 @@ def federated(
         num_clients=num_clients, client_fraction=client_fraction, local_epochs=2, batch_size=batch_size,
         client_lr=client_lr, rounds=3, seed=44, eval_every=1, **config,
     )
-    history, state = train_federated(MlpSpec((8, 6, 3), activation), config, shards, ds, test, on_round=on_round)
+    return MlpSpec((8, 6, 3), activation), config, shards, ds, test
+
+
+def federated(on_round=None, **setup):
+    """The history and final weights of the federated_setup run."""
+    model, config, shards, ds, test = federated_setup(**setup)
+    history, state = train_federated(model, config, shards, ds, test, on_round=on_round)
     return history, state.weights.values
 
 
@@ -128,6 +137,40 @@ def test_federated_digest(name, workers, monkeypatch):
     digests = recorded()
     monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
     assert run_digest(name) == digests[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
+def test_federated_digest_one_client_at_a_time(name, workers, monkeypatch):
+    digests = recorded()
+    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    monkeypatch.setattr(federation, "_lockstep_clients", lambda *args: 1)
+    assert run_digest(name) == digests[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
+def test_golden_runs_train_in_lockstep_groups(name, workers, monkeypatch):
+    # else the digests above would check the one-at-a-time path twice
+    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    model, config, shards, _, _ = federated_setup(**{**FEDERATED, **DIVERGED}[name])
+    group = federation.client_group(model, config, shards)
+    assert group == -(-config.cohort_size // workers) > 1  # the parent's whole share
+    cohort = federation.select_clients(config.num_clients, config.client_fraction, derive_seed(config.seed, "round", 0, "select"))
+    for j in range(workers):  # every process trains its share of round 0 as one group
+        share = [int(c) for c in cohort[j::workers]]
+        assert federation._groups(shards, share, group) == [share]
+
+
+def test_a_client_with_a_nan_loss_fails_its_round():
+    # lr 1e13 leaves a client of round 1 with finite weights whose loss on its shard is nan:
+    # the round must fail there, not record mean_client_loss = nan and go on
+    kept = []
+    with pytest.raises(ClientDivergedError) as err:
+        federated(on_round=kept.append, **{**DIVERGED["diverged_history"], "client_lr": 1e13})
+    assert err.value.round_index == 1
+    assert [m.round_index for m in kept] == [0]
+    assert np.isfinite(kept[0].mean_client_loss)
 
 
 @pytest.mark.parametrize("name", sorted(CENTRALIZED))

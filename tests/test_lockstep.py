@@ -1,0 +1,225 @@
+"""Lockstep groups: each process trains its equal-size clients together, one stacked step per group.
+
+A group's stacked kernel runs each client's slice with the same BLAS call and
+shape as that client alone, so every test here compares with np.array_equal
+(or as int64, to tell -0.0 from +0.0) against one client at a time.
+"""
+
+import csv
+import multiprocessing
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fedsim import federation
+from fedsim.cli import main
+from fedsim.config import load_config
+from fedsim.data import IID, ClientShard, Dataset, PartitionPlan, partition, synth_dataset
+from fedsim.federation import (
+    ClientDivergedError,
+    FedConfig,
+    client_update,
+    group_update,
+    select_clients,
+    train_federated,
+)
+from fedsim.nn import MlpSpec, Workspace, init_params
+from fedsim.rng import derive_seed
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+
+
+def workload_model(name):
+    return MlpSpec(tuple(load_config(WORKLOADS / f"{name}.cfg")["model.layers"]))
+
+
+def pin(monkeypatch, workers, group=None):
+    """Pin the pool size, and the lockstep group size too when group is given."""
+    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    if group is not None:
+        monkeypatch.setattr(federation, "_lockstep_clients", lambda *args: group)
+
+
+def shards_of_sizes(ds, sizes):
+    """Hand-built shards holding consecutive dataset rows, client i holding sizes[i] of them."""
+    shards, start = [], 0
+    for client_id, size in enumerate(sizes):
+        indices = np.arange(start, start + size)
+        census = np.bincount(ds.labels[indices], minlength=ds.num_classes)
+        shards.append(ClientShard(client_id, indices, census))
+        start += size
+    return shards
+
+
+def data_columns(history):
+    return [(m.round_index, m.train_accuracy, m.test_accuracy, m.mean_client_loss) for m in history]
+
+
+class TestGroupSize:
+    def test_the_rule_groups_the_standin_and_leaves_the_large_workloads_one_client_at_a_time(self):
+        standin = workload_model("fed_standin")  # P = 14,218
+        assert standin.parameter_count() == 14_218
+        assert federation._lockstep_clients(standin, 5) == 5  # each of 2 processes' share of 10
+        assert federation._lockstep_clients(standin, 10) == 6  # the 1.5 MiB budget: 6 * 2 * 8 * 14,218 bytes
+        for name, params in (
+            ("fed_mnist_shaped", 494_710), ("fed_single_sample_delta", 50_890), ("central_mnist_shaped", 494_710)
+        ):
+            model = workload_model(name)
+            assert model.parameter_count() == params
+            assert federation._lockstep_clients(model, 500) == 1
+
+    def test_a_group_is_never_larger_than_the_share_nor_empty(self):
+        tiny = MlpSpec((2, 2))
+        assert federation._lockstep_clients(tiny, 3) == 3
+        assert federation._lockstep_clients(tiny, 1) == 1
+        assert federation._lockstep_clients(MlpSpec((4096, 4096)), 50) == 1  # no stack fits: one client at a time
+
+    def test_client_group_is_the_parents_share_at_most(self, monkeypatch):
+        ds = synth_dataset(3, 6, 160, seed=1)
+        shards = partition(ds, PartitionPlan(IID, 8, 10, seed=1))
+        config = FedConfig(8, 0.5, 1, 5, 0.2, 1, 1)  # cohorts of 4
+        for workers, group in ((1, 4), (2, 2), (3, 2), (4, 1)):
+            pin(monkeypatch, workers)
+            assert federation.client_group(MlpSpec((6, 5, 3)), config, shards) == group
+
+    def test_groups_are_runs_of_equal_size_cut_at_the_cap(self):
+        ds = synth_dataset(3, 6, 200, seed=2)
+        shards = shards_of_sizes(ds, [7, 10, 10, 13, 13, 10, 7, 10])
+        assert federation._groups(shards, range(8), 8) == [[0], [1, 2], [3, 4], [5], [6], [7]]
+        assert federation._groups(shards, [1, 2, 5, 7], 8) == [[1, 2, 5, 7]]  # consecutive in the share
+        assert federation._groups(shards, [1, 2, 5, 7], 3) == [[1, 2, 5], [7]]
+        assert federation._groups(shards, [1, 2, 5, 7], 1) == [[1], [2], [5], [7]]
+
+
+class TestGroupUpdate:
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("batch_size", [4, 3, 1, None])  # 3 leaves a short last batch of 10 rows; 1 is einsum's
+    def test_every_row_is_its_client_alone_bit_for_bit(self, activation, batch_size):
+        ds = synth_dataset(3, 8, 120, seed=3)
+        shards = partition(ds, PartitionPlan(IID, 6, 10, seed=3))[1:5]
+        spec = MlpSpec((8, 6, 5, 3), activation)
+        w = init_params(spec, 3)
+        seeds = [31, 32, 33, 34]
+        rows = min(10, batch_size or 10)
+        out = np.empty((4, spec.parameter_count()))
+        failed = group_update(shards, ds, w, 3, batch_size, 0.3, seeds, Workspace(spec, rows, 4), out)
+        assert not failed.any()
+        for row, shard, seed in zip(out, shards, seeds):
+            alone = client_update(shard, ds, w, 3, batch_size, 0.3, seed).values
+            assert np.array_equal(row.view(np.int64), alone.view(np.int64))
+
+    def test_one_sample_clients(self):
+        ds = synth_dataset(3, 8, 60, seed=4)
+        shards = shards_of_sizes(ds, [1] * 5)
+        spec = MlpSpec((8, 6, 3))
+        w = init_params(spec, 4)
+        out = np.empty((5, spec.parameter_count()))
+        group_update(shards, ds, w, 2, 1, 0.3, range(40, 45), Workspace(spec, 1, 5), out)
+        for row, shard, seed in zip(out, shards, range(40, 45)):
+            assert np.array_equal(row.view(np.int64), client_update(shard, ds, w, 2, 1, 0.3, seed).values.view(np.int64))
+
+    def test_a_diverged_client_is_flagged_and_leaves_the_others_alone(self):
+        ds = synth_dataset(3, 8, 120, seed=5)
+        shards = partition(ds, PartitionPlan(IID, 4, 10, seed=5))
+        spec = MlpSpec((9, 6, 3))
+        w = init_params(spec, 5)
+        marked = marked_dataset(ds, [shards[2]])  # the poisoned kernel sends client 2's weights to -inf
+        out = np.empty((4, spec.parameter_count()))
+        with poisoned_kernel(), np.errstate(all="ignore"):  # as train_federated runs it
+            failed = group_update(shards, marked, w, 2, 5, 0.3, [1, 2, 3, 4], Workspace(spec, 5, 4), out)
+        assert failed.tolist() == [False, False, True, False]
+        for row, shard, seed in zip(out[[0, 1, 3]], [shards[0], shards[1], shards[3]], [1, 2, 4]):
+            assert np.array_equal(row, client_update(shard, marked, w, 2, 5, 0.3, seed).values)
+
+    def test_a_group_needs_clients_of_equal_size(self):
+        ds = synth_dataset(3, 8, 60, seed=6)
+        shards = shards_of_sizes(ds, [5, 6])
+        spec = MlpSpec((8, 3))
+        with pytest.raises(ValueError, match="equally many samples"):
+            group_update(shards, ds, init_params(spec, 6), 1, 5, 0.1, [1, 2], Workspace(spec, 6, 2), np.empty((2, 27)))
+
+
+def marked_dataset(ds, marked_shards):
+    """ds with one more feature, 1.0 on the rows of marked_shards and 0.0 elsewhere."""
+    marker = np.zeros((len(ds), 1))
+    for shard in marked_shards:
+        marker[shard.indices] = 1.0
+    return Dataset(np.hstack([ds.inputs, marker]), ds.labels, ds.num_classes)
+
+
+class poisoned_kernel:
+    """Within it, every step of a model whose batch is marked (marked_dataset) sends its weights to -inf.
+
+    The kernel is patched at the name federation's SGD loop calls, so a
+    marked client diverges on its own, whether it trains alone or in a
+    group, in this process or a forked worker.
+    """
+
+    def __enter__(self):
+        self.original = original = federation.loss_and_grad_raw
+
+        def poisoned(values, spec, inputs, labels, workspace=None):
+            loss, grad = original(values, spec, inputs, labels, workspace)
+            grad[inputs[..., 0, -1] == 1.0] = np.inf  # one model: a 0-d mask; a stack: one flag a model
+            return loss, grad
+
+        federation.loss_and_grad_raw = poisoned
+
+    def __exit__(self, *exc):
+        federation.loss_and_grad_raw = self.original
+
+
+class TestLockstepRuns:
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_unequal_sizes_split_into_groups_and_keep_the_bits(self, fraction, monkeypatch):
+        ds = synth_dataset(3, 8, 200, seed=8)
+        test = synth_dataset(3, 8, 60, seed=9)
+        shards = shards_of_sizes(ds, [7, 10, 10, 13, 13, 10, 7, 10])
+        config = FedConfig(8, fraction, 2, 4, 0.3, 3, 8, eval_every=1)
+        runs = {}
+        for workers in (1, 2):
+            for group in (None, 1):
+                pin(monkeypatch, workers, group)
+                history, state = train_federated(MlpSpec((8, 6, 3)), config, shards, ds, test)
+                runs[workers, group] = data_columns(history), state.weights.values
+                assert multiprocessing.active_children() == []
+        (columns, weights) = runs[1, 1]
+        for other_columns, other_weights in runs.values():
+            assert other_columns == columns
+            assert np.array_equal(other_weights, weights)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("group", [None, 1])
+    def test_divergence_inside_a_group_names_the_first_failed_client(self, workers, group, monkeypatch):
+        ds = synth_dataset(3, 8, 240, seed=7)
+        shards = partition(ds, PartitionPlan(IID, 12, 10, seed=7))
+        config = FedConfig(12, 0.5, 2, 4, 0.3, 3, 7)
+        cohorts = [select_clients(12, 0.5, derive_seed(7, "round", t, "select")).tolist() for t in range(2)]
+        # clients 2 and 4 first train in round 1, at positions 1 (a worker's, at 2 workers) and 2 (the parent's)
+        assert 2 not in cohorts[0] and 4 not in cohorts[0]
+        assert cohorts[1].index(2) == 1 and cohorts[1].index(4) == 2
+        marked = marked_dataset(ds, [shards[2], shards[4]])
+        pin(monkeypatch, workers, group)
+        kept = []
+        with poisoned_kernel(), pytest.raises(ClientDivergedError) as err:
+            train_federated(MlpSpec((9, 6, 3)), config, shards, marked, on_round=kept.append)
+        assert (err.value.client_id, err.value.round_index) == (2, 1)
+        assert [m.round_index for m in kept] == [0]
+        assert multiprocessing.active_children() == []
+
+    def test_the_manifest_records_the_group_beside_the_workers(self, tmp_path, monkeypatch):
+        pin(monkeypatch, 2)
+        args = [
+            "train-fed", "--out", str(tmp_path), "--set", "seed=3", "--set", "data.source=synth", "--set", "data.num_classes=3",
+            "--set", "data.features=6", "--set", "data.train_samples=160", "--set", "data.test_samples=60",
+            "--set", "model.layers=6,5,3", "--set", "partition.samples_per_client=10", "--set", "fed.num_clients=8",
+            "--set", "fed.client_fraction=0.5", "--set", "fed.batch_size=5", "--set", "fed.client_lr=0.2",
+            "--set", "fed.rounds=2",
+        ]
+        assert main(args) == 0
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.workers = 2" in lines
+        assert "run.client_group = 2" in lines  # cohorts of 4 on 2 processes
+        with open(tmp_path / "rounds.csv", newline="") as f:
+            assert len(list(csv.reader(f))) == 1 + 2

@@ -264,6 +264,36 @@ class TestWorkspaceKernel:
                 assert np.array_equal(logits.view(np.int64), h.view(np.int64))
             assert np.shares_memory(forward_logits(params.values, spec, inputs, buffers), buffers[-1])
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_a_stack_of_models_steps_each_as_alone_bit_for_bit(self, activation):
+        # (k, P) weights on (k, m, d) batches: full, short, single-row, a smaller stack, full again
+        spec = MlpSpec((9, 7, 6, 4), activation)
+        rng = np.random.default_rng(37)
+        workspace = Workspace(spec, 12, 4)
+        for seed, (k, rows) in enumerate([(4, 12), (4, 5), (4, 1), (2, 12), (4, 12)]):
+            stack = np.stack([init_params(spec, 60 + 4 * seed + i).values for i in range(k)])
+            inputs = rng.uniform(0.0, 1.0, size=(k, rows, 9))
+            inputs[:, :, ::3] = 0.0
+            labels = rng.integers(0, 4, size=(k, rows))
+            values, grads = loss_and_grad_raw(stack, spec, inputs, labels, workspace)
+            assert grads.shape == (k, spec.parameter_count()) and values.shape == (k,)
+            assert np.shares_memory(grads, workspace.grad)
+            for i in range(k):
+                ref_value, ref_grad = reference_loss_and_grad(stack[i], spec, inputs[i], labels[i])
+                assert values[i] == ref_value
+                assert np.array_equal(grads[i].view(np.int64), ref_grad.view(np.int64))
+            assert np.array_equal(loss_raw(stack, spec, inputs, labels, workspace), values)
+            assert np.array_equal(loss_raw(stack, spec, inputs, labels), values)
+
+    def test_a_stack_must_fit_the_workspace(self):
+        spec = MlpSpec((5, 4, 3))
+        stack = np.stack([init_params(spec, 38).values] * 3)
+        inputs, labels = np.zeros((3, 4, 5)), np.zeros((3, 4), dtype=np.int64)
+        with pytest.raises(ShapeMismatchError):
+            loss_and_grad_raw(stack, spec, inputs, labels, Workspace(spec, 4, 2))
+        with pytest.raises(ShapeMismatchError):
+            loss_raw(stack, spec, inputs, labels, Workspace(spec, 3, 3))
+
     def test_loss_raw_batch_must_fit_the_workspace(self):
         spec = MlpSpec((5, 4, 3))
         params = init_params(spec, 36)
