@@ -20,6 +20,8 @@ alone. K comes from the model size (client_group). When the local steps are
 too small for BLAS to thread, train_federated spreads each cohort over
 forked worker processes (see fedsim.pool); the parent still folds in
 client-id order, so the bits depend neither on the worker count nor on K.
+Such runs also train and evaluate with the BLAS pinned to one thread
+(one_thread_steps), so their bits do not depend on the BLAS thread count.
 
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
@@ -38,7 +40,7 @@ import numpy as np
 from .config import FieldError
 from .data import ClientShard, Dataset
 from .data import shard_batches  # noqa: F401  unused here; bench/child.py traces this name
-from .machine import usable_cpus
+from .machine import blas_thread_count, one_blas_thread, usable_cpus
 from .nn import loss  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
     GradVector,
@@ -418,24 +420,45 @@ def _train_group(
 _BLAS_ONE_THREAD_MNK = 4 * 65_536
 
 
+def _fits_one_blas_thread(spec: MlpSpec, batch_rows: int) -> bool:
+    """Whether OpenBLAS runs a local step on one thread: each layer's batch_rows * d_in * d_out is at most the size."""
+    sizes = spec.layer_sizes
+    return max(batch_rows * d_in * d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])) <= _BLAS_ONE_THREAD_MNK
+
+
 def _pool_workers(spec: MlpSpec, batch_rows: int, cohort: int) -> int:
     """How many processes train a round's cohort: one per usable CPU, or 1.
 
-    Processes pay off only while a local step runs BLAS on one thread, that
-    is while every layer's product batch_rows * d_in * d_out is at most
-    _BLAS_ONE_THREAD_MNK. A larger step already spreads over the cores, and
-    processes beside its BLAS threads only contend for them.
+    Processes pay off only while a local step runs BLAS on one thread
+    (_fits_one_blas_thread). A larger step already spreads over the cores,
+    and processes beside its BLAS threads only contend for them.
     """
-    sizes = spec.layer_sizes
-    if max(batch_rows * d_in * d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])) > _BLAS_ONE_THREAD_MNK:
-        return 1
-    return min(usable_cpus(), cohort)
+    return min(usable_cpus(), cohort) if _fits_one_blas_thread(spec, batch_rows) else 1
+
+
+def _step_rows(config: FedConfig, shards: Sequence[ClientShard]) -> int:
+    """The rows of the run's largest local batch."""
+    return _batch_rows(config.batch_size, max(s.num_samples for s in shards))
 
 
 def cohort_workers(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int:
     """The number of processes train_federated trains each round's cohort on."""
-    batch_rows = _batch_rows(config.batch_size, max(s.num_samples for s in shards))
-    return _pool_workers(spec, batch_rows, config.cohort_size)
+    return _pool_workers(spec, _step_rows(config, shards), config.cohort_size)
+
+
+def one_thread_steps(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> bool:
+    """Whether the run's local steps fit one BLAS thread, so that train_federated pins the BLAS to one.
+
+    It depends on the model and batch shape alone, never on the CPUs, the
+    cohort or the worker count, so neither do the run's bits.
+    """
+    return _fits_one_blas_thread(spec, _step_rows(config, shards))
+
+
+def blas_threads(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int | None:
+    """The BLAS thread count of train_federated's rounds: 1 when pinned, else the BLAS's own (None if it reports none)."""
+    threads = blas_thread_count()
+    return 1 if threads is not None and one_thread_steps(spec, config, shards) else threads
 
 
 # A lockstep group keeps a (K, P) stack of weights and one of gradients, 2 * 8 * K * P bytes of
@@ -583,7 +606,11 @@ def train_federated(
     on_round, when given, gets each round's metrics as soon as the round
     completes. The cohorts train on cohort_workers processes, each in
     lockstep groups of up to client_group clients; the workers are forked
-    once for the run and stopped when it ends, however it ends.
+    once for the run and stopped when it ends, however it ends. When
+    one_thread_steps holds, the rounds (pool fork, local steps, shard
+    losses, fold, server step and evaluations) run with the BLAS pinned to
+    one thread, and its previous thread count is restored however the run
+    ends.
     """
     weights = initial_weights if initial_weights is not None else init_params(model, derive_seed(config.seed, "init"))
     state = GlobalState(weights, 0, config.server_opt)
@@ -600,12 +627,14 @@ def train_federated(
     workers = cohort_workers(spec, config, shards)
     workspace = _round_workspace(spec, shards, client_group(spec, config, shards))
     history: list[RoundMetrics] = []
-    pool_context = contextlib.nullcontext()
-    if workers > 1:
-        from .pool import CohortPool  # imported here: multiprocessing would add ~10 ms to every CLI start
+    with contextlib.ExitStack() as stack:
+        if one_thread_steps(spec, config, shards):
+            stack.enter_context(one_blas_thread())  # before the pool forks, so its workers inherit one thread
+        pool = None
+        if workers > 1:
+            from .pool import CohortPool  # imported here: multiprocessing would add ~10 ms to every CLI start
 
-        pool_context = CohortPool(workers, spec, config, shards, dataset, workspace.clients)
-    with pool_context as pool:
+            pool = stack.enter_context(CohortPool(workers, spec, config, shards, dataset, workspace.clients))
         for t in range(config.rounds):
             eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
             state, metrics = run_round(

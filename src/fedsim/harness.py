@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,8 +61,10 @@ from .data import (
 from .federation import (
     FedConfig,
     RoundMetrics,
+    blas_threads,
     client_group,
     cohort_workers,
+    one_thread_steps,
     train_centralized,
     train_federated,
 )
@@ -452,12 +455,17 @@ def finish_manifest(path: Path, cfg: dict[str, Value], command: str, run_meta: d
 
     run_meta holds run.status (complete, failed or interrupted) and whatever
     the command and its outcome added: run.outputs, run.error, run.workers,
-    run.client_group.
+    run.client_group, run.blas_threads.
     """
     _write_manifest(path, cfg, command, {"run.finished_utc": _utc_now(), **run_meta})
 
 
 # ---------------------------------------------------------------- commands
+
+BLAS_NOTE = (
+    "note: the BLAS has no call to set its thread count, so runs whose local steps fit one thread keep its own;"
+    " their results may differ in their last bits across thread counts"
+)
 
 # One run of a plan: arch label, samples per client, rounds CSV name, and a
 # closure that trains the run, passing each round's metrics to its argument.
@@ -536,8 +544,11 @@ def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path],
 def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     """Train the custom run or the preset's grid.
 
-    meta gets run.workers, each run's cohort processes, and run.client_group,
-    the most clients each of them trains in lockstep.
+    meta gets run.workers, each run's cohort processes, run.client_group,
+    the most clients each of them trains in lockstep, and run.blas_threads,
+    the BLAS thread count of its rounds (unknown where the BLAS reports
+    none). When a run whose local steps fit one BLAS thread finds no call to
+    pin it, one note: line on stderr says so, once per command.
     """
     experiment = cfg["experiment"]
     if experiment not in (CUSTOM, SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
@@ -545,6 +556,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     activation = get_typed(cfg, "model.activation", str, "relu")
+    noted = False
 
     def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
         # built with the plan, so a grid point that cannot be met fails before any run trains
@@ -552,8 +564,14 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         config = build_fed_config(cfg, run_seed)
 
         def train(on_round) -> None:
+            nonlocal noted
+            threads = blas_threads(model, config, shards)
             meta.setdefault("run.workers", []).append(cohort_workers(model, config, shards))
             meta.setdefault("run.client_group", []).append(client_group(model, config, shards))
+            meta.setdefault("run.blas_threads", []).append("unknown" if threads is None else threads)
+            if threads is None and one_thread_steps(model, config, shards) and not noted:
+                noted = True
+                print(BLAS_NOTE, file=sys.stderr)
             train_federated(model, config, shards, dataset, test_set, on_round=on_round)
 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train

@@ -4,18 +4,33 @@ Float64 results are bitwise reproducible within one envelope: one numpy and
 BLAS build, one CPU feature set (the BLAS picks its kernels from it), and one
 BLAS thread count, which the thread variables set or else the usable CPUs do.
 A threaded BLAS sums large products in an order its thread count decides.
-How many processes a round's cohort trains on is not part of the envelope:
-the parent folds every client in client-id order (see federation.run_round).
+A federated run whose local steps all fit one BLAS thread leaves the thread
+count out of its envelope: train_federated runs its rounds under
+one_blas_thread, so its evaluation and shard-loss products sum in the
+one-thread order whatever the thread variables and CPUs say. Where the BLAS
+has no thread-count call (MKL, Accelerate) nothing is pinned, and the
+thread count stays in the envelope. How many processes a round's cohort
+trains on is not part of the envelope: the parent folds every client in
+client-id order (see federation.run_round).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import os
 
 import numpy as np
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# (set, get) thread-count calls: numpy's wheel bundles OpenBLAS under a prefix and a suffix, a
+# system OpenBLAS keeps the plain names
+_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def usable_cpus() -> int:
@@ -24,6 +39,52 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (set, get) thread-count calls of the BLAS numpy has loaded, or None where it has none."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)  # its symbol lookup also searches the libraries it links
+    except OSError:
+        return None
+    for set_name, get_name in _THREAD_CALLS:
+        if hasattr(lib, set_name) and hasattr(lib, get_name):
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+def blas_thread_count() -> int | None:
+    """The thread count the BLAS reports now, or None where it has no thread-count call."""
+    calls = _blas_thread_calls()
+    return None if calls is None else calls[1]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with the BLAS on one thread and restore its previous count however the block ends.
+
+    Processes forked inside the block inherit the one thread. Where the BLAS
+    has no thread-count call it pins nothing.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _cpu_flags_sha() -> str:

@@ -7,7 +7,10 @@ must give its recorded digest with its cohort trained on 1 process and on 2,
 and with each process training its clients in lockstep groups (the group
 size the rule derives, more than 1 for these tiny nets) and one at a time. The
 digests hold within the envelope recorded in golden.json (fedsim.machine);
-elsewhere each test skips and names the field that differs.
+elsewhere each test skips and names the field that differs. The federated
+runs' local steps fit one BLAS thread, so they train on one whatever the
+thread variables say: one of them must give its digest in fresh processes
+under OPENBLAS_NUM_THREADS=1, 2 and unset.
 
 Rewrite golden.json only for a change that is meant to change results:
 
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,12 +34,13 @@ from fedsim import federation
 from fedsim.data import IID, SINGLE_LABEL, SINGLE_SAMPLE, PartitionPlan, partition, synth_dataset
 from fedsim.federation import SEND_DELTA, ClientDivergedError, FedConfig, train_centralized, train_federated
 from fedsim.harness import write_rounds_csv
-from fedsim.machine import fingerprint
+from fedsim.machine import THREAD_VARS, fingerprint
 from fedsim.nn import MlpSpec, ServerOptimizerState
 from fedsim.rng import derive_seed
 
 GOLDEN = Path(__file__).with_name("golden.json")
-CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
+REPO = Path(__file__).resolve().parent.parent
+CHILD = REPO / "bench" / "child.py"
 # what the digests depend on; the usable CPUs only set the default BLAS thread
 # count, which no product of these tiny runs is large enough to use
 ENVELOPE = (
@@ -106,6 +112,13 @@ def diverged(name: str) -> list:
     raise AssertionError(f"{name} did not diverge")
 
 
+def digest(history, weights) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rounds.csv"
+        write_rounds_csv(path, history)
+        return digest_and_rows(path, np.asarray(weights))[0]
+
+
 def run_digest(name: str) -> str:
     if name in FEDERATED:
         history, weights = federated(**FEDERATED[name])
@@ -114,17 +127,14 @@ def run_digest(name: str) -> str:
     else:
         history, final = centralized(CENTRALIZED[name])
         weights = final.values
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rounds.csv"
-        write_rounds_csv(path, history)
-        return digest_and_rows(path, np.asarray(weights))[0]
+    return digest(history, weights)
 
 
-def recorded() -> dict:
-    """golden.json, or a skip naming the first envelope field that differs from this process."""
+def recorded(fields=ENVELOPE) -> dict:
+    """golden.json, or a skip naming the first of the envelope fields that differs from this process."""
     golden = json.loads(GOLDEN.read_text())
     here = fingerprint()
-    for field in ENVELOPE:
+    for field in fields:
         if str(here[field]) != str(golden["envelope"][field]):
             recorded_value = golden["envelope"][field]
             pytest.skip(f"golden digests were recorded with {field}={recorded_value}, this process has {here[field]}")
@@ -171,6 +181,22 @@ def test_a_client_with_a_nan_loss_fails_its_round():
     assert err.value.round_index == 1
     assert [m.round_index for m in kept] == [0]
     assert np.isfinite(kept[0].mean_client_loss)
+
+
+def test_a_pinned_run_gives_its_digest_under_any_thread_variable():
+    # a run whose local steps fit one BLAS thread trains on one, whatever the thread variables say
+    thread_fields = [var.lower() for var in THREAD_VARS]
+    expected = recorded([field for field in ENVELOPE if field not in thread_fields])["send_weights"]
+    model, config, shards, _, _ = federated_setup(**FEDERATED["send_weights"])
+    assert federation.one_thread_steps(model, config, shards)
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    code = f"import sys; sys.path.insert(0, {str(REPO / 'tests')!r}); import test_golden as g; print(g.run_digest('send_weights'))"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], env={**env, **threads}, stdout=subprocess.PIPE, text=True)
+        for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {})
+    ]
+    assert [proc.communicate(timeout=120)[0].strip() for proc in procs] == [expected] * 3
 
 
 @pytest.mark.parametrize("name", sorted(CENTRALIZED))
