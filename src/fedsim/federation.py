@@ -16,12 +16,12 @@ aggregate_weights and aggregate_deltas compute from a list of updates, since
 all three fold with the same step. A process trains its clients in lockstep
 groups of up to K clients of equal size (group_update): one stacked kernel
 call a step for the whole group, which gives each client the bits it gets
-alone. K comes from the model size (client_group). When the local steps are
-too small for BLAS to thread, train_federated spreads each cohort over
-forked worker processes (see fedsim.pool); the parent still folds in
-client-id order, so the bits depend neither on the worker count nor on K.
-Such runs also train and evaluate with the BLAS pinned to one thread
-(one_thread_steps), so their bits do not depend on the BLAS thread count.
+alone. One function, layout, decides a run's K, its N processes and its
+BLAS pin. When the local steps are too small for BLAS to thread,
+train_federated spreads each cohort over the parent and N - 1 forked
+workers (see fedsim.pool) and pins the BLAS to one thread. The parent folds
+in client-id order, so the bits depend neither on N nor on K, and those of
+such a run not on the BLAS thread count.
 
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
@@ -40,7 +40,7 @@ import numpy as np
 from .config import FieldError
 from .data import ClientShard, Dataset
 from .data import shard_batches  # noqa: F401  unused here; bench/child.py traces this name
-from .machine import blas_thread_count, one_blas_thread, usable_cpus
+from .machine import one_blas_thread, usable_cpus
 from .nn import loss  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
     GradVector,
@@ -100,13 +100,15 @@ class FedConfig:
     alg1_literal_normalization: bool = False
 
     def __post_init__(self):
+        if self.num_clients < 1:
+            raise FieldError("num_clients", "must be >= 1")
         if not (0.0 < self.client_fraction <= 1.0):
             raise FieldError("client_fraction", "must be in (0, 1]")
         if self.local_epochs < 1:
             raise FieldError("local_epochs", "must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise FieldError("batch_size", "must be >= 1 or None for full-shard batches")
-        if self.client_lr < 0:
+        if not self.client_lr >= 0:  # written so that nan fails too
             raise FieldError("client_lr", "must be non-negative")
         if self.rounds < 0:
             raise FieldError("rounds", "must be >= 0")
@@ -419,48 +421,6 @@ def _train_group(
 # SMP_THRESHOLD_MIN (65,536) times GEMM_MULTITHREAD_THRESHOLD (4).
 _BLAS_ONE_THREAD_MNK = 4 * 65_536
 
-
-def _fits_one_blas_thread(spec: MlpSpec, batch_rows: int) -> bool:
-    """Whether OpenBLAS runs a local step on one thread: each layer's batch_rows * d_in * d_out is at most the size."""
-    sizes = spec.layer_sizes
-    return max(batch_rows * d_in * d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])) <= _BLAS_ONE_THREAD_MNK
-
-
-def _pool_workers(spec: MlpSpec, batch_rows: int, cohort: int) -> int:
-    """How many processes train a round's cohort: one per usable CPU, or 1.
-
-    Processes pay off only while a local step runs BLAS on one thread
-    (_fits_one_blas_thread). A larger step already spreads over the cores,
-    and processes beside its BLAS threads only contend for them.
-    """
-    return min(usable_cpus(), cohort) if _fits_one_blas_thread(spec, batch_rows) else 1
-
-
-def _step_rows(config: FedConfig, shards: Sequence[ClientShard]) -> int:
-    """The rows of the run's largest local batch."""
-    return _batch_rows(config.batch_size, max(s.num_samples for s in shards))
-
-
-def cohort_workers(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int:
-    """The number of processes train_federated trains each round's cohort on."""
-    return _pool_workers(spec, _step_rows(config, shards), config.cohort_size)
-
-
-def one_thread_steps(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> bool:
-    """Whether the run's local steps fit one BLAS thread, so that train_federated pins the BLAS to one.
-
-    It depends on the model and batch shape alone, never on the CPUs, the
-    cohort or the worker count, so neither do the run's bits.
-    """
-    return _fits_one_blas_thread(spec, _step_rows(config, shards))
-
-
-def blas_threads(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int | None:
-    """The BLAS thread count of train_federated's rounds: 1 when pinned, else the BLAS's own (None if it reports none)."""
-    threads = blas_thread_count()
-    return 1 if threads is not None and one_thread_steps(spec, config, shards) else threads
-
-
 # A lockstep group keeps a (K, P) stack of weights and one of gradients, 2 * 8 * K * P bytes of
 # float64. Held within this budget, about three quarters of the 2 MiB per-core L2 cache of the Xeon
 # it was measured on, a step's stacks stay in cache beside the batch's activations (see README
@@ -468,15 +428,33 @@ def blas_threads(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]
 _LOCKSTEP_BYTES = 3 << 19  # 1.5 MiB
 
 
-def _lockstep_clients(spec: MlpSpec, share: int) -> int:
-    """K, the most clients a process trains in lockstep: its share of the cohort, capped by _LOCKSTEP_BYTES, at least 1."""
-    return max(1, min(share, _LOCKSTEP_BYTES // (2 * 8 * spec.parameter_count())))
+@dataclass(frozen=True)
+class Layout:
+    """A run's processes N (workers), lockstep group size K (group) and BLAS pin (one_thread); see layout."""
+
+    workers: int
+    group: int
+    one_thread: bool
 
 
-def client_group(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> int:
-    """The K train_federated trains each process's share of a cohort with, in lockstep groups of up to K clients."""
-    share = -(-config.cohort_size // cohort_workers(spec, config, shards))  # the parent's, the largest
-    return _lockstep_clients(spec, share)
+def layout(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> Layout:
+    """How train_federated lays out the run; the one place that decides N, K and the BLAS pin.
+
+    - one_thread: each layer's b * d_in * d_out, b the rows of the run's
+      largest local batch, is at most _BLAS_ONE_THREAD_MNK, so OpenBLAS runs
+      every local step on one thread. It reads the model and batch shape
+      alone, so the run's bits depend on neither the CPUs nor the cohort.
+    - workers: one per usable CPU, at most one per cohort client, while
+      one_thread holds; else 1: a larger step's BLAS threads use the cores.
+    - group: the parent's (the largest) share of the cohort, capped so that
+      the (K, P) stacks fit _LOCKSTEP_BYTES, and at least 1.
+    """
+    sizes = spec.layer_sizes
+    rows = _batch_rows(config.batch_size, max(s.num_samples for s in shards))
+    one_thread = max(rows * d_in * d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])) <= _BLAS_ONE_THREAD_MNK
+    workers = min(usable_cpus(), config.cohort_size) if one_thread else 1
+    share = -(-config.cohort_size // workers)
+    return Layout(workers, max(1, min(share, _LOCKSTEP_BYTES // (2 * 8 * spec.parameter_count()))), one_thread)
 
 
 def _train_share(
@@ -517,22 +495,22 @@ def run_round(
 
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
-    The clients this process trains train, and have their loss measured, in
+    This process trains its clients, and measures their losses, in
     workspace, which must fit the largest shard. It trains them in lockstep
     groups (see _groups) of up to workspace.clients clients, the group size
-    K; when workspace is omitted, one is made for client_group's K. With a
+    K; when workspace is omitted, one is made for the K of layout. With a
     pool, its workers train the other clients. A group's terms go into one
     (K, P) buffer (or a worker's slot) and are folded into the weighted sum,
     one client at a time in cohort order, before the next group trains, so
     the round holds O(K x model) state, not O(cohort x model). A client that
     failed (non-finite weights or loss) raises ClientDivergedError when the
-    fold reaches it, as if it had trained alone. Train accuracy is measured on the dataset rows train_rows
-    (default: all).
+    fold reaches it, as if it had trained alone. Train accuracy is measured
+    on the dataset rows train_rows (default: all).
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
     if workspace is None:
-        workspace = _round_workspace(state.weights.spec, shards, client_group(state.weights.spec, config, shards))
+        workspace = _round_workspace(state.weights.spec, shards, layout(state.weights.spec, config, shards).group)
     started = time.perf_counter()
     t = state.round_index
     selected = select_clients(
@@ -604,13 +582,11 @@ def train_federated(
     actually trains on) and on test_set, every eval_every rounds plus the
     final round. eval_every defaults to 1 for short runs and 5 for long ones.
     on_round, when given, gets each round's metrics as soon as the round
-    completes. The cohorts train on cohort_workers processes, each in
-    lockstep groups of up to client_group clients; the workers are forked
-    once for the run and stopped when it ends, however it ends. When
-    one_thread_steps holds, the rounds (pool fork, local steps, shard
-    losses, fold, server step and evaluations) run with the BLAS pinned to
-    one thread, and its previous thread count is restored however the run
-    ends.
+    completes. The run's layout, taken once, sets the N processes its cohorts
+    train on (forked once, each training lockstep groups of up to K clients)
+    and the pin: under one_thread the rounds (pool fork, local steps, shard
+    losses, fold, server step, evaluations) run with the BLAS on one thread.
+    Workers stop and the thread count is restored however the run ends.
     """
     weights = initial_weights if initial_weights is not None else init_params(model, derive_seed(config.seed, "init"))
     state = GlobalState(weights, 0, config.server_opt)
@@ -624,17 +600,17 @@ def train_federated(
     train_rows = None if np.array_equal(union, np.arange(len(dataset))) else union
 
     spec = weights.spec
-    workers = cohort_workers(spec, config, shards)
-    workspace = _round_workspace(spec, shards, client_group(spec, config, shards))
+    run_layout = layout(spec, config, shards)
+    workspace = _round_workspace(spec, shards, run_layout.group)
     history: list[RoundMetrics] = []
     with contextlib.ExitStack() as stack:
-        if one_thread_steps(spec, config, shards):
+        if run_layout.one_thread:
             stack.enter_context(one_blas_thread())  # before the pool forks, so its workers inherit one thread
         pool = None
-        if workers > 1:
+        if run_layout.workers > 1:
             from .pool import CohortPool  # imported here: multiprocessing would add ~10 ms to every CLI start
 
-            pool = stack.enter_context(CohortPool(workers, spec, config, shards, dataset, workspace.clients))
+            pool = stack.enter_context(CohortPool(run_layout.workers, spec, config, shards, dataset, run_layout.group))
         for t in range(config.rounds):
             eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
             state, metrics = run_round(

@@ -61,14 +61,11 @@ from .data import (
 from .federation import (
     FedConfig,
     RoundMetrics,
-    blas_threads,
-    client_group,
-    cohort_workers,
-    one_thread_steps,
+    layout,
     train_centralized,
     train_federated,
 )
-from .machine import fingerprint
+from .machine import blas_thread_count, fingerprint
 from .nn import MlpSpec, ServerOptimizerState
 from .rng import derive_seed
 
@@ -274,7 +271,7 @@ def _batch_size(cfg: dict[str, Value], key: str, default: int) -> int | None:
     return get_typed(cfg, key, int, default)
 
 
-def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfig:
+def build_fed_config(cfg: dict[str, Value]) -> FedConfig:
     kwargs = dict(
         num_clients=get_typed(cfg, "fed.num_clients", int),
         client_fraction=get_typed(cfg, "fed.client_fraction", float),
@@ -282,7 +279,7 @@ def build_fed_config(cfg: dict[str, Value], seed: int | None = None) -> FedConfi
         batch_size=_batch_size(cfg, "fed.batch_size", 10),
         client_lr=get_typed(cfg, "fed.client_lr", float),
         rounds=get_typed(cfg, "fed.rounds", int),
-        seed=seed if seed is not None else get_typed(cfg, "seed", int),
+        seed=get_typed(cfg, "seed", int),
         server_opt=from_config(ServerOptimizerState, cfg, "server."),
         update_mode=get_typed(cfg, "fed.update_mode", str, "send_weights"),
         eval_every=get_typed(cfg, "fed.eval_every", int, None),
@@ -544,15 +541,16 @@ def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path],
 def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     """Train the custom run or the preset's grid.
 
-    meta gets run.workers, each run's cohort processes, run.client_group,
-    the most clients each of them trains in lockstep, and run.blas_threads,
-    the BLAS thread count of its rounds (unknown where the BLAS reports
-    none). When a run whose local steps fit one BLAS thread finds no call to
-    pin it, one note: line on stderr says so, once per command.
+    meta gets each run's federation.layout as run.workers, run.client_group
+    and run.blas_threads, the BLAS thread count of its rounds: 1 when pinned,
+    else the BLAS's own, or unknown where it reports none. When a run whose
+    local steps fit one BLAS thread finds no call to pin it, one note: line
+    on stderr says so, once per command.
     """
     experiment = cfg["experiment"]
     if experiment not in (CUSTOM, SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
         raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
+    fed_config = build_fed_config(cfg)  # before any data or partition plan, so a bad fed.* value names its key
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     activation = get_typed(cfg, "model.activation", str, "relu")
@@ -561,15 +559,16 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
         # built with the plan, so a grid point that cannot be met fails before any run trains
         shards = partition(dataset, plan)
-        config = build_fed_config(cfg, run_seed)
+        config = replace(fed_config, seed=run_seed)
 
         def train(on_round) -> None:
             nonlocal noted
-            threads = blas_threads(model, config, shards)
-            meta.setdefault("run.workers", []).append(cohort_workers(model, config, shards))
-            meta.setdefault("run.client_group", []).append(client_group(model, config, shards))
-            meta.setdefault("run.blas_threads", []).append("unknown" if threads is None else threads)
-            if threads is None and one_thread_steps(model, config, shards) and not noted:
+            run_layout, threads = layout(model, config, shards), blas_thread_count()
+            pinned = "unknown" if threads is None else 1 if run_layout.one_thread else threads
+            meta.setdefault("run.workers", []).append(run_layout.workers)
+            meta.setdefault("run.client_group", []).append(run_layout.group)
+            meta.setdefault("run.blas_threads", []).append(pinned)
+            if threads is None and run_layout.one_thread and not noted:
                 noted = True
                 print(BLAS_NOTE, file=sys.stderr)
             train_federated(model, config, shards, dataset, test_set, on_round=on_round)

@@ -353,12 +353,12 @@ def loss_and_grad_raw(
             # whose summation order the results depend on
             np.einsum(v.outer, a, delta, out=gw)
         else:
-            np.matmul(a.swapaxes(-1, -2) if lead else a.T, delta, out=gw)
+            np.matmul(a.swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
             upstream = v.deltas[i - 1]
             w = layers[i][0]
-            np.matmul(delta, w.swapaxes(-1, -2) if lead else w.T, out=upstream)
+            np.matmul(delta, w.swapaxes(-1, -2), out=upstream)
             if relu:
                 mask = v.masks[i - 1]
                 np.greater(v.z[i - 1], 0.0, out=mask)

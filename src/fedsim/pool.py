@@ -1,9 +1,9 @@
 """Cohort-parallel rounds: forked worker processes that train a share of every round's cohort.
 
-federation.train_federated makes a CohortPool when cohort_workers says more
-than one process pays off, and run_round hands it the worker-owned cohort
-positions. Only that call imports this module, so a run without a pool pays
-nothing for multiprocessing.
+federation.train_federated makes a CohortPool when federation.layout lays
+the run out on more than one process, and run_round hands it the
+worker-owned cohort positions. Only that call imports this module, so a run
+without a pool pays nothing for multiprocessing.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ def large_run(on_round=None) -> str:
         eval_every=1,
     )
     model = MlpSpec((400, 400, 3))
-    assert not federation.one_thread_steps(model, config, shards)
+    assert not federation.layout(model, config, shards).one_thread
     history, state = train_federated(model, config, shards, ds, on_round=on_round)
     return digest(history, state.weights.values)
 
@@ -69,7 +69,7 @@ def manifest_entry(out: Path, key: str) -> str:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_run_whose_steps_fit_trains_on_one_thread_and_restores_the_count(two_threads, workers, monkeypatch):
-    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
     seen = []
     federated(on_round=lambda metrics: seen.append(machine.blas_thread_count()))
     assert seen == [1, 1, 1]

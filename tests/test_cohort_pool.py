@@ -1,7 +1,7 @@
 """The cohort pool: which runs get one, that it changes no bit, and that its failures keep the one-process contract.
 
-Tests that need the pool force its size by patching federation._pool_workers,
-so they run the same on any number of CPUs. Tests that make a client fail
+Tests that need the pool force its size through the CPU count federation.layout
+reads (federation.usable_cpus), so they run the same on any number of CPUs. Tests that make a client fail
 patch federation.group_update, which every process calls once per lockstep
 group, whatever the group's size.
 """
@@ -17,8 +17,8 @@ import pytest
 from fedsim import federation, pool
 from fedsim.cli import main
 from fedsim.config import FieldError
-from fedsim.data import IID, PartitionPlan, partition, synth_dataset
-from fedsim.federation import ClientDivergedError, FedConfig, select_clients, train_federated
+from fedsim.data import IID, ClientShard, PartitionPlan, partition, synth_dataset
+from fedsim.federation import ClientDivergedError, FedConfig, Layout, layout, select_clients, train_federated
 from fedsim.nn import MlpSpec, ShapeMismatchError
 from fedsim.rng import derive_seed
 
@@ -60,7 +60,22 @@ def fail_at(monkeypatch, round_index, position, exc):
 
 
 def pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    """Give layout workers CPUs: a run whose steps fit one BLAS thread and whose cohort has as many clients gets N = workers."""
+    monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
+
+
+def layout_of(monkeypatch, layers, cpus, batch_rows, cohort, fraction=1.0):
+    """The layout, on cpus CPUs, of a run of the net layers whose local batches have batch_rows rows.
+
+    Each client holds one batch; cohort of them train each round, of
+    cohort / fraction in all.
+    """
+    pin_workers(monkeypatch, cpus)
+    clients = round(cohort / fraction)
+    shards = [ClientShard(c, np.zeros(batch_rows), [batch_rows]) for c in range(clients)]
+    config = FedConfig(clients, fraction, 1, batch_rows, 0.1, 1, 1)
+    assert config.cohort_size == cohort
+    return layout(MlpSpec(layers), config, shards)
 
 
 def data_rows(path):
@@ -73,26 +88,33 @@ def manifest_lines(out):
 
 
 class TestPoolSize:
-    def test_one_process_per_usable_cpu_while_every_step_is_single_threaded_blas(self, monkeypatch):
-        monkeypatch.setattr(federation, "usable_cpus", lambda: 8)
-        assert federation._pool_workers(MlpSpec((100, 128, 10)), 10, 10) == 8  # 10*100*128 = 128,000
-        assert federation._pool_workers(MlpSpec((784, 64, 10)), 1, 500) == 8  # 1*784*64 = 50,176
-        assert federation._pool_workers(MlpSpec((100, 128, 10)), 10, 3) == 3  # no more processes than clients
-        assert federation._pool_workers(MlpSpec((512, 512)), 1, 10) == 8  # 4 * 65,536 exactly
+    # (layers, batch rows, cohort): a layout on 8 CPUs; K is the parent's share, capped at 1.5 MiB // (16 P)
+    @pytest.mark.parametrize("layers, rows, cohort, expected", [
+        ((100, 128, 10), 10, 10, Layout(8, 2, True)),  # 10*100*128 = 128,000
+        ((784, 64, 10), 1, 500, Layout(8, 1, True)),  # 1*784*64 = 50,176
+        ((100, 128, 10), 10, 3, Layout(3, 1, True)),  # no more processes than clients
+        ((512, 512), 1, 10, Layout(8, 1, True)),  # 4 * 65,536 exactly
+    ])
+    def test_one_process_per_usable_cpu_while_every_step_is_single_threaded_blas(
+        self, layers, rows, cohort, expected, monkeypatch
+    ):
+        assert layout_of(monkeypatch, layers, 8, rows, cohort) == expected
 
-    def test_threaded_blas_steps_stay_in_one_process(self, monkeypatch):
-        monkeypatch.setattr(federation, "usable_cpus", lambda: 8)
-        assert federation._pool_workers(MlpSpec((512, 512)), 2, 10) == 1
-        assert federation._pool_workers(MlpSpec((784, 500, 200, 10)), 10, 10) == 1  # 3,920,000
+    @pytest.mark.parametrize("layers, rows, expected", [
+        ((512, 512), 2, Layout(1, 1, False)),
+        ((784, 500, 200, 10), 10, Layout(1, 1, False)),  # 3,920,000
+    ])
+    def test_threaded_blas_steps_stay_in_one_process(self, layers, rows, expected, monkeypatch):
+        assert layout_of(monkeypatch, layers, 8, rows, 10) == expected
 
-    def test_cohort_workers_sizes_by_the_largest_batch(self, monkeypatch):
-        monkeypatch.setattr(federation, "usable_cpus", lambda: 2)
+    def test_the_layout_sizes_by_the_largest_batch(self, monkeypatch):
+        pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 512, 40, seed=1)
         shards = partition(ds, PartitionPlan(IID, 4, 10, seed=1))
         config = FedConfig(4, 1.0, 1, 1, 0.1, 1, 1)
-        assert federation.cohort_workers(MlpSpec((512, 512)), config, shards) == 2
+        assert layout(MlpSpec((512, 512)), config, shards) == Layout(2, 1, True)
         full_shard = FedConfig(4, 1.0, 1, None, 0.1, 1, 1)  # 10 rows a step
-        assert federation.cohort_workers(MlpSpec((512, 512)), full_shard, shards) == 1
+        assert layout(MlpSpec((512, 512)), full_shard, shards) == Layout(1, 1, False)
 
 
 class TestPoolKeepsTheBits:

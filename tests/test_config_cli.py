@@ -192,7 +192,7 @@ class TestCliTrainFed:
             return original(shards, *args, **kwargs)
 
         monkeypatch.setattr(federation, "group_update", diverges_in_round_2)
-        monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
+        monkeypatch.setattr(federation, "usable_cpus", lambda: 1)  # count every call in this process
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 3
         rows = read_csv(tmp_path / "rounds.csv")
         assert [row[0] for row in rows[1:]] == ["0", "1"]
@@ -213,7 +213,7 @@ class TestCliTrainFed:
             return original(shards, *args, **kwargs)
 
         monkeypatch.setattr(federation, "group_update", interrupt_in_round_2)
-        monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
+        monkeypatch.setattr(federation, "usable_cpus", lambda: 1)  # count every call in this process
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 130
         assert capsys.readouterr().err == "interrupted: stopped by SIGINT\n"
         lines = (tmp_path / "manifest.txt").read_text().splitlines()
@@ -475,7 +475,7 @@ class TestConfigKeys:
         [
             "fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5", "server.lr=0", "server.kind=bogus",
             "server.lr=nan", "server.beta1=1e300", "server.beta2=1", "server.rho=-0.5", "server.eps=0",
-            "fed.client_lr=inf",
+            "fed.client_lr=inf", "fed.client_lr=nan", "fed.num_clients=0", "fed.num_clients=-3",
         ],
     )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):

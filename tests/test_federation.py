@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedsim.config import FieldError
 from fedsim.data import (
     IID,
     SINGLE_LABEL,
@@ -229,7 +230,7 @@ class TestSharedSgdLoop:
             return group_update(shards, *args, **kwargs)
 
         monkeypatch.setattr(federation, "group_update", diverges_in_round_2)
-        monkeypatch.setattr(federation, "_pool_workers", lambda *args: 1)  # count every call in this process
+        monkeypatch.setattr(federation, "usable_cpus", lambda: 1)  # count every call in this process
         kept = []
         with pytest.raises(ClientDivergedError) as err:
             train_federated(spec, config, shards, ds, on_round=kept.append)
@@ -410,6 +411,16 @@ class TestStreamedRound:
 
         small, large = round_peak(4), round_peak(40)
         assert large - small < 2 * param_bytes
+
+
+class TestFedConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("num_clients", 0), ("num_clients", -3), ("client_lr", float("nan")), ("client_lr", -0.1)]
+    )
+    def test_an_out_of_range_value_raises_a_field_error_naming_its_field(self, field, value):
+        with pytest.raises(FieldError) as err:
+            fed_config(**{"num_clients": 6, field: value})
+        assert err.value.field == field
 
 
 class TestSelectClients:

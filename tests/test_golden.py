@@ -145,7 +145,7 @@ def recorded(fields=ENVELOPE) -> dict:
 @pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
 def test_federated_digest(name, workers, monkeypatch):
     digests = recorded()
-    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
     assert run_digest(name) == digests[name]
 
 
@@ -153,8 +153,8 @@ def test_federated_digest(name, workers, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
 def test_federated_digest_one_client_at_a_time(name, workers, monkeypatch):
     digests = recorded()
-    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
-    monkeypatch.setattr(federation, "_lockstep_clients", lambda *args: 1)
+    monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(federation, "_LOCKSTEP_BYTES", 0)  # no stack fits: K = 1
     assert run_digest(name) == digests[name]
 
 
@@ -162,10 +162,10 @@ def test_federated_digest_one_client_at_a_time(name, workers, monkeypatch):
 @pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
 def test_golden_runs_train_in_lockstep_groups(name, workers, monkeypatch):
     # else the digests above would check the one-at-a-time path twice
-    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
+    monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
     model, config, shards, _, _ = federated_setup(**{**FEDERATED, **DIVERGED}[name])
-    group = federation.client_group(model, config, shards)
-    assert group == -(-config.cohort_size // workers) > 1  # the parent's whole share
+    group = -(-config.cohort_size // workers)  # the parent's whole share
+    assert federation.layout(model, config, shards) == federation.Layout(workers, group, True) and group > 1
     cohort = federation.select_clients(config.num_clients, config.client_fraction, derive_seed(config.seed, "round", 0, "select"))
     for j in range(workers):  # every process trains its share of round 0 as one group
         share = [int(c) for c in cohort[j::workers]]
@@ -188,7 +188,7 @@ def test_a_pinned_run_gives_its_digest_under_any_thread_variable():
     thread_fields = [var.lower() for var in THREAD_VARS]
     expected = recorded([field for field in ENVELOPE if field not in thread_fields])["send_weights"]
     model, config, shards, _, _ = federated_setup(**FEDERATED["send_weights"])
-    assert federation.one_thread_steps(model, config, shards)
+    assert federation.layout(model, config, shards).one_thread
     env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     code = f"import sys; sys.path.insert(0, {str(REPO / 'tests')!r}); import test_golden as g; print(g.run_digest('send_weights'))"

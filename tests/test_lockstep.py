@@ -11,14 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cohort_pool import layout_of, pin_workers
 
-from fedsim import federation
+from fedsim import federation, pool
 from fedsim.cli import main
 from fedsim.config import load_config
 from fedsim.data import IID, ClientShard, Dataset, PartitionPlan, partition, synth_dataset
 from fedsim.federation import (
     ClientDivergedError,
     FedConfig,
+    Layout,
     client_update,
     group_update,
     select_clients,
@@ -28,17 +30,17 @@ from fedsim.nn import MlpSpec, Workspace, init_params
 from fedsim.rng import derive_seed
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+LOCKSTEP_BYTES = federation._LOCKSTEP_BYTES
 
 
-def workload_model(name):
-    return MlpSpec(tuple(load_config(WORKLOADS / f"{name}.cfg")["model.layers"]))
+def workload_layers(name):
+    return tuple(load_config(WORKLOADS / f"{name}.cfg")["model.layers"])
 
 
 def pin(monkeypatch, workers, group=None):
-    """Pin the pool size, and the lockstep group size too when group is given."""
-    monkeypatch.setattr(federation, "_pool_workers", lambda *args: workers)
-    if group is not None:
-        monkeypatch.setattr(federation, "_lockstep_clients", lambda *args: group)
+    """Pin the pool size, and with group=1 the lockstep group size to one client, or else to the rule's."""
+    pin_workers(monkeypatch, workers)
+    monkeypatch.setattr(federation, "_LOCKSTEP_BYTES", 0 if group == 1 else LOCKSTEP_BYTES)
 
 
 def shards_of_sizes(ds, sizes):
@@ -57,31 +59,30 @@ def data_columns(history):
 
 
 class TestGroupSize:
-    def test_the_rule_groups_the_standin_and_leaves_the_large_workloads_one_client_at_a_time(self):
-        standin = workload_model("fed_standin")  # P = 14,218
-        assert standin.parameter_count() == 14_218
-        assert federation._lockstep_clients(standin, 5) == 5  # each of 2 processes' share of 10
-        assert federation._lockstep_clients(standin, 10) == 6  # the 1.5 MiB budget: 6 * 2 * 8 * 14,218 bytes
+    def test_the_rule_groups_the_standin_and_leaves_the_large_workloads_one_client_at_a_time(self, monkeypatch):
+        standin = workload_layers("fed_standin")  # P = 14,218
+        assert MlpSpec(standin).parameter_count() == 14_218
+        assert layout_of(monkeypatch, standin, 2, 10, 10).group == 5  # each of 2 processes' share of 10
+        assert layout_of(monkeypatch, standin, 1, 10, 10).group == 6  # the 1.5 MiB budget: 6 * 2 * 8 * 14,218 bytes
         for name, params in (
             ("fed_mnist_shaped", 494_710), ("fed_single_sample_delta", 50_890), ("central_mnist_shaped", 494_710)
         ):
-            model = workload_model(name)
-            assert model.parameter_count() == params
-            assert federation._lockstep_clients(model, 500) == 1
+            layers = workload_layers(name)
+            assert MlpSpec(layers).parameter_count() == params
+            assert layout_of(monkeypatch, layers, 1, 1, 500).group == 1  # a share of 500
 
-    def test_a_group_is_never_larger_than_the_share_nor_empty(self):
-        tiny = MlpSpec((2, 2))
-        assert federation._lockstep_clients(tiny, 3) == 3
-        assert federation._lockstep_clients(tiny, 1) == 1
-        assert federation._lockstep_clients(MlpSpec((4096, 4096)), 50) == 1  # no stack fits: one client at a time
+    @pytest.mark.parametrize("layers, share, group", [
+        ((2, 2), 3, 3),
+        ((2, 2), 1, 1),
+        ((4096, 4096), 50, 1),  # no stack fits: one client at a time
+    ])
+    def test_a_group_is_never_larger_than_the_share_nor_empty(self, layers, share, group, monkeypatch):
+        assert layout_of(monkeypatch, layers, 1, 1, share).group == group
 
-    def test_client_group_is_the_parents_share_at_most(self, monkeypatch):
-        ds = synth_dataset(3, 6, 160, seed=1)
-        shards = partition(ds, PartitionPlan(IID, 8, 10, seed=1))
-        config = FedConfig(8, 0.5, 1, 5, 0.2, 1, 1)  # cohorts of 4
-        for workers, group in ((1, 4), (2, 2), (3, 2), (4, 1)):
-            pin(monkeypatch, workers)
-            assert federation.client_group(MlpSpec((6, 5, 3)), config, shards) == group
+    @pytest.mark.parametrize("workers, group", [(1, 4), (2, 2), (3, 2), (4, 1)])
+    def test_the_group_is_the_parents_share_at_most(self, workers, group, monkeypatch):
+        # cohorts of 4 of 8 clients, each step of 5 * 6 * 5 fits one BLAS thread
+        assert layout_of(monkeypatch, (6, 5, 3), workers, 5, 4, fraction=0.5) == Layout(workers, group, True)
 
     def test_groups_are_runs_of_equal_size_cut_at_the_cap(self):
         ds = synth_dataset(3, 6, 200, seed=2)
@@ -223,3 +224,34 @@ class TestLockstepRuns:
         assert "run.client_group = 2" in lines  # cohorts of 4 on 2 processes
         with open(tmp_path / "rounds.csv", newline="") as f:
             assert len(list(csv.reader(f))) == 1 + 2
+
+    def test_the_manifest_records_the_workers_each_run_forked_and_the_group_it_trained(self, tmp_path, monkeypatch):
+        # cohorts of 6 on 2 CPUs; every full-shard step fits one BLAS thread but the 10 rows of the
+        # 400-120-3 net (10 * 400 * 120 = 480,000), and its (K, P) stacks fit 1.5 MiB up to K = 2
+        pin_workers(monkeypatch, 2)
+        used = []  # per run: [processes, K of the parent's workspace, K of the pool or None]
+        make_workspace, start_pool = federation.Workspace, pool.CohortPool.__init__
+
+        def workspace(spec, rows, clients=1):
+            used.append([1, clients, None])  # train_federated makes one a run, before its pool
+            return make_workspace(spec, rows, clients)
+
+        def init(self, workers, spec, config, shards, dataset, group):
+            used[-1][0::2] = workers, group
+            start_pool(self, workers, spec, config, shards, dataset, group)
+
+        monkeypatch.setattr(federation, "Workspace", workspace)
+        monkeypatch.setattr(pool.CohortPool, "__init__", init)
+        args = [
+            "train-fed", "--out", str(tmp_path), "--set", "experiment=samples_sweep", "--set", "seed=4",
+            "--set", "data.source=synth", "--set", "data.num_classes=3", "--set", "data.features=400",
+            "--set", "data.train_samples=200", "--set", "data.test_samples=30", "--set", "preset.arch.0=400,3",
+            "--set", "preset.arch.1=400,120,3", "--set", "preset.arch.2=400,6,3", "--set", "preset.samples_per_client=5,10",
+            "--set", "fed.num_clients=12", "--set", "fed.client_fraction=0.5", "--set", "fed.batch_size=full",
+            "--set", "fed.rounds=1",
+        ]
+        assert main(args) == 0
+        entries = dict(line.split(" = ", 1) for line in (tmp_path / "manifest.txt").read_text().splitlines())
+        recorded = [[int(v) for v in entries[key].split(",")] for key in ("run.workers", "run.client_group")]
+        assert [(n, k) for n, k, _ in used] == list(zip(*recorded)) == [(2, 3), (2, 3), (2, 2), (1, 2), (2, 3), (2, 3)]
+        assert [g for n, k, g in used if n > 1] == [3, 3, 2, 3, 3]  # each worker trains groups of the parent's K

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-# the CLI with its cohort pinned to 2 processes, so that a pool exists on any number of CPUs
+# the CLI on 2 CPUs, so that its run, whose steps fit one BLAS thread, has a pool on any number of CPUs
 ENTRY = (
-    "import sys; from fedsim import federation; federation._pool_workers = lambda *args: 2; "
+    "import sys; from fedsim import federation; federation.usable_cpus = lambda: 2; "
     "from fedsim.cli import main; sys.exit(main())"
 )
 
