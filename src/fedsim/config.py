@@ -10,9 +10,10 @@ re-runnable as configs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import MISSING, fields
-from typing import Any, get_type_hints
+from typing import Any, Callable, get_type_hints
 
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
@@ -30,11 +31,20 @@ class ConfigError(ValueError):
 
 
 class FieldError(ValueError):
-    """A dataclass field is out of range; .field names it, and from_config names its key."""
+    """A dataclass field is out of range; .field names it, and naming_keys its key."""
 
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field} {message}")
+
+
+@contextlib.contextmanager
+def naming_keys(key_of: Callable[[str], str]):
+    """Re-raise a FieldError from the block as a ConfigError naming the key key_of(its field)."""
+    try:
+        yield
+    except FieldError as err:
+        raise ConfigError(str(err), key=key_of(err.field)) from err
 
 
 def coerce_scalar(text: str) -> Scalar:
@@ -163,7 +173,5 @@ def from_config(cls: type, cfg: dict[str, Value], prefix: str) -> Any:
         name: get_typed(cfg, prefix + name, kind, defaults.get(name, ...))
         for name, kind in config_fields(cls).items()
     }
-    try:
+    with naming_keys(lambda field: prefix + field):
         return cls(**kwargs)
-    except FieldError as err:
-        raise ConfigError(str(err), key=prefix + err.field) from err

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FieldError
 from .nn import Batch
 
 IMAGES_MAGIC = 0x00000803
@@ -116,11 +117,12 @@ class PartitionPlan:
 
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
-            raise ValueError(f"unknown partition kind {self.kind!r}")
+            raise FieldError("kind", f"must be one of {PARTITION_KINDS}, got {self.kind!r}")
         if self.kind == SINGLE_SAMPLE:
             object.__setattr__(self, "samples_per_client", 1)
-        if self.num_clients < 1 or self.samples_per_client < 1:
-            raise ValueError("num_clients and samples_per_client must be >= 1")
+        for name in ("num_clients", "samples_per_client"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, "must be >= 1")
 
 
 def _read_header(f, path, n_dims: int, expected_magic: int) -> tuple[int, ...]:

@@ -40,7 +40,7 @@ import numpy as np
 from .config import FieldError
 from .data import ClientShard, Dataset
 from .data import shard_batches  # noqa: F401  unused here; bench/child.py traces this name
-from .machine import one_blas_thread, usable_cpus
+from .machine import blas_subtract, one_blas_thread, usable_cpus
 from .nn import loss  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
     GradVector,
@@ -163,11 +163,13 @@ def _sgd_epoch(
     a stack w (k, P) with order (k, n) is k models in lockstep, model i on
     the rows order[i], with one kernel call a step for all of them. Each
     batch is gathered into the workspace, and the step grad *= lr; w -= grad
-    rounds exactly like w -= lr * grad. Returns the batch losses (arrays of k
-    for a stack). One model stops without stepping at the first non-finite
-    loss, which is then the last one returned. A stack takes every step: a
-    model whose loss goes non-finite gets a nan output bias that stays nan,
-    and its rows never touch the other models'.
+    rounds exactly like w -= lr * grad. w -= grad runs as the BLAS's daxpy
+    where machine.blas_subtract finds it pays, at addresses taken once per
+    call and per view. Returns the batch losses (arrays of k for a stack).
+    One model stops without stepping at the first non-finite loss, which is
+    then the last one returned. A stack takes every step: a model whose loss
+    goes non-finite gets a nan output bias that stays nan, and its rows never
+    touch the other models'.
     """
     lead = w.shape[:-1]
     ws.check_fits(spec, batch_size, *lead)
@@ -176,6 +178,7 @@ def _sgd_epoch(
             f"a dataset of {dataset.num_features} features and {dataset.num_classes} classes does not fit "
             f"spec {spec.layer_sizes}"
         )
+    subtract = blas_subtract(w)
     losses = []
     for start in range(0, order.shape[-1], batch_size):
         idx = order[..., start : start + batch_size]
@@ -189,7 +192,10 @@ def _sgd_epoch(
         if not lead and not np.isfinite(batch_loss):
             break
         grad *= lr
-        w -= grad
+        if subtract is None:
+            w -= grad
+        else:
+            subtract(views.grad_address)
     return losses
 
 

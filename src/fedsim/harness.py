@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
-    FieldError,
     Value,
     as_list,
     coerce_value,
@@ -35,6 +34,7 @@ from .config import (
     format_value,
     from_config,
     get_typed,
+    naming_keys,
 )
 from .costs import (
     DEFAULT_PRICE_SHEET,
@@ -285,10 +285,8 @@ def build_fed_config(cfg: dict[str, Value]) -> FedConfig:
         eval_every=get_typed(cfg, "fed.eval_every", int, None),
         alg1_literal_normalization=get_typed(cfg, "fed.alg1_literal_normalization", bool, False),
     )
-    try:
+    with naming_keys(lambda field: "fed." + field):
         return FedConfig(**kwargs)
-    except FieldError as err:
-        raise ConfigError(str(err), key=f"fed.{err.field}") from err
 
 
 def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
@@ -479,9 +477,15 @@ def _arch_label(layers) -> str:
     return "-".join(str(n) for n in layers)
 
 
-def _preset_archs(cfg: dict[str, Value]) -> list[list[int]]:
-    archs = [_typed_list(cfg, key, int) for key in sorted(k for k in cfg if k.startswith("preset.arch."))]
-    return archs or [_typed_list(cfg, "model.layers", int)]
+def _arch_keys(cfg: dict[str, Value]) -> list[str]:
+    """The keys of a preset's architectures, model.layers where it sets none."""
+    return sorted(k for k in cfg if k.startswith("preset.arch.")) or ["model.layers"]
+
+
+def _mlp_spec(cfg: dict[str, Value], key: str) -> MlpSpec:
+    """The net of the layer sizes at key and of model.activation; a range error names its key."""
+    with naming_keys(lambda field: "model.activation" if field == "activation" else key):
+        return MlpSpec(tuple(_typed_list(cfg, key, int)), get_typed(cfg, "model.activation", str, "relu"))
 
 
 def _partition_plan(
@@ -489,18 +493,16 @@ def _partition_plan(
 ) -> PartitionPlan:
     """fed.num_clients shards seeded by derive_seed(seed, "partition", *seed_path).
 
-    kind and samples_per_client default to partition.kind and
-    partition.samples_per_client.
+    kind and samples_per_client default to partition.kind and partition.samples_per_client
+    (preset.samples_per_client when given), the keys a range error names.
     """
     kind = kind or get_typed(cfg, "partition.kind", str, IID)
+    spc_key = "partition.samples_per_client" if samples_per_client is None else "preset.samples_per_client"
     if samples_per_client is None:
-        samples_per_client = get_typed(cfg, "partition.samples_per_client", int)
-    return PartitionPlan(
-        kind=kind,
-        num_clients=get_typed(cfg, "fed.num_clients", int),
-        samples_per_client=samples_per_client,
-        seed=derive_seed(get_typed(cfg, "seed", int), "partition", *seed_path),
-    )
+        samples_per_client = get_typed(cfg, spc_key, int)
+    num_clients, seed = get_typed(cfg, "fed.num_clients", int), get_typed(cfg, "seed", int)
+    with naming_keys({"kind": "partition.kind", "num_clients": "fed.num_clients", "samples_per_client": spc_key}.get):
+        return PartitionPlan(kind, num_clients, samples_per_client, derive_seed(seed, "partition", *seed_path))
 
 
 def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path], str]:
@@ -553,7 +555,6 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     fed_config = build_fed_config(cfg)  # before any data or partition plan, so a bad fed.* value names its key
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
-    activation = get_typed(cfg, "model.activation", str, "relu")
     noted = False
 
     def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
@@ -576,14 +577,14 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
     if experiment == CUSTOM:
-        model = MlpSpec(tuple(_typed_list(cfg, "model.layers", int)), activation)
-        return _train_plan(out_dir, [run(model, _partition_plan(cfg), "rounds.csv", seed)], grid=False)
-    archs = _preset_archs(cfg)
+        runs = [run(_mlp_spec(cfg, "model.layers"), _partition_plan(cfg), "rounds.csv", seed)]
+        return _train_plan(out_dir, runs, grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
     kind = get_typed(cfg, "partition.kind", str, IID)
     runs = []
-    for layers in archs:
-        model, arch = MlpSpec(tuple(layers), activation), _arch_label(layers)
+    for key in _arch_keys(cfg):
+        model = _mlp_spec(cfg, key)
+        arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
             single_sample = experiment == ROUND_CURVES and kind == SINGLE_LABEL and spc == 1
             plan = _partition_plan(cfg, spc, arch, spc, kind=SINGLE_SAMPLE if single_sample else kind)
@@ -598,21 +599,18 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
     batch = _batch_size(cfg, "central.batch_size", 32)
     epochs = get_typed(cfg, "central.epochs", int, 5)
     grid = cfg["experiment"] == CENTRAL_BASELINE
-    archs = _preset_archs(cfg) if grid else [_typed_list(cfg, "model.layers", int)]
-    activation = get_typed(cfg, "model.activation", str, "relu")
 
-    def run(layers: list[int]) -> Run:
-        model, arch = MlpSpec(tuple(layers), activation), _arch_label(layers)
+    def run(key: str) -> Run:
+        model = _mlp_spec(cfg, key)
+        arch = _arch_label(model.layer_sizes)
 
         def train(on_round) -> None:
-            try:
+            with naming_keys(lambda field: "central." + field):
                 train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", arch), on_round)
-            except FieldError as err:
-                raise ConfigError(str(err), key=f"central.{err.field}") from err
 
         return arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train
 
-    return _train_plan(out_dir, [run(layers) for layers in archs], grid)
+    return _train_plan(out_dir, [run(key) for key in (_arch_keys(cfg) if grid else ["model.layers"])], grid)
 
 
 def run_cost(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
@@ -639,10 +637,9 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> t
     dimension = get_typed(cfg, "cost.sweep.dimension", str)
     values = _typed_list(cfg, "cost.sweep.values", float)
     base = from_config(FlScenario, cfg, "cost.")
-    try:
+    # an unknown dimension, or a swept value the scenario rejects
+    with naming_keys(lambda field: "cost.sweep." + ("dimension" if field == "dimension" else "values")):
         rows = sweep(dimension, values, base, sheet)
-    except FieldError as err:  # an unknown dimension, or a swept value the scenario rejects
-        raise ConfigError(str(err), key="cost.sweep." + ("dimension" if err.field == "dimension" else "values")) from err
     path = out_dir / "sweep.csv"
     write_sweep_csv(path, rows)
     return [path], format_sweep_table(dimension, rows)

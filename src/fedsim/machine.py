@@ -11,7 +11,9 @@ one-thread order whatever the thread variables and CPUs say. Where the BLAS
 has no thread-count call (MKL, Accelerate) nothing is pinned, and the
 thread count stays in the envelope. How many processes a round's cohort
 trains on is not part of the envelope: the parent folds every client in
-client-id order (see federation.run_round).
+client-id order (see federation.run_round). Nor is whether w -= g ran as
+daxpy with alpha = -1 (blas_subtract) or in numpy: y + (-1.0 * x) rounds like
+y - x, fused or not, and daxpy computes each entry alone at any thread count.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import os
 import numpy as np
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# (set, get) thread-count calls: numpy's wheel bundles OpenBLAS under a prefix and a suffix, a
-# system OpenBLAS keeps the plain names
+# (set, get) thread-count calls and daxpy with its int type: numpy's wheel bundles OpenBLAS under a
+# prefix and a suffix (with 64-bit ints), a system OpenBLAS keeps the plain names (with C ints)
 _THREAD_CALLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+_DAXPY_CALLS = (("scipy_cblas_daxpy64_", ctypes.c_int64), ("cblas_daxpy", ctypes.c_int))
 
 
 def usable_cpus() -> int:
@@ -42,16 +45,22 @@ def usable_cpus() -> int:
 
 
 @functools.cache
-def _blas_thread_calls():
-    """The (set, get) thread-count calls of the BLAS numpy has loaded, or None where it has none."""
+def _blas_lib():
+    """numpy's core module as a ctypes library, whose lookup also finds its BLAS's symbols, or None if it won't load."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy before 2.0
         from numpy.core import _multiarray_umath as umath
     try:
-        lib = ctypes.CDLL(umath.__file__)  # its symbol lookup also searches the libraries it links
+        return ctypes.CDLL(umath.__file__)
     except OSError:
         return None
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (set, get) thread-count calls of the BLAS numpy has loaded, or None where it has none."""
+    lib = _blas_lib()  # None has none of the names
     for set_name, get_name in _THREAD_CALLS:
         if hasattr(lib, set_name) and hasattr(lib, get_name):
             set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
@@ -61,10 +70,36 @@ def _blas_thread_calls():
     return None
 
 
+@functools.cache
+def _blas_daxpy():
+    """The daxpy(n, alpha, x, incx, y, incy) of the BLAS numpy has loaded, or None where it has none."""
+    lib = _blas_lib()  # None has none of the names
+    for name, int_ in _DAXPY_CALLS:
+        if hasattr(lib, name):
+            daxpy = getattr(lib, name)
+            daxpy.argtypes, daxpy.restype = [int_, ctypes.c_double, ctypes.c_void_p, int_, ctypes.c_void_p, int_], None
+            return daxpy
+    return None
+
+
 def blas_thread_count() -> int | None:
     """The thread count the BLAS reports now, or None where it has no thread-count call."""
     calls = _blas_thread_calls()
     return None if calls is None else calls[1]()
+
+
+def blas_subtract(w: np.ndarray):
+    """A call subtract(address of g) running w -= g as daxpy with alpha = -1, or None to run numpy's w -= g.
+
+    g is a C-contiguous float64 array of w's shape; both ways give the same bits. None where the BLAS has no
+    daxpy, or one thread (a one-thread daxpy saves nothing and costs microseconds a call), or daxpy cannot span w.
+    """
+    daxpy = _blas_daxpy()
+    spans = w.dtype == np.float64 and w.flags.c_contiguous and w.size < 2**31  # a C int's range
+    if daxpy is None or blas_thread_count() == 1 or not spans:
+        return None
+    n, w_address = w.size, w.ctypes.data
+    return lambda g_address: daxpy(n, -1.0, g_address, 1, w_address, 1)
 
 
 @contextlib.contextmanager

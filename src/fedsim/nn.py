@@ -44,11 +44,11 @@ class MlpSpec:
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(n) for n in self.layer_sizes))
         if len(self.layer_sizes) < 2:
-            raise ValueError("layer_sizes needs at least input and output dims")
+            raise FieldError("layer_sizes", "needs at least input and output dims")
         if any(n < 1 for n in self.layer_sizes):
-            raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
+            raise FieldError("layer_sizes", f"must all be >= 1, got {self.layer_sizes}")
         if self.activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise FieldError("activation", f"must be relu or identity, got {self.activation!r}")
         sizes = self.layer_sizes
         # not a field, so equality and hashing ignore it; every client's vector checks against it
         object.__setattr__(self, "_parameter_count", sum((din + 1) * dout for din, dout in zip(sizes[:-1], sizes[1:])))
@@ -222,6 +222,7 @@ class _Views:
         else:
             self.grad = ws.grad
             self.grad_layers = unflatten(self.grad, spec)
+        self.grad_address = self.grad.ctypes.data  # taken once: .ctypes costs microseconds a call
         self.outer = "...ki,...kj->...ij" if lead else "ki,kj->ij"
 
 

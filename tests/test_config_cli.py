@@ -277,7 +277,9 @@ class TestCliTrainCentral:
         assert "run.outputs = rounds.csv,plot_rounds.gnuplot" in (tmp_path / "manifest.txt").read_text().splitlines()
         assert (tmp_path / "plot_rounds.gnuplot").exists()
 
-    @pytest.mark.parametrize("override", ["central.lr=-1", "central.batch_size=0", "central.epochs=-1"])
+    @pytest.mark.parametrize(
+        "override", ["central.lr=-1", "central.batch_size=0", "central.epochs=-1", "model.activation=tanh", "model.layers=6,0"]
+    )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):
         assert main(["train-central", "--out", str(tmp_path)] + SYNTH_CENTRAL + ["--set", override]) == 2
         err = capsys.readouterr().err
@@ -476,13 +478,32 @@ class TestConfigKeys:
             "fed.batch_size=0", "fed.local_epochs=0", "fed.client_fraction=1.5", "server.lr=0", "server.kind=bogus",
             "server.lr=nan", "server.beta1=1e300", "server.beta2=1", "server.rho=-0.5", "server.eps=0",
             "fed.client_lr=inf", "fed.client_lr=nan", "fed.num_clients=0", "fed.num_clients=-3",
+            "partition.kind=bogus", "partition.samples_per_client=0", "model.activation=tanh", "model.layers=6,0,3",
+            "model.layers=6",
         ],
     )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):
         assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == 2
         err = capsys.readouterr().err
-        assert override.split("=")[0] in err
+        assert f"config error: {override.split('=')[0]}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override", ["fed.num_clients=0", "partition.samples_per_client=-1", "partition.kind=bogus"])
+    def test_partition_stats_range_errors_name_the_key(self, tmp_path, capsys, override):
+        argv = ["partition-stats", "--out", str(tmp_path), "--config", str(REPO / "configs" / "synth_quick.cfg")]
+        assert main(argv + ["--set", override]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {override.split('=')[0]}: ")
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [("preset.samples_per_client=5,0", "preset.samples_per_client"), ("preset.arch.1=6,0,3", "preset.arch.1")],
+    )
+    def test_grid_range_errors_name_the_key(self, tmp_path, capsys, override, key):
+        argv = ["train-fed", "--out", str(tmp_path), "--set", "experiment=samples_sweep"] + SYNTH_FED
+        argv += ["--set", "preset.arch.0=6,3", "--set", "preset.arch.1=6,8,3", "--set", "preset.samples_per_client=5"]
+        assert main(argv + ["--set", override]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert list(tmp_path.glob("*.csv")) == []  # rejected before any run trains
 
     @pytest.mark.parametrize(
         "scenario, override",
