@@ -8,13 +8,17 @@ Shards store indices into the parent dataset, never copies.
 
 from __future__ import annotations
 
+import copy
 import gzip
+import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FieldError
+from .machine import usable_cpus
 from .nn import Batch
 
 IMAGES_MAGIC = 0x00000803
@@ -26,6 +30,11 @@ SINGLE_SAMPLE = "single_sample"
 PARTITION_KINDS = (IID, SINGLE_LABEL, SINGLE_SAMPLE)
 
 SYNTH_NOISE_SIGMA = 0.3
+# _normal draws >= _SPLIT_MIN values on two threads (README "Performance" has the sweep). A ziggurat value
+# takes 1.0221 raw draws on average, n values spread by about 0.2 * sqrt(n) draws; the helper starts _LEAD
+# draws (30+ spreads at MNIST scale) early, and records its state every _NEAR values for 2 * _LEAD values.
+_SPLIT_MIN, _DRAWS_PER_NORMAL = 1 << 21, 1.0221
+_LEAD, _NEAR, _FAR, _JOIN_STEPS = 1 << 15, 1 << 10, 1 << 17, 1 << 12
 
 
 class IdxFormatError(ValueError):
@@ -172,17 +181,84 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(inputs, labels.astype(np.int64), int(labels.max()) + 1)
 
 
+def _fill(gen: np.random.Generator, out: np.ndarray, scale: float, starts: dict | None = None) -> None:
+    """Fill out with gen.normal(0.0, scale)'s values by chunks; starts maps each chunk's start state to its offset."""
+    o = 0
+    while o < out.size:
+        if starts is not None:
+            starts[gen.bit_generator.state["state"]["state"]] = o
+        chunk = out[o : o + (_NEAR if starts is not None and o < 2 * _LEAD else _FAR)]
+        gen.standard_normal(out=chunk)
+        chunk *= scale
+        chunk += 0.0  # normal returns 0.0 + scale * z, which turns -0.0 into 0.0
+        o += chunk.size
+
+
+def _normal(rng: np.random.Generator, scale: float, shape: tuple[int, ...]) -> np.ndarray:
+    """rng.normal(0.0, scale, shape) bit for bit, leaving rng where that call would, drawn on two threads.
+
+    rng's bit generator must be a PCG64. This thread draws the first half while a
+    helper draws the second from a copy of the generator advanced to a little before
+    the split (a ziggurat value takes a varying number of raw draws). Then this thread
+    draws on, one value at a time, until its LCG state equals one the helper recorded
+    at a chunk's start: the increments are equal and output depends only on the state,
+    so the helper's values from there on are the stream's. They are shifted into
+    place, and the values the shift leaves at the end are drawn from the helper's
+    final state. If no state matches within _JOIN_STEPS values, or the helper started
+    past the split, this thread draws the rest itself. Below _SPLIT_MIN values, or
+    with one usable CPU, it calls rng.normal.
+    """
+    n = math.prod(shape)
+    if n < _SPLIT_MIN or usable_cpus() < 2:
+        return rng.normal(0.0, scale, shape)
+    out, h, starts, errors = np.empty(n), n // 2, {}, []
+    gen = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    gen.bit_generator.advance(max(0, round(h * _DRAWS_PER_NORMAL) - _LEAD))
+
+    def helper():
+        try:
+            _fill(gen, out[h:], scale, starts)
+        except BaseException as err:  # re-raised on this thread once joined
+            errors.append(err)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        _fill(rng, out[:h], scale)
+    finally:  # however this half ends, a KeyboardInterrupt included
+        thread.join()
+    if errors:
+        raise errors[0]
+    steps = []
+    while (o := starts.get(rng.bit_generator.state["state"]["state"])) is None and len(steps) < _JOIN_STEPS:
+        steps.append(rng.normal(0.0, scale))
+    m = h + len(steps)  # rng stands at value m, and the helper's value o is that value
+    if o is None or m > h + o:  # no state matched, or the helper started past the split
+        out[h:m] = steps
+        _fill(rng, out[m:], scale)
+    else:
+        k = n - h - o
+        out[m : m + k] = out[h + o :]
+        _fill(gen, out[m + k :], scale)
+        out[h:m] = steps
+        rng.bit_generator.state = gen.bit_generator.state
+    return out.reshape(shape)
+
+
 def synth_dataset(num_classes: int, num_features: int, num_samples: int, seed: int) -> Dataset:
     """Class-conditional Gaussian blobs, clipped into the [0, 1] feature box.
 
     Class c gets a one-hot mean on feature c % d (second wrap at half height),
     noise sigma 0.3. Labels cycle 0..C-1 so counts are balanced. Linearly
-    separable enough that a one-layer net clears 90% accuracy.
+    separable enough that a one-layer net clears 90% accuracy. The noise is
+    default_rng(seed).normal(0.0, 0.3, (N, d)) bit for bit on any number of
+    threads and CPUs (_normal). A dimension < 1, or C > 2d, raises FieldError.
     """
-    if num_classes < 1 or num_features < 1 or num_samples < 1:
-        raise ValueError("num_classes, num_features and num_samples must be positive")
+    for name, value in (("num_classes", num_classes), ("num_features", num_features), ("num_samples", num_samples)):
+        if value < 1:
+            raise FieldError(name, "must be >= 1")
     if num_classes > 2 * num_features:
-        raise ValueError("need num_classes <= 2 * num_features to place distinct class means")
+        raise FieldError("num_classes", f"must be <= 2 * num_features = {2 * num_features}, one mean each")
     rng = np.random.default_rng(seed)
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
     classes = np.arange(num_classes)
@@ -190,7 +266,7 @@ def synth_dataset(num_classes: int, num_features: int, num_samples: int, seed: i
     mean_val = np.where(classes < num_features, 1.0, 0.5)
     # built in place in the noise array: only a row's mean column is nonzero in
     # its mean, and 0.0 + x == x, so this equals mean + noise element for element
-    inputs = rng.normal(0.0, SYNTH_NOISE_SIGMA, size=(num_samples, num_features))
+    inputs = _normal(rng, SYNTH_NOISE_SIGMA, (num_samples, num_features))
     inputs[np.arange(num_samples), mean_col[labels]] += mean_val[labels]
     np.clip(inputs, 0.0, 1.0, out=inputs)
     return Dataset(inputs, labels, num_classes)

@@ -153,6 +153,15 @@ def _batch_rows(batch_size: int | None, num_samples: int) -> int:
     return num_samples if batch_size is None else min(batch_size, num_samples)
 
 
+def check_dataset_fits(spec: MlpSpec, dataset: Dataset) -> None:
+    """Raise ShapeMismatchError unless spec takes dataset's features and has an output for each of its classes."""
+    if dataset.num_features != spec.input_dim or dataset.num_classes > spec.num_classes:
+        raise ShapeMismatchError(
+            f"a dataset of {dataset.num_features} features and {dataset.num_classes} classes does not fit "
+            f"spec {spec.layer_sizes}"
+        )
+
+
 def _sgd_epoch(
     w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace
 ) -> list:
@@ -173,11 +182,7 @@ def _sgd_epoch(
     """
     lead = w.shape[:-1]
     ws.check_fits(spec, batch_size, *lead)
-    if dataset.num_features != spec.input_dim or dataset.num_classes > spec.num_classes:
-        raise ShapeMismatchError(
-            f"a dataset of {dataset.num_features} features and {dataset.num_classes} classes does not fit "
-            f"spec {spec.layer_sizes}"
-        )
+    check_dataset_fits(spec, dataset)
     subtract = blas_subtract(w)
     losses = []
     for start in range(0, order.shape[-1], batch_size):

@@ -61,12 +61,13 @@ from .data import (
 from .federation import (
     FedConfig,
     RoundMetrics,
+    check_dataset_fits,
     layout,
     train_centralized,
     train_federated,
 )
 from .machine import blas_thread_count, fingerprint
-from .nn import MlpSpec, ServerOptimizerState
+from .nn import MlpSpec, ServerOptimizerState, ShapeMismatchError
 from .rng import derive_seed
 
 ENV_DATA_DIR = "FEDSIM_DATA_DIR"
@@ -240,9 +241,12 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
         classes = get_typed(cfg, "data.num_classes", int, 10)
         features = get_typed(cfg, "data.features", int, 20)
         n_train = get_typed(cfg, "data.train_samples", int, 2000)
-        n_test = get_typed(cfg, "data.test_samples", int, 1000)
-        train = synth_dataset(classes, features, n_train, derive_seed(seed, "synth-train"))
-        test = synth_dataset(classes, features, n_test, derive_seed(seed, "synth-test")) if n_test > 0 else None
+        n_test = get_typed(cfg, "data.test_samples", int, 1000)  # 0: no test set
+        keys = {"num_classes": "data.num_classes", "num_features": "data.features"}
+        with naming_keys(lambda field: keys.get(field, "data.train_samples")):
+            train = synth_dataset(classes, features, n_train, derive_seed(seed, "synth-train"))
+        with naming_keys(lambda field: keys.get(field, "data.test_samples")):
+            test = synth_dataset(classes, features, n_test, derive_seed(seed, "synth-test")) if n_test else None
         return train, test
     if source == "mnist":
         directory = Path(os.environ.get(ENV_DATA_DIR) or get_typed(cfg, "data.dir", str, "data"))
@@ -482,10 +486,15 @@ def _arch_keys(cfg: dict[str, Value]) -> list[str]:
     return sorted(k for k in cfg if k.startswith("preset.arch.")) or ["model.layers"]
 
 
-def _mlp_spec(cfg: dict[str, Value], key: str) -> MlpSpec:
-    """The net of the layer sizes at key and of model.activation; a range error names its key."""
+def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
+    """The net of the layer sizes at key and model.activation; a range error or a misfit to dataset names its key."""
     with naming_keys(lambda field: "model.activation" if field == "activation" else key):
-        return MlpSpec(tuple(_typed_list(cfg, key, int)), get_typed(cfg, "model.activation", str, "relu"))
+        spec = MlpSpec(tuple(_typed_list(cfg, key, int)), get_typed(cfg, "model.activation", str, "relu"))
+    try:
+        check_dataset_fits(spec, dataset)
+    except ShapeMismatchError as err:
+        raise ConfigError(str(err), key=key) from err
+    return spec
 
 
 def _partition_plan(
@@ -577,13 +586,13 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
     if experiment == CUSTOM:
-        runs = [run(_mlp_spec(cfg, "model.layers"), _partition_plan(cfg), "rounds.csv", seed)]
+        runs = [run(_mlp_spec(cfg, "model.layers", dataset), _partition_plan(cfg), "rounds.csv", seed)]
         return _train_plan(out_dir, runs, grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
     kind = get_typed(cfg, "partition.kind", str, IID)
     runs = []
     for key in _arch_keys(cfg):
-        model = _mlp_spec(cfg, key)
+        model = _mlp_spec(cfg, key, dataset)
         arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
             single_sample = experiment == ROUND_CURVES and kind == SINGLE_LABEL and spc == 1
@@ -601,7 +610,7 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
     grid = cfg["experiment"] == CENTRAL_BASELINE
 
     def run(key: str) -> Run:
-        model = _mlp_spec(cfg, key)
+        model = _mlp_spec(cfg, key, dataset)
         arch = _arch_label(model.layer_sizes)
 
         def train(on_round) -> None:

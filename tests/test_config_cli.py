@@ -479,7 +479,8 @@ class TestConfigKeys:
             "server.lr=nan", "server.beta1=1e300", "server.beta2=1", "server.rho=-0.5", "server.eps=0",
             "fed.client_lr=inf", "fed.client_lr=nan", "fed.num_clients=0", "fed.num_clients=-3",
             "partition.kind=bogus", "partition.samples_per_client=0", "model.activation=tanh", "model.layers=6,0,3",
-            "model.layers=6",
+            "model.layers=6", "data.test_samples=-1", "data.train_samples=0", "data.features=0", "data.num_classes=0",
+            "data.num_classes=13",
         ],
     )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):
@@ -487,6 +488,30 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert f"config error: {override.split('=')[0]}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train-fed"] + SYNTH_FED + ["--set", "data.features=5"], "model.layers"),
+            (["train-fed"] + SYNTH_FED + ["--set", "data.num_classes=4"], "model.layers"),
+            (["train-central"] + SYNTH_CENTRAL + ["--set", "data.features=7"], "model.layers"),
+            (
+                ["train-fed", "--set", "experiment=samples_sweep"] + SYNTH_FED
+                + ["--set", "preset.arch.0=6,3", "--set", "preset.arch.1=7,3", "--set", "preset.samples_per_client=5"],
+                "preset.arch.1",
+            ),
+        ],
+        ids=["fed-features", "fed-classes", "central-features", "grid-arch"],
+    )
+    def test_a_dataset_the_net_does_not_fit_names_the_net_before_any_run_trains(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: a dataset of ")
+        assert list(tmp_path.glob("*.csv")) == []
+        assert "run.status = failed" in (tmp_path / "manifest.txt").read_text().splitlines()
+
+    def test_zero_test_samples_train_without_a_test_set(self, tmp_path):
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", "data.test_samples=0"]) == 0
+        assert {row[2] for row in read_csv(tmp_path / "rounds.csv")[1:]} == {""}
 
     @pytest.mark.parametrize("override", ["fed.num_clients=0", "partition.samples_per_client=-1", "partition.kind=bogus"])
     def test_partition_stats_range_errors_name_the_key(self, tmp_path, capsys, override):

@@ -1,9 +1,12 @@
 import gzip
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+import fedsim.data as data
+from fedsim.config import FieldError
 from fedsim.data import (
     IID,
     SINGLE_LABEL,
@@ -131,6 +134,123 @@ class TestSynthDataset:
             MlpSpec((10, 3)), ds, None, lr=0.5, batch_size=None, epochs=200, seed=0
         )
         assert history[-1].train_accuracy >= 0.90
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [((0, 4, 10), "num_classes"), ((3, 0, 10), "num_features"), ((3, 4, 0), "num_samples"), ((3, 4, -1), "num_samples"),
+         ((9, 4, 10), "num_classes")],
+    )
+    def test_bad_dimensions_raise_field_errors(self, args, field):
+        with pytest.raises(FieldError) as err:
+            synth_dataset(*args, seed=0)
+        assert err.value.field == field
+
+
+SPLIT = data._SPLIT_MIN
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Take the two-thread path wherever its size is met, on any machine."""
+    monkeypatch.setattr(data, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The generators data._fill is called with; the two halves' calls come in either order."""
+    calls, fill = [], data._fill
+
+    def recording(gen, out, scale, starts=None):
+        calls.append(gen)
+        fill(gen, out, scale, starts)
+
+    monkeypatch.setattr(data, "_fill", recording)
+    return calls
+
+
+def assert_normal_bits(seed, shape):
+    """data._normal gives rng.normal(0.0, sigma, shape)'s values as int64 and leaves rng in the same state; returns rng."""
+    expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = expected_rng.normal(0.0, SYNTH_NOISE_SIGMA, shape)
+    got = data._normal(rng, SYNTH_NOISE_SIGMA, shape)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    return rng
+
+
+class TestTwoThreadNormal:
+    @pytest.mark.parametrize("shape", [(SPLIT - 1,), (SPLIT,), (3, SPLIT // 2 + 7)], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("seed", [0, 20261019, 2**63 + 5])
+    def test_equals_normal(self, two_cpus, fills, seed, shape):
+        rng = assert_normal_bits(seed, shape)
+        if np.prod(shape) < SPLIT:
+            assert fills == []
+        else:  # the two halves at once, then the tail from the helper's state
+            assert len(fills) == 3 and fills.count(rng) == 1 and fills[-1] is not rng
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        [("_LEAD", -1000), ("_LEAD", -(1 << 16)), ("_JOIN_STEPS", 0)],
+        ids=["helper-past-the-split", "helper-past-the-join", "no-state-match"],
+    )
+    def test_the_fallback_draws_the_rest_itself(self, two_cpus, fills, monkeypatch, attr, value):
+        monkeypatch.setattr(data, attr, value)
+        rng = assert_normal_bits(7, (SPLIT + 3,))
+        assert len(fills) == 3 and fills.count(rng) == 2 and fills[-1] is rng
+
+    def test_a_chunk_is_scaled_as_normal_scales_it(self):
+        class Stream:  # the ziggurat's rare exact -0.0, and values that scaling rounds
+            def standard_normal(self, out):
+                out[:] = np.resize([-0.0, 0.1, -3.7, 1e-320], out.size)
+
+        out = np.empty(6)
+        data._fill(Stream(), out, SYNTH_NOISE_SIGMA)
+        expected = 0.0 + SYNTH_NOISE_SIGMA * np.resize([-0.0, 0.1, -3.7, 1e-320], 6)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+    def test_one_usable_cpu_calls_normal(self, fills, monkeypatch):
+        monkeypatch.setattr(data, "usable_cpus", lambda: 1)
+        assert_normal_bits(7, (SPLIT + 3,))
+        assert fills == []
+
+    def test_mnist_scale_equals_the_serial_formula(self, two_cpus):
+        n, d, classes, block = 60000, 784, 10, 5000
+        ds = synth_dataset(classes, d, n, seed=3)
+        rng = np.random.default_rng(3)
+        means = np.zeros((classes, d))
+        means[np.arange(classes), np.arange(classes)] = 1.0
+        for start in range(0, n, block):  # the stream drawn block by block is the stream drawn at once
+            labels = np.arange(start, start + block) % classes
+            expected = np.clip(means[labels] + rng.normal(0.0, SYNTH_NOISE_SIGMA, (block, d)), 0.0, 1.0)
+            assert np.array_equal(ds.inputs[start : start + block].view(np.int64), expected.view(np.int64))
+
+
+class TestHelperThread:
+    def test_no_thread_outlives_synth_dataset(self, two_cpus, fills):
+        before = threading.active_count()
+        synth_dataset(2, 64, SPLIT // 64 + 1, seed=1)
+        assert len(fills) == 3 and threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "helper, error", [(True, RuntimeError), (False, RuntimeError), (False, KeyboardInterrupt)],
+        ids=["helper-raises", "caller-raises", "caller-interrupted"],
+    )
+    def test_the_helper_is_joined_before_an_error_propagates(self, two_cpus, monkeypatch, helper, error):
+        fill, finished = data._fill, []
+
+        def failing(gen, out, scale, starts=None):
+            if (starts is not None) == helper:
+                raise error("draw failed")
+            fill(gen, out, scale, starts)
+            finished.append(starts is not None)
+
+        monkeypatch.setattr(data, "_fill", failing)
+        before = threading.active_count()
+        with pytest.raises(error, match="draw failed"):
+            synth_dataset(2, 64, SPLIT // 64 + 1, seed=1)
+        assert threading.active_count() == before
+        assert finished == [not helper]  # the half that did not fail was drawn to its end
 
 
 class TestPartition:
