@@ -60,7 +60,7 @@ class PriceSheet:
             raise ValueError(f"price sheet missing instance roles: {missing}")
         for name, value in self.as_flat_dict().items():
             if value < 0:
-                raise ValueError(f"negative price {name} = {value}")
+                raise FieldError(name, f"must be non-negative, got {value}")
 
     def as_flat_dict(self) -> dict[str, float]:
         flat = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "instance_hourly"}
@@ -102,6 +102,13 @@ DEFAULT_PRICE_SHEET = PriceSheet(
 )
 
 
+def _check_non_negative(scenario) -> None:
+    """Raise FieldError naming a scenario's first negative field: every field is a count, size or time."""
+    for f in fields(scenario):
+        if getattr(scenario, f.name) < 0:
+            raise FieldError(f.name, "must be non-negative")
+
+
 @dataclass(frozen=True)
 class FlScenario:
     """A federated training campaign, one month of billing.
@@ -122,16 +129,13 @@ class FlScenario:
     month_hours: float = MONTH_HOURS
 
     def __post_init__(self):
+        _check_non_negative(self)
         if self.cohort > self.registered:
             raise FieldError("cohort", f"must be <= registered ({self.registered})")
         if self.registered > self.population:
             raise FieldError("registered", f"must be <= population ({self.population})")
         if self.rounds_per_day < 1:
             raise FieldError("rounds_per_day", "must be >= 1")
-        if self.model_size_bytes < 0:
-            raise FieldError("model_size_bytes", "must be non-negative")
-        if self.rounds < 0:
-            raise FieldError("rounds", "must be non-negative")
 
     @property
     def training_days(self) -> float:
@@ -161,10 +165,7 @@ class CentralScenario:
     month_hours: float = MONTH_HOURS
 
     def __post_init__(self):
-        if self.sync_bytes_per_device_month < 0:
-            raise FieldError("sync_bytes_per_device_month", "must be non-negative")
-        if self.label_bytes_back < 0:
-            raise FieldError("label_bytes_back", "must be non-negative")
+        _check_non_negative(self)
 
     @property
     def active_days(self) -> float:

@@ -16,7 +16,8 @@ aggregate_weights and aggregate_deltas compute from a list of updates, since
 all three fold with the same step. A process trains its clients in lockstep
 groups of up to K clients of equal size (group_update): one stacked kernel
 call a step for the whole group, which gives each client the bits it gets
-alone. One function, layout, decides a run's K, its N processes and its
+alone. One function, layout, decides a run's K (held to a cache budget, or
+to a memory budget when every batch has one row), its N processes and its
 BLAS pin. When the local steps are too small for BLAS to thread,
 train_federated spreads each cohort over the parent and N - 1 forked
 workers (see fedsim.pool) and pins the BLAS to one thread. The parent folds
@@ -437,6 +438,11 @@ _BLAS_ONE_THREAD_MNK = 4 * 65_536
 # it was measured on, a step's stacks stay in cache beside the batch's activations (see README
 # "Performance" for the sweep).
 _LOCKSTEP_BYTES = 3 << 19  # 1.5 MiB
+# A one-row step does a few flops per weight, so a group saves mostly per-call overhead: with stacks
+# past the L2 it still gained or held even, at one step a client and at 5 or 10. Memory bounds it
+# instead: the parent holds about 4 * 8 * K * P bytes (the round buffer, the gradient stack and a
+# worker's two slots). This budget gives K = 4 at P = 50,890 (README "Performance" has the sweeps).
+_ONE_ROW_LOCKSTEP_BYTES = 13 << 18  # 3.25 MiB
 
 
 @dataclass(frozen=True)
@@ -458,14 +464,16 @@ def layout(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> L
     - workers: one per usable CPU, at most one per cohort client, while
       one_thread holds; else 1: a larger step's BLAS threads use the cores.
     - group: the parent's (the largest) share of the cohort, capped so that
-      the (K, P) stacks fit _LOCKSTEP_BYTES, and at least 1.
+      the (K, P) stacks fit _LOCKSTEP_BYTES, or _ONE_ROW_LOCKSTEP_BYTES when
+      every batch has one row, and at least 1.
     """
     sizes = spec.layer_sizes
     rows = _batch_rows(config.batch_size, max(s.num_samples for s in shards))
     one_thread = max(rows * d_in * d_out for d_in, d_out in zip(sizes[:-1], sizes[1:])) <= _BLAS_ONE_THREAD_MNK
     workers = min(usable_cpus(), config.cohort_size) if one_thread else 1
     share = -(-config.cohort_size // workers)
-    return Layout(workers, max(1, min(share, _LOCKSTEP_BYTES // (2 * 8 * spec.parameter_count()))), one_thread)
+    budget = _ONE_ROW_LOCKSTEP_BYTES if rows == 1 else _LOCKSTEP_BYTES
+    return Layout(workers, max(1, min(share, budget // (2 * 8 * spec.parameter_count()))), one_thread)
 
 
 def _train_share(

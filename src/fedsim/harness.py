@@ -52,7 +52,9 @@ from .data import (
     IID,
     SINGLE_LABEL,
     SINGLE_SAMPLE,
+    ClientShard,
     Dataset,
+    PartitionError,
     PartitionPlan,
     load_idx,
     partition,
@@ -313,7 +315,8 @@ def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
             changes[name] = price
         else:
             raise ConfigError("unknown price field", key=key)
-    return replace(base, instance_hourly=instance, **changes)
+    with naming_keys(lambda field: "price." + field):
+        return replace(base, instance_hourly=instance, **changes)
 
 
 # ---------------------------------------------------------------- emission
@@ -497,13 +500,15 @@ def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
     return spec
 
 
-def _partition_plan(
-    cfg: dict[str, Value], samples_per_client: int | None = None, *seed_path: str | int, kind: str | None = None
-) -> PartitionPlan:
-    """fed.num_clients shards seeded by derive_seed(seed, "partition", *seed_path).
+def _partition(
+    cfg: dict[str, Value], dataset: Dataset, samples_per_client: int | None = None, *seed_path: str | int,
+    kind: str | None = None,
+) -> tuple[PartitionPlan, list[ClientShard]]:
+    """dataset cut into fed.num_clients shards seeded by derive_seed(seed, "partition", *seed_path), and the plan.
 
     kind and samples_per_client default to partition.kind and partition.samples_per_client
-    (preset.samples_per_client when given), the keys a range error names.
+    (preset.samples_per_client when given), the keys a range error, or a plan the
+    dataset cannot meet, names.
     """
     kind = kind or get_typed(cfg, "partition.kind", str, IID)
     spc_key = "partition.samples_per_client" if samples_per_client is None else "preset.samples_per_client"
@@ -511,7 +516,12 @@ def _partition_plan(
         samples_per_client = get_typed(cfg, spc_key, int)
     num_clients, seed = get_typed(cfg, "fed.num_clients", int), get_typed(cfg, "seed", int)
     with naming_keys({"kind": "partition.kind", "num_clients": "fed.num_clients", "samples_per_client": spc_key}.get):
-        return PartitionPlan(kind, num_clients, samples_per_client, derive_seed(seed, "partition", *seed_path))
+        plan = PartitionPlan(kind, num_clients, samples_per_client, derive_seed(seed, "partition", *seed_path))
+    try:
+        return plan, partition(dataset, plan)
+    except PartitionError as err:  # ClassPoolExhaustedError too
+        fit = f"fed.num_clients = {num_clients} shards of {samples_per_client} must fit data.train_samples"
+        raise ConfigError(f"{err}; {fit}", key=spc_key) from err
 
 
 def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path], str]:
@@ -566,9 +576,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     seed = get_typed(cfg, "seed", int)
     noted = False
 
-    def run(model: MlpSpec, plan: PartitionPlan, name: str, run_seed: int) -> Run:
-        # built with the plan, so a grid point that cannot be met fails before any run trains
-        shards = partition(dataset, plan)
+    def run(model: MlpSpec, plan: PartitionPlan, shards: list[ClientShard], name: str, run_seed: int) -> Run:
         config = replace(fed_config, seed=run_seed)
 
         def train(on_round) -> None:
@@ -586,7 +594,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
     if experiment == CUSTOM:
-        runs = [run(_mlp_spec(cfg, "model.layers", dataset), _partition_plan(cfg), "rounds.csv", seed)]
+        runs = [run(_mlp_spec(cfg, "model.layers", dataset), *_partition(cfg, dataset), "rounds.csv", seed)]
         return _train_plan(out_dir, runs, grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
     kind = get_typed(cfg, "partition.kind", str, IID)
@@ -596,8 +604,9 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
             single_sample = experiment == ROUND_CURVES and kind == SINGLE_LABEL and spc == 1
-            plan = _partition_plan(cfg, spc, arch, spc, kind=SINGLE_SAMPLE if single_sample else kind)
-            runs.append(run(model, plan, f"rounds_{arch}_spc{spc}.csv", derive_seed(seed, "run", arch, spc)))
+            # partitioned here, so a grid point that cannot be met fails before any run trains
+            plan, shards = _partition(cfg, dataset, spc, arch, spc, kind=SINGLE_SAMPLE if single_sample else kind)
+            runs.append(run(model, plan, shards, f"rounds_{arch}_spc{spc}.csv", derive_seed(seed, "run", arch, spc)))
     return _train_plan(out_dir, runs, grid=True)
 
 
@@ -656,7 +665,7 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> t
 
 def run_partition_stats(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     dataset, _ = resolve_datasets(cfg)
-    shards = partition(dataset, _partition_plan(cfg))
+    _, shards = _partition(cfg, dataset)
     path = out_dir / "shards.csv"
     write_partition_csv(path, shards, dataset)
     return [path], ""

@@ -88,10 +88,11 @@ def manifest_lines(out):
 
 
 class TestPoolSize:
-    # (layers, batch rows, cohort): a layout on 8 CPUs; K is the parent's share, capped at 1.5 MiB // (16 P)
+    # (layers, batch rows, cohort): a layout on 8 CPUs; K is the parent's share, capped at 1.5 MiB // (16 P),
+    # or at 3.25 MiB // (16 P) for one-row batches
     @pytest.mark.parametrize("layers, rows, cohort, expected", [
         ((100, 128, 10), 10, 10, Layout(8, 2, True)),  # 10*100*128 = 128,000
-        ((784, 64, 10), 1, 500, Layout(8, 1, True)),  # 1*784*64 = 50,176
+        ((784, 64, 10), 1, 500, Layout(8, 4, True)),  # 1*784*64 = 50,176
         ((100, 128, 10), 10, 3, Layout(3, 1, True)),  # no more processes than clients
         ((512, 512), 1, 10, Layout(8, 1, True)),  # 4 * 65,536 exactly
     ])

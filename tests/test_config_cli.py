@@ -256,7 +256,7 @@ class TestCliTrainFed:
             "--set", "preset.samples_per_client=5,200",  # 10 clients of 200 one-class samples: the pools run out
         ])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: class 0 exhausted")
+        assert capsys.readouterr().err.startswith("config error: preset.samples_per_client: class 0 exhausted")
         assert list(tmp_path.glob("*.csv")) == []
         assert "run.status = failed" in (tmp_path / "manifest.txt").read_text().splitlines()
 
@@ -519,6 +519,14 @@ class TestConfigKeys:
         assert main(argv + ["--set", override]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {override.split('=')[0]}: ")
 
+    @pytest.mark.parametrize("command", ["train-fed", "partition-stats"])
+    @pytest.mark.parametrize("override", ["fed.num_clients=13", "partition.samples_per_client=21"])
+    def test_a_plan_the_data_cannot_meet_names_samples_per_client(self, tmp_path, capsys, command, override):
+        assert main([command, "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == 2  # 120 rows
+        err = capsys.readouterr().err
+        assert err.startswith("config error: partition.samples_per_client: plan needs ")
+        assert "fed.num_clients" in err and "data.train_samples" in err
+
     @pytest.mark.parametrize(
         "override, key",
         [("preset.samples_per_client=5,0", "preset.samples_per_client"), ("preset.arch.1=6,0,3", "preset.arch.1")],
@@ -535,6 +543,8 @@ class TestConfigKeys:
         [
             ("fl_training", "cost.rounds_per_day=0"), ("central", "cost.label_bytes_back=-1"),
             ("fl_training", "cost.model_size_bytes=nan"), ("fl_training", "price.data_out_per_gb=inf"),
+            ("fl_training", "price.data_out_per_gb=-0.5"), ("fl_training", "price.instance.portal=-1"),
+            ("fl_training", "cost.cohort=-1"), ("central", "cost.ingestion_days=-1"),
         ],
     )
     def test_cost_range_errors_name_the_key(self, tmp_path, capsys, scenario, override):

@@ -4,9 +4,12 @@ Each case starts from a shipped config (configs/*.cfg and
 bench/workloads/*.cfg, only read) or a preset, shrunk to desk size. numpy's
 RNG then sets, drops or adds a few keys and picks the command. Run in-process
 through cli.main, every case must return 0, 2, 3 or 4, let no exception
-escape, and leave no manifest saying run.status = running.
+escape, and leave no manifest saying run.status = running. A case that exits
+2 must name its key on stderr: `config error: <key>: `, where <key> is a
+known key, has a known prefix, or is one the case set.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 
 from fedsim.cli import COMMANDS, main
 from fedsim.config import format_value, load_config
-from fedsim.harness import KNOWN_KEYS, PRESETS
+from fedsim.harness import KNOWN_KEYS, KNOWN_PREFIXES, PRESETS
 
 REPO = Path(__file__).resolve().parent.parent
 SEED, CASES = 20261018, 300
@@ -33,6 +36,7 @@ VALUES = [
     "6,0,3", "6,3", "send_delta", "adam", "rmsprop", "sgd", "iid", "single_label_multi_sample", "single_sample",
     "identity", "relu", "mnist", "model_size", "rounds", "central", "fl_training", "custom", "samples_sweep",
 ]
+NAMED_KEY = re.compile(r"config error: ([\w.]+): ")
 COMMAND_OF = {"central_baseline": "train-central"} | {
     name: "cost" for name in PRESETS if name.startswith("cost_")
 } | {name: "train-fed" for name in ("custom", "samples_sweep", "single_label_sweep", "round_curves")}
@@ -78,8 +82,13 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path, monkeypatch, caps
             code = main([argv[0], "--out", str(out), *argv[1:]])
         except BaseException as err:  # any escape fails the test, naming the case
             pytest.fail(f"case {i} ({name}) raised {type(err).__name__}: {err}\nargv: {argv}")
-        assert code in (0, 2, 3, 4), (i, name, argv, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (i, name, argv, err)
+        if code == 2:
+            key = NAMED_KEY.search(err)
+            set_keys = {item.partition("=")[0] for item in argv[2::2]}
+            assert key is not None, (i, name, argv, err)
+            assert key[1] in KNOWN_KEYS | set_keys or key[1].startswith(KNOWN_PREFIXES), (i, name, argv, err)
         manifest = out / "manifest.txt"
         if manifest.exists():
             assert "run.status = running" not in manifest.read_text().splitlines(), (i, name, argv)
-    capsys.readouterr()

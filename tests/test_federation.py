@@ -391,14 +391,18 @@ class TestStreamedRound:
                 assert (a is None and b is None) or np.array_equal(a, b)
             assert streamed.server_opt_state.step == reference.server_opt_state.step
 
-    def test_peak_memory_does_not_grow_with_the_cohort(self):
+    def test_peak_memory_does_not_grow_with_the_cohort(self, monkeypatch):
+        import fedsim.federation as federation
+
         spec = MlpSpec((100, 400, 25))  # 50,425 parameters, 403 kB
         param_bytes = 8 * spec.parameter_count()
         ds = synth_dataset(25, 100, 400, seed=32)
+        monkeypatch.setattr(federation, "usable_cpus", lambda: 1)  # one process: both cohorts train in groups of 4
 
         def round_peak(num_clients):
             shards = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=num_clients, samples_per_client=1, seed=32))
             config = fed_config(num_clients, batch_size=1, seed=32, update_mode="send_delta")
+            assert federation.layout(spec, config, shards).group == 4  # the one-row budget's, not the cohort's
             state = GlobalState(init_params(spec, 32), 0, config.server_opt)
             run_round(state, config, shards, ds, compute_accuracy=False)  # warm up
             tracemalloc.start()

@@ -154,7 +154,10 @@ def test_federated_digest(name, workers, monkeypatch):
 def test_federated_digest_one_client_at_a_time(name, workers, monkeypatch):
     digests = recorded()
     monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(federation, "_LOCKSTEP_BYTES", 0)  # no stack fits: K = 1
+    for budget in ("_LOCKSTEP_BYTES", "_ONE_ROW_LOCKSTEP_BYTES"):
+        monkeypatch.setattr(federation, budget, 0)  # no stack fits: K = 1
+    model, config, shards, _, _ = federated_setup(**{**FEDERATED, **DIVERGED}[name])
+    assert federation.layout(model, config, shards).group == 1
     assert run_digest(name) == digests[name]
 
 

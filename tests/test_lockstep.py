@@ -30,7 +30,7 @@ from fedsim.nn import MlpSpec, Workspace, init_params
 from fedsim.rng import derive_seed
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
-LOCKSTEP_BYTES = federation._LOCKSTEP_BYTES
+BUDGETS = {name: getattr(federation, name) for name in ("_LOCKSTEP_BYTES", "_ONE_ROW_LOCKSTEP_BYTES")}
 
 
 def workload_layers(name):
@@ -40,7 +40,8 @@ def workload_layers(name):
 def pin(monkeypatch, workers, group=None):
     """Pin the pool size, and with group=1 the lockstep group size to one client, or else to the rule's."""
     pin_workers(monkeypatch, workers)
-    monkeypatch.setattr(federation, "_LOCKSTEP_BYTES", 0 if group == 1 else LOCKSTEP_BYTES)
+    for name, budget in BUDGETS.items():  # with no stack fitting either budget, K = 1
+        monkeypatch.setattr(federation, name, 0 if group == 1 else budget)
 
 
 def shards_of_sizes(ds, sizes):
@@ -64,12 +65,36 @@ class TestGroupSize:
         assert MlpSpec(standin).parameter_count() == 14_218
         assert layout_of(monkeypatch, standin, 2, 10, 10).group == 5  # each of 2 processes' share of 10
         assert layout_of(monkeypatch, standin, 1, 10, 10).group == 6  # the 1.5 MiB budget: 6 * 2 * 8 * 14,218 bytes
-        for name, params in (
-            ("fed_mnist_shaped", 494_710), ("fed_single_sample_delta", 50_890), ("central_mnist_shaped", 494_710)
-        ):
+        for name, params in (("fed_mnist_shaped", 494_710), ("central_mnist_shaped", 494_710)):
             layers = workload_layers(name)
             assert MlpSpec(layers).parameter_count() == params
             assert layout_of(monkeypatch, layers, 1, 1, 500).group == 1  # a share of 500
+        one_sample = workload_layers("fed_single_sample_delta")
+        assert MlpSpec(one_sample).parameter_count() == 50_890
+        assert layout_of(monkeypatch, one_sample, 1, 1, 500).group == 4  # the 3.25 MiB one-row budget
+        assert layout_of(monkeypatch, one_sample, 1, 2, 500).group == 1  # the 1.5 MiB budget
+
+    @pytest.mark.parametrize("layers", [(8, 6, 3), (100, 128, 10), (784, 64, 10), (784, 200, 10), (784, 500, 200, 10)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_one_row_group_is_the_largest_that_fits_its_budget(self, layers, cpus, monkeypatch):
+        stack_bytes = 2 * 8 * MlpSpec(layers).parameter_count()  # one client's weight and gradient rows
+        run = layout_of(monkeypatch, layers, cpus, 1, 500)
+        share = -(-500 // run.workers)
+        assert 1 <= run.group <= share
+        assert run.group == 1 or run.group * stack_bytes <= federation._ONE_ROW_LOCKSTEP_BYTES
+        assert run.group == share or (run.group + 1) * stack_bytes > federation._ONE_ROW_LOCKSTEP_BYTES
+
+    @pytest.mark.parametrize("name, rows, cohort, expected", [
+        ("fed_standin", 10, 10, Layout(2, 5, True)),  # the workload's own batches
+        ("fed_mnist_shaped", 10, 10, Layout(1, 1, False)),
+        ("central_mnist_shaped", 32, 10, Layout(1, 1, False)),
+        ("fed_standin", 2, 10, Layout(2, 5, True)),
+        ("fed_single_sample_delta", 2, 500, Layout(2, 1, True)),  # 1.5 MiB // (16 * 50,890) = 1
+        ("fed_single_sample_delta", 10, 500, Layout(1, 1, False)),
+        ("fed_mnist_shaped", 2, 10, Layout(1, 1, False)),
+    ])
+    def test_batches_of_two_rows_or_more_keep_the_cache_budget(self, name, rows, cohort, expected, monkeypatch):
+        assert layout_of(monkeypatch, workload_layers(name), 2, rows, cohort) == expected
 
     @pytest.mark.parametrize("layers, share, group", [
         ((2, 2), 3, 3),
@@ -189,6 +214,24 @@ class TestLockstepRuns:
         for other_columns, other_weights in runs.values():
             assert other_columns == columns
             assert np.array_equal(other_weights, weights)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_row_steps_keep_the_bits_at_the_one_row_group(self, workers, monkeypatch):
+        # B = 1 on 10-sample shards: 20 one-row steps a client; P = 50,890 fits the cache budget once,
+        # the one-row budget 4 times, and each process's share of the cohort of 8 holds 4 or more
+        ds = synth_dataset(3, 784, 200, seed=10)
+        test = synth_dataset(3, 784, 60, seed=11)
+        shards = partition(ds, PartitionPlan(IID, 16, 10, seed=10))
+        config = FedConfig(16, 0.5, 2, 1, 0.05, 2, 10, eval_every=1)
+        spec = MlpSpec((784, 64, 10))
+        runs = []
+        for group in (None, 1):
+            pin(monkeypatch, workers, group)
+            assert federation.layout(spec, config, shards) == Layout(workers, group or 4, True)
+            history, state = train_federated(spec, config, shards, ds, test)
+            runs.append((data_columns(history), state.weights.values))
+        assert runs[0][0] == runs[1][0]
+        assert np.array_equal(runs[0][1].view(np.int64), runs[1][1].view(np.int64))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("group", [None, 1])
