@@ -35,6 +35,7 @@ from .data import (
     synth_dataset,
 )
 from .federation import (
+    CentralConfig,
     FedConfig,
     GlobalState,
     RoundMetrics,

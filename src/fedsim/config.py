@@ -11,9 +11,11 @@ re-runnable as configs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import MISSING, fields
-from typing import Any, Callable, get_type_hints
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, get_type_hints
 
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
@@ -145,33 +147,46 @@ def get_typed(cfg: dict[str, Value], key: str, kind: type, default: Any = ...) -
     return value
 
 
-_SCALAR_TYPES = (bool, int, float, str)
+_SCALARS = (bool, int, float, str)
+# the annotation of a config field, T or T | None, mapped to its scalar type T
+_SCALAR_TYPES = {kind: kind for kind in _SCALARS} | {kind | None: kind for kind in _SCALARS}
 
 
-def config_fields(cls: type) -> dict[str, type]:
-    """The fields of dataclass cls that are config keys, mapped to their types.
+@functools.cache  # read once per field by from_config; the mapping is read-only, so callers can share it
+def config_fields(cls: type) -> Mapping[str, type]:
+    """The fields of dataclass cls that are config keys, mapped to their scalar types.
 
-    A field is a config key when its annotated type is a scalar and it is
-    not marked metadata={"config": False} (running state, say).
+    A field is a config key when its annotated type is a scalar T, or T | None,
+    and it is not marked metadata={"config": False} (running state, say).
     """
     hints = get_type_hints(cls)
-    return {
-        f.name: hints[f.name]
+    return MappingProxyType({
+        f.name: _SCALAR_TYPES[hints[f.name]]
         for f in fields(cls)
         if hints[f.name] in _SCALAR_TYPES and f.metadata.get("config", True)
-    }
+    })
 
 
-def from_config(cls: type, cfg: dict[str, Value], prefix: str) -> Any:
-    """Build dataclass cls from the keys prefix + field, typed by its annotations.
+def read_field(cls: type, cfg: dict[str, Value], prefix: str, name: str) -> Any:
+    """Config field name of dataclass cls, read from key prefix + name; an absent key takes the field's default.
 
-    An absent key takes the field's default; a field without one is required.
+    A field without a default is required. A field marked metadata={"full": True}
+    reads "full" (any case) as None and rejects any other string.
+    """
+    f, key = next(f for f in fields(cls) if f.name == name), prefix + name
+    value = cfg.get(key)
+    if f.metadata.get("full") and isinstance(value, str):
+        if value.lower() != "full":
+            raise ConfigError(f"expected an integer or 'full', got {value!r}", key=key)
+        return None
+    return get_typed(cfg, key, config_fields(cls)[name], ... if f.default is MISSING else f.default)
+
+
+def from_config(cls: type, cfg: dict[str, Value], prefix: str, **given: Any) -> Any:
+    """Build dataclass cls from its config fields (see read_field) and given, the fields that come from elsewhere.
+
     A FieldError raised by cls becomes a ConfigError naming prefix + field.
     """
-    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-    kwargs = {
-        name: get_typed(cfg, prefix + name, kind, defaults.get(name, ...))
-        for name, kind in config_fields(cls).items()
-    }
+    kwargs = {name: read_field(cls, cfg, prefix, name) for name in config_fields(cls) if name not in given}
     with naming_keys(lambda field: prefix + field):
-        return cls(**kwargs)
+        return cls(**kwargs, **given)

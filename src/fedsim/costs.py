@@ -18,7 +18,7 @@ volume (see tests for the derivations). Every value can be overridden.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .config import FieldError
 
@@ -295,11 +295,6 @@ def sweep(dimension: str, values: Iterable[float], base: FlScenario, p: PriceShe
     return rows
 
 
-def table_training_costs(model_sizes_bytes: Sequence[float], base: FlScenario, p: PriceSheet) -> list[float]:
-    """Training-cost totals for a list of model sizes under a fixed campaign."""
-    return [fl_training_cost(replace(base, model_size_bytes=float(m)), p).total for m in model_sizes_bytes]
-
-
 def sync_slope_from_costs(
     total_low: float, total_high: float, population: int, bytes_low: float, bytes_high: float
 ) -> float:
@@ -312,11 +307,3 @@ def sync_slope_from_costs(
     delta_gb = population * (bytes_high - bytes_low) / GB
     return (total_high - total_low) / delta_gb
 
-
-# Reference campaign shapes used by the CLI presets and regression tests.
-def model_size_sweep_base(model_size_bytes: float = 500_000.0) -> FlScenario:
-    return FlScenario(model_size_bytes=model_size_bytes, rounds=200, rounds_per_day=100)
-
-
-def rounds_sweep_base() -> FlScenario:
-    return FlScenario(model_size_bytes=500_000.0, rounds=3000, rounds_per_day=200)

@@ -90,9 +90,6 @@ class Dataset:
     def num_features(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[indices], self.labels[indices], self.num_classes)
-
 
 @dataclass(frozen=True)
 class ClientShard:
@@ -312,20 +309,13 @@ def partition(dataset: Dataset, plan: PartitionPlan) -> list[ClientShard]:
     return shards
 
 
-def shard_batch_indices(shard: ClientShard, batch_size: int, epoch_seed: int) -> list[np.ndarray]:
-    """Shuffle the shard's indices and chunk them into batches of batch_size.
+def shard_batches(dataset: Dataset, shard: ClientShard, batch_size: int, epoch_seed: int) -> list[Batch]:
+    """Materialize one client's epoch: its shuffled indices cut into batches of batch_size.
 
     The last batch may be short; batch_size >= shard size yields one batch.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     perm = np.random.default_rng(epoch_seed).permutation(shard.indices)
-    return [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
-
-
-def shard_batches(dataset: Dataset, shard: ClientShard, batch_size: int, epoch_seed: int) -> list[Batch]:
-    """Materialize the epoch's batches for one client."""
-    return [
-        Batch(dataset.inputs[idx], dataset.labels[idx])
-        for idx in shard_batch_indices(shard, batch_size, epoch_seed)
-    ]
+    chunks = np.split(perm, range(batch_size, perm.size, batch_size))
+    return [Batch(dataset.inputs[idx], dataset.labels[idx]) for idx in chunks]

@@ -80,21 +80,22 @@ class ClientDivergedError(RuntimeError):
         return type(self), (self.client_id, self.round_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FedConfig:
-    """Hyperparameters of a federated run.
+    """Hyperparameters of a federated run, and the fed.* config section's schema.
 
-    batch_size None means each client trains on its full shard per step,
-    which together with local_epochs=1 is the one-gradient-step special case.
+    batch_size None (config value "full") means each client trains on its full
+    shard per step, which together with local_epochs=1 is the one-gradient-step
+    special case. seed and server_opt come from the seed and server.* keys.
     """
 
     num_clients: int
     client_fraction: float
-    local_epochs: int
-    batch_size: int | None
+    local_epochs: int = 1
+    batch_size: int | None = field(default=10, metadata={"full": True})
     client_lr: float
     rounds: int
-    seed: int
+    seed: int = field(metadata={"config": False})
     server_opt: ServerOptimizerState = field(default_factory=ServerOptimizerState)
     update_mode: str = SEND_WEIGHTS
     eval_every: int | None = None
@@ -121,6 +122,26 @@ class FedConfig:
     @property
     def cohort_size(self) -> int:
         return max(math.ceil(self.client_fraction * self.num_clients), 1)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CentralConfig:
+    """Hyperparameters of a centralized run, and the central.* config section's schema.
+
+    batch_size None (config value "full") is full-batch descent.
+    """
+
+    lr: float = 0.1
+    batch_size: int | None = field(default=32, metadata={"full": True})
+    epochs: int = 5
+
+    def __post_init__(self):
+        if self.lr < 0:
+            raise FieldError("lr", "must be non-negative")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise FieldError("batch_size", "must be >= 1 or None for full-batch descent")
+        if self.epochs < 0:
+            raise FieldError("epochs", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -648,34 +669,25 @@ def train_centralized(
     model: MlpSpec,
     dataset: Dataset,
     test_set: Dataset | None,
-    lr: float,
-    batch_size: int | None,
-    epochs: int,
+    config: CentralConfig,
     seed: int,
     on_round: Callable[[RoundMetrics], object] | None = None,
 ) -> tuple[list[RoundMetrics], ParamVector]:
-    """Plain mini-batch SGD baseline; batch_size None is full-batch descent.
+    """Plain mini-batch SGD baseline with config's rate, batch size and epochs.
 
     Returns one RoundMetrics per epoch (round_index reused as epoch index),
     and passes each to on_round, when given, as soon as the epoch completes.
-    lr < 0, batch_size < 1 and epochs < 0 raise config.FieldError.
     """
-    if lr < 0:
-        raise FieldError("lr", "must be non-negative")
-    if batch_size is not None and batch_size < 1:
-        raise FieldError("batch_size", "must be >= 1 or None for full-batch descent")
-    if epochs < 0:
-        raise FieldError("epochs", "must be >= 0")
     weights = init_params(model, derive_seed(seed, "init"))
     w = weights.values.copy()
     n = len(dataset)
-    effective_b = _batch_rows(batch_size, n)
+    effective_b = _batch_rows(config.batch_size, n)
     ws = Workspace(model, effective_b)
     history: list[RoundMetrics] = []
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         started = time.perf_counter()
         perm = np.random.default_rng(derive_seed(seed, "epoch", epoch)).permutation(n)
-        epoch_losses = _sgd_epoch(w, model, dataset, perm, effective_b, lr, ws)
+        epoch_losses = _sgd_epoch(w, model, dataset, perm, effective_b, config.lr, ws)
         if not np.isfinite(epoch_losses[-1]):
             raise ClientDivergedError(client_id=-1, round_index=epoch)
         params = ParamVector(w.copy(), model)

@@ -35,6 +35,7 @@ from .config import (
     from_config,
     get_typed,
     naming_keys,
+    read_field,
 )
 from .costs import (
     DEFAULT_PRICE_SHEET,
@@ -61,6 +62,7 @@ from .data import (
     synth_dataset,
 )
 from .federation import (
+    CentralConfig,
     FedConfig,
     RoundMetrics,
     check_dataset_fits,
@@ -160,45 +162,17 @@ PRESETS: dict[str, dict[str, Value]] = {
 }
 EXPERIMENTS = tuple(PRESETS)
 
-# The server.* and cost.* keys are the config fields of their dataclasses;
-# only keys that are no dataclass field are listed here.
+# The keys of a dataclass-backed section are its config fields; only keys
+# that are no dataclass field are listed by hand.
+SECTIONS = (
+    ("fed.", FedConfig), ("central.", CentralConfig), ("server.", ServerOptimizerState), ("model.", MlpSpec),
+    ("cost.", FlScenario), ("cost.", CentralScenario),
+)
 KNOWN_KEYS = {
-    "experiment",
-    "seed",
-    "data.source",
-    "data.dir",
-    "data.train_images",
-    "data.train_labels",
-    "data.test_images",
-    "data.test_labels",
-    "data.num_classes",
-    "data.features",
-    "data.train_samples",
-    "data.test_samples",
-    "model.layers",
-    "model.activation",
-    "partition.kind",
-    "partition.samples_per_client",
-    "fed.num_clients",
-    "fed.client_fraction",
-    "fed.local_epochs",
-    "fed.batch_size",
-    "fed.client_lr",
-    "fed.rounds",
-    "fed.update_mode",
-    "fed.eval_every",
-    "fed.alg1_literal_normalization",
-    "central.lr",
-    "central.batch_size",
-    "central.epochs",
-    "cost.scenario",
-    "cost.sweep.dimension",
-    "cost.sweep.values",
-    "preset.samples_per_client",
-    "price.zero",
-} | {f"server.{name}" for name in config_fields(ServerOptimizerState)} | {
-    f"cost.{name}" for cls in (FlScenario, CentralScenario) for name in config_fields(cls)
-}
+    "experiment", "seed", "model.layers", "partition.kind", "partition.samples_per_client", "preset.samples_per_client",
+    "data.source", "data.dir", *MNIST_FILES, "data.num_classes", "data.features", "data.train_samples", "data.test_samples",
+    "cost.scenario", "cost.sweep.dimension", "cost.sweep.values", "price.zero",
+} | {prefix + name for prefix, cls in SECTIONS for name in config_fields(cls)}
 KNOWN_PREFIXES = ("run.", "price.", "preset.arch.")
 
 
@@ -267,32 +241,10 @@ def _typed_list(cfg: dict[str, Value], key: str, kind: type) -> list:
     return [get_typed({key: v}, key, kind) for v in as_list(get_typed(cfg, key, object))]
 
 
-def _batch_size(cfg: dict[str, Value], key: str, default: int) -> int | None:
-    """An integer batch size, or None for "full" (the whole shard per step)."""
-    value = cfg.get(key)
-    if isinstance(value, str):
-        if value.lower() != "full":
-            raise ConfigError(f"expected an integer or 'full', got {value!r}", key=key)
-        return None
-    return get_typed(cfg, key, int, default)
-
-
 def build_fed_config(cfg: dict[str, Value]) -> FedConfig:
-    kwargs = dict(
-        num_clients=get_typed(cfg, "fed.num_clients", int),
-        client_fraction=get_typed(cfg, "fed.client_fraction", float),
-        local_epochs=get_typed(cfg, "fed.local_epochs", int, 1),
-        batch_size=_batch_size(cfg, "fed.batch_size", 10),
-        client_lr=get_typed(cfg, "fed.client_lr", float),
-        rounds=get_typed(cfg, "fed.rounds", int),
-        seed=get_typed(cfg, "seed", int),
-        server_opt=from_config(ServerOptimizerState, cfg, "server."),
-        update_mode=get_typed(cfg, "fed.update_mode", str, "send_weights"),
-        eval_every=get_typed(cfg, "fed.eval_every", int, None),
-        alg1_literal_normalization=get_typed(cfg, "fed.alg1_literal_normalization", bool, False),
+    return from_config(
+        FedConfig, cfg, "fed.", seed=get_typed(cfg, "seed", int), server_opt=from_config(ServerOptimizerState, cfg, "server.")
     )
-    with naming_keys(lambda field: "fed." + field):
-        return FedConfig(**kwargs)
 
 
 def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
@@ -492,7 +444,7 @@ def _arch_keys(cfg: dict[str, Value]) -> list[str]:
 def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
     """The net of the layer sizes at key and model.activation; a range error or a misfit to dataset names its key."""
     with naming_keys(lambda field: "model.activation" if field == "activation" else key):
-        spec = MlpSpec(tuple(_typed_list(cfg, key, int)), get_typed(cfg, "model.activation", str, "relu"))
+        spec = MlpSpec(tuple(_typed_list(cfg, key, int)), read_field(MlpSpec, cfg, "model.", "activation"))
     try:
         check_dataset_fits(spec, dataset)
     except ShapeMismatchError as err:
@@ -502,19 +454,22 @@ def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
 
 def _partition(
     cfg: dict[str, Value], dataset: Dataset, samples_per_client: int | None = None, *seed_path: str | int,
-    kind: str | None = None,
+    single_sample: bool = False,
 ) -> tuple[PartitionPlan, list[ClientShard]]:
     """dataset cut into fed.num_clients shards seeded by derive_seed(seed, "partition", *seed_path), and the plan.
 
-    kind and samples_per_client default to partition.kind and partition.samples_per_client
+    The plan's kind is partition.kind, but single_sample turns a single-label kind
+    into single_sample. samples_per_client defaults to partition.samples_per_client
     (preset.samples_per_client when given), the keys a range error, or a plan the
     dataset cannot meet, names.
     """
-    kind = kind or get_typed(cfg, "partition.kind", str, IID)
+    kind = get_typed(cfg, "partition.kind", str, IID)
+    if single_sample and kind == SINGLE_LABEL:
+        kind = SINGLE_SAMPLE
     spc_key = "partition.samples_per_client" if samples_per_client is None else "preset.samples_per_client"
     if samples_per_client is None:
         samples_per_client = get_typed(cfg, spc_key, int)
-    num_clients, seed = get_typed(cfg, "fed.num_clients", int), get_typed(cfg, "seed", int)
+    num_clients, seed = read_field(FedConfig, cfg, "fed.", "num_clients"), get_typed(cfg, "seed", int)
     with naming_keys({"kind": "partition.kind", "num_clients": "fed.num_clients", "samples_per_client": spc_key}.get):
         plan = PartitionPlan(kind, num_clients, samples_per_client, derive_seed(seed, "partition", *seed_path))
     try:
@@ -597,15 +552,13 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         runs = [run(_mlp_spec(cfg, "model.layers", dataset), *_partition(cfg, dataset), "rounds.csv", seed)]
         return _train_plan(out_dir, runs, grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
-    kind = get_typed(cfg, "partition.kind", str, IID)
     runs = []
     for key in _arch_keys(cfg):
         model = _mlp_spec(cfg, key, dataset)
         arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
-            single_sample = experiment == ROUND_CURVES and kind == SINGLE_LABEL and spc == 1
             # partitioned here, so a grid point that cannot be met fails before any run trains
-            plan, shards = _partition(cfg, dataset, spc, arch, spc, kind=SINGLE_SAMPLE if single_sample else kind)
+            plan, shards = _partition(cfg, dataset, spc, arch, spc, single_sample=experiment == ROUND_CURVES and spc == 1)
             runs.append(run(model, plan, shards, f"rounds_{arch}_spc{spc}.csv", derive_seed(seed, "run", arch, spc)))
     return _train_plan(out_dir, runs, grid=True)
 
@@ -613,9 +566,7 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
 def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     dataset, test_set = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
-    lr = get_typed(cfg, "central.lr", float, 0.1)
-    batch = _batch_size(cfg, "central.batch_size", 32)
-    epochs = get_typed(cfg, "central.epochs", int, 5)
+    config = from_config(CentralConfig, cfg, "central.")  # after the data, so a missing data file is an I/O error first
     grid = cfg["experiment"] == CENTRAL_BASELINE
 
     def run(key: str) -> Run:
@@ -623,8 +574,7 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
         arch = _arch_label(model.layer_sizes)
 
         def train(on_round) -> None:
-            with naming_keys(lambda field: "central." + field):
-                train_centralized(model, dataset, test_set, lr, batch, epochs, derive_seed(seed, "central", arch), on_round)
+            train_centralized(model, dataset, test_set, config, derive_seed(seed, "central", arch), on_round)
 
         return arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train
 

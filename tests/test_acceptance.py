@@ -13,6 +13,7 @@ with plain pytest -v the test name itself is the pass/fail line).
 import numpy as np
 import pytest
 
+from fedsim.config import from_config
 from fedsim.costs import (
     DEFAULT_PRICE_SHEET,
     CentralScenario,
@@ -21,10 +22,7 @@ from fedsim.costs import (
     central_cost,
     fl_deployment_cost,
     fl_training_cost,
-    model_size_sweep_base,
-    rounds_sweep_base,
     sweep,
-    table_training_costs,
 )
 from fedsim.data import (
     IID,
@@ -35,14 +33,19 @@ from fedsim.data import (
     synth_dataset,
 )
 from fedsim.federation import (
+    CentralConfig,
     FedConfig,
     GlobalState,
     run_round,
     train_centralized,
     train_federated,
 )
+from fedsim.harness import COST_ROUNDS_SWEEP, PRESETS
 from fedsim.nn import Batch, MlpSpec, ParamVector, ServerOptimizerState, init_params, loss, loss_grad, sgd_step
 from fedsim.rng import derive_seed
+
+# the campaign of the cost_rounds_sweep preset; tests/test_costs.py pins it to the reference shape
+ROUNDS_BASE = from_config(FlScenario, PRESETS[COST_ROUNDS_SWEEP], "cost.")
 
 
 def report(check_id: str, detail: str) -> None:
@@ -88,7 +91,9 @@ def test_c02_full_participation_round_equals_central_batch_step():
     ds = synth_dataset(5, 12, 400, seed=21)
     shards = partition(ds, PartitionPlan(IID, num_clients=8, samples_per_client=50, seed=21))
     spec = MlpSpec((12, 10, 5))
-    config = FedConfig(8, 1.0, 1, None, 0.3, rounds=10, seed=21)
+    config = FedConfig(
+        num_clients=8, client_fraction=1.0, local_epochs=1, batch_size=None, client_lr=0.3, rounds=10, seed=21
+    )
     pooled = _pooled_batch(ds, shards)
 
     state = GlobalState(init_params(spec, 21), 0, config.server_opt)
@@ -106,7 +111,9 @@ def test_c03_single_sample_round_equals_minibatch_sgd_step():
     ds = synth_dataset(4, 10, 300, seed=22)
     shards = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=60, samples_per_client=1, seed=22))
     spec = MlpSpec((10, 4))
-    config = FedConfig(60, 0.15, 1, None, 0.4, rounds=1, seed=22)
+    config = FedConfig(
+        num_clients=60, client_fraction=0.15, local_epochs=1, batch_size=None, client_lr=0.4, rounds=1, seed=22
+    )
 
     state = GlobalState(init_params(spec, 22), 0, config.server_opt)
     new_state, metrics = run_round(state, config, shards, ds, compute_accuracy=False)
@@ -277,7 +284,7 @@ def test_c09_single_sample_underfits_multi_sample(mnist):
 def test_c10_centralized_mnist_sanity(mnist):
     train, test = mnist
     history, _ = train_centralized(
-        MlpSpec((784, 500, 200, 10)), train, test, lr=0.1, batch_size=32, epochs=5, seed=10
+        MlpSpec((784, 500, 200, 10)), train, test, CentralConfig(lr=0.1, batch_size=32, epochs=5), seed=10
     )
     final = history[-1].test_accuracy
     assert final >= 0.95, f"centralized test accuracy {final:.4f}"
@@ -290,7 +297,10 @@ def _standin_run(kind, spc, seed, d=100, classes=10, rounds=60, eval_every=10):
     train = synth_dataset(classes, d, 4000, derive_seed(seed, "standin-train"))
     test = synth_dataset(classes, d, 1500, derive_seed(seed, "standin-test"))
     shards = partition(train, PartitionPlan(kind, num_clients=20, samples_per_client=spc, seed=derive_seed(seed, "p", spc)))
-    config = FedConfig(20, 0.5, 8, 10, 0.3, rounds=rounds, seed=seed, eval_every=eval_every)
+    config = FedConfig(
+        num_clients=20, client_fraction=0.5, local_epochs=8, batch_size=10, client_lr=0.3, rounds=rounds, seed=seed,
+        eval_every=eval_every,
+    )
     history, _ = train_federated(MlpSpec((d, 128, classes)), config, shards, train, test)
     return [m for m in history if m.train_accuracy is not None]
 
@@ -304,7 +314,10 @@ def test_standin_accuracy_increases_with_samples_per_device():
             train = synth_dataset(10, 20, 8000, derive_seed(seed, "sa-train"))
             test = synth_dataset(10, 20, 2000, derive_seed(seed, "sa-test"))
             shards = partition(train, PartitionPlan(IID, 40, spc, derive_seed(seed, "sa-p", spc)))
-            config = FedConfig(40, 0.25, 3, 10, 0.2, rounds=40, seed=seed, eval_every=40)
+            config = FedConfig(
+                num_clients=40, client_fraction=0.25, local_epochs=3, batch_size=10, client_lr=0.2, rounds=40, seed=seed,
+                eval_every=40,
+            )
             history, _ = train_federated(MlpSpec((20, 32, 10)), config, shards, train, test)
             accs.append(history[-1].test_accuracy)
         finals[spc] = float(np.mean(accs))
@@ -365,18 +378,19 @@ def test_c12_training_cost_flat_in_model_size_deployment_not():
 
 
 def test_c13_reference_model_training_cost_targets():
-    totals = table_training_costs([1_610_000, 24_030_000], rounds_sweep_base(), DEFAULT_PRICE_SHEET)
+    rows = sweep("model_size", [1_610_000, 24_030_000], ROUNDS_BASE, DEFAULT_PRICE_SHEET)
+    totals = [row.training_cost for row in rows]
     assert totals[0] == pytest.approx(1111.0, rel=0.15)
     assert totals[1] == pytest.approx(6290.0, rel=0.15)
     report("13 model-size-cost-targets", f"1.61MB -> {totals[0]:.2f}, 24.03MB -> {totals[1]:.2f}")
 
 
 def test_c14_sweep_shapes():
-    rows_rounds = sweep("rounds", [200, 500, 1000, 2000, 3000, 5000], rounds_sweep_base(), DEFAULT_PRICE_SHEET)
+    rows_rounds = sweep("rounds", [200, 500, 1000, 2000, 3000, 5000], ROUNDS_BASE, DEFAULT_PRICE_SHEET)
     costs = [r.training_cost for r in rows_rounds]
     assert all(b > a for a, b in zip(costs, costs[1:]))
 
-    rows_rpd = sweep("rounds_per_day", [25, 50, 100, 200, 400], rounds_sweep_base(), DEFAULT_PRICE_SHEET)
+    rows_rpd = sweep("rounds_per_day", [25, 50, 100, 200, 400], ROUNDS_BASE, DEFAULT_PRICE_SHEET)
     costs_rpd = [r.training_cost for r in rows_rpd]
     assert all(b <= a for a, b in zip(costs_rpd, costs_rpd[1:]))
     report("14 sweep-shapes", "training cost rises with rounds, falls with rounds/day")

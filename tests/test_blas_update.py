@@ -15,7 +15,7 @@ from test_golden import digest
 
 from fedsim import machine
 from fedsim.data import synth_dataset
-from fedsim.federation import train_centralized
+from fedsim.federation import CentralConfig, train_centralized
 from fedsim.nn import MlpSpec
 
 needs_daxpy = pytest.mark.skipif(machine._blas_daxpy() is None, reason="this BLAS has no daxpy")
@@ -95,7 +95,8 @@ def test_an_array_daxpy_cannot_span_keeps_numpys_subtraction():
 def centralized_run() -> str:
     """The digest of 2 epochs of centralized B=10 SGD on the 400-400-3 net of large_run."""
     ds = synth_dataset(3, 400, 120, seed=51)
-    history, weights = train_centralized(MlpSpec((400, 400, 3)), ds, None, lr=0.05, batch_size=10, epochs=2, seed=54)
+    config = CentralConfig(lr=0.05, batch_size=10, epochs=2)
+    history, weights = train_centralized(MlpSpec((400, 400, 3)), ds, None, config, seed=54)
     return digest(history, weights.values)
 
 

@@ -73,7 +73,9 @@ def layout_of(monkeypatch, layers, cpus, batch_rows, cohort, fraction=1.0):
     pin_workers(monkeypatch, cpus)
     clients = round(cohort / fraction)
     shards = [ClientShard(c, np.zeros(batch_rows), [batch_rows]) for c in range(clients)]
-    config = FedConfig(clients, fraction, 1, batch_rows, 0.1, 1, 1)
+    config = FedConfig(
+        num_clients=clients, client_fraction=fraction, local_epochs=1, batch_size=batch_rows, client_lr=0.1, rounds=1, seed=1
+    )
     assert config.cohort_size == cohort
     return layout(MlpSpec(layers), config, shards)
 
@@ -112,9 +114,13 @@ class TestPoolSize:
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 512, 40, seed=1)
         shards = partition(ds, PartitionPlan(IID, 4, 10, seed=1))
-        config = FedConfig(4, 1.0, 1, 1, 0.1, 1, 1)
+        config = FedConfig(
+            num_clients=4, client_fraction=1.0, local_epochs=1, batch_size=1, client_lr=0.1, rounds=1, seed=1
+        )
         assert layout(MlpSpec((512, 512)), config, shards) == Layout(2, 1, True)
-        full_shard = FedConfig(4, 1.0, 1, None, 0.1, 1, 1)  # 10 rows a step
+        full_shard = FedConfig(  # 10 rows a step
+            num_clients=4, client_fraction=1.0, local_epochs=1, batch_size=None, client_lr=0.1, rounds=1, seed=1
+        )
         assert layout(MlpSpec((512, 512)), full_shard, shards) == Layout(1, 1, False)
 
 
@@ -123,7 +129,9 @@ class TestPoolKeepsTheBits:
         # 40 clients at fraction 0.5: 20 a round, so each of 4 workers reuses its two slots
         ds = synth_dataset(3, 8, 400, seed=3)
         shards = partition(ds, PartitionPlan(IID, 40, 10, seed=3))
-        config = FedConfig(40, 0.5, 2, 4, 0.3, 4, 3)
+        config = FedConfig(
+            num_clients=40, client_fraction=0.5, local_epochs=2, batch_size=4, client_lr=0.3, rounds=4, seed=3
+        )
         runs = []
         for workers in (1, 4, 4):
             pin_workers(monkeypatch, workers)
@@ -157,7 +165,8 @@ class TestPoolFailures:
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
-        config, kept = FedConfig(CLIENTS, FRACTION, 1, 5, 0.2, 4, SEED), []
+        config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=4, seed=SEED)
+        kept = []
         with pytest.raises(ClientDivergedError) as err:
             train_federated(MlpSpec((6, 5, 3)), config, shards, ds, on_round=kept.append)
         assert (err.value.client_id, err.value.round_index) == (client, 1)
@@ -176,8 +185,9 @@ class TestPoolFailures:
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=2, seed=SEED)
         with pytest.raises(ShapeMismatchError) as err:
-            train_federated(MlpSpec((6, 5, 3)), FedConfig(CLIENTS, FRACTION, 1, 5, 0.2, 2, SEED), shards, ds)
+            train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
         assert str(err.value) == "x" * 300_000
         assert multiprocessing.active_children() == []
 
@@ -232,8 +242,9 @@ class TestPoolFailures:
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=2, seed=SEED)
         with pytest.raises(RuntimeError, match="exited with code 9"):
-            train_federated(MlpSpec((6, 5, 3)), FedConfig(CLIENTS, FRACTION, 1, 5, 0.2, 2, SEED), shards, ds)
+            train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
         assert multiprocessing.active_children() == []
 
     def test_a_worker_that_dies_mid_run_is_recorded_as_failed_and_raised(self, tmp_path, monkeypatch, capsys):

@@ -12,12 +12,15 @@ from fedsim.costs import (
     central_cost,
     fl_deployment_cost,
     fl_training_cost,
-    model_size_sweep_base,
-    rounds_sweep_base,
     sweep,
     sync_slope_from_costs,
-    table_training_costs,
 )
+from fedsim.config import from_config
+from fedsim.harness import COST_MODEL_SIZE_SWEEP, COST_ROUNDS_SWEEP, PRESETS
+
+# the campaigns of the cost_model_size_sweep and cost_rounds_sweep presets
+MODEL_SIZE_BASE = from_config(FlScenario, PRESETS[COST_MODEL_SIZE_SWEEP], "cost.")
+ROUNDS_BASE = from_config(FlScenario, PRESETS[COST_ROUNDS_SWEEP], "cost.")
 
 
 def fl(model_size=500_000, rounds=200, rounds_per_day=100, **kw):
@@ -166,33 +169,35 @@ class TestCentralCost:
 
 
 class TestSweeps:
+    def test_preset_bases_are_the_reference_campaigns(self):
+        assert MODEL_SIZE_BASE == FlScenario(model_size_bytes=500_000.0, rounds=200, rounds_per_day=100)
+        assert ROUNDS_BASE == FlScenario(model_size_bytes=500_000.0, rounds=3000, rounds_per_day=200)
+
     def test_rows_follow_base_scenario(self):
-        rows = sweep("model_size", [15_000, 500_000], model_size_sweep_base(), DEFAULT_PRICE_SHEET)
+        rows = sweep("model_size", [15_000, 500_000], MODEL_SIZE_BASE, DEFAULT_PRICE_SHEET)
         assert [r.value for r in rows] == [15_000, 500_000]
         assert rows[1].training_cost > rows[0].training_cost
         assert rows[1].deployment_cost > rows[0].deployment_cost
 
     def test_training_cost_strictly_increasing_in_rounds(self):
-        rows = sweep("rounds", [200, 500, 1000, 2000, 3000], rounds_sweep_base(), DEFAULT_PRICE_SHEET)
+        rows = sweep("rounds", [200, 500, 1000, 2000, 3000], ROUNDS_BASE, DEFAULT_PRICE_SHEET)
         costs = [r.training_cost for r in rows]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
     def test_training_cost_non_increasing_in_rounds_per_day(self):
-        rows = sweep("rounds_per_day", [25, 50, 100, 200, 400], rounds_sweep_base(), DEFAULT_PRICE_SHEET)
+        rows = sweep("rounds_per_day", [25, 50, 100, 200, 400], ROUNDS_BASE, DEFAULT_PRICE_SHEET)
         costs = [r.training_cost for r in rows]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
-            sweep("cohort", [1], model_size_sweep_base(), DEFAULT_PRICE_SHEET)
+            sweep("cohort", [1], MODEL_SIZE_BASE, DEFAULT_PRICE_SHEET)
 
-
-class TestTableTrainingCosts:
-    def test_matches_individual_evaluations(self):
+    def test_training_column_matches_individual_evaluations(self):
         sizes = [1_610_000, 24_030_000]
-        totals = table_training_costs(sizes, rounds_sweep_base(), DEFAULT_PRICE_SHEET)
+        totals = [row.training_cost for row in sweep("model_size", sizes, ROUNDS_BASE, DEFAULT_PRICE_SHEET)]
         for size, total in zip(sizes, totals):
-            direct = fl_training_cost(replace(rounds_sweep_base(), model_size_bytes=size), DEFAULT_PRICE_SHEET).total
+            direct = fl_training_cost(replace(ROUNDS_BASE, model_size_bytes=size), DEFAULT_PRICE_SHEET).total
             assert total == pytest.approx(direct, rel=1e-15)
 
 

@@ -21,11 +21,10 @@ from fedsim.data import (
     PartitionPlan,
     load_idx,
     partition,
-    shard_batch_indices,
     shard_batches,
     synth_dataset,
 )
-from fedsim.federation import train_centralized
+from fedsim.federation import CentralConfig, train_centralized
 from fedsim.nn import MlpSpec
 
 # Hand-built 2-image, 2x3-pixel IDX fixture with known byte values.
@@ -131,7 +130,7 @@ class TestSynthDataset:
         # a one-layer net on 200 full-batch steps clears 90% train accuracy
         ds = synth_dataset(3, 10, 300, seed=1)
         history, _ = train_centralized(
-            MlpSpec((10, 3)), ds, None, lr=0.5, batch_size=None, epochs=200, seed=0
+            MlpSpec((10, 3)), ds, None, CentralConfig(lr=0.5, batch_size=None, epochs=200), seed=0
         )
         assert history[-1].train_accuracy >= 0.90
 
@@ -323,8 +322,8 @@ class TestShardBatches:
         return ds, partition(ds, PartitionPlan(IID, num_clients=1, samples_per_client=n, seed=6))[0]
 
     def test_chunking_law(self):
-        _, shard = self._shard(10)
-        sizes = [len(b) for b in shard_batch_indices(shard, 3, epoch_seed=0)]
+        ds, shard = self._shard(10)
+        sizes = [b.size for b in shard_batches(ds, shard, 3, epoch_seed=0)]
         assert sizes == [3, 3, 3, 1]
 
     def test_full_batch_case(self):
@@ -334,9 +333,9 @@ class TestShardBatches:
         assert len(shard_batches(ds, shard, 99, epoch_seed=0)) == 1
 
     def test_batches_are_a_permutation_of_the_shard(self):
-        _, shard = self._shard(10)
-        emitted = np.concatenate(shard_batch_indices(shard, 4, epoch_seed=1))
-        assert sorted(emitted.tolist()) == sorted(shard.indices.tolist())
+        ds, shard = self._shard(10)
+        emitted = np.concatenate([b.inputs for b in shard_batches(ds, shard, 4, epoch_seed=1)])
+        assert sorted(map(tuple, emitted.tolist())) == sorted(map(tuple, ds.inputs[shard.indices].tolist()))  # rows are distinct
 
 
 class TestDatasetValidation:

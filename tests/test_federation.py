@@ -15,6 +15,7 @@ from fedsim.data import (
     synth_dataset,
 )
 from fedsim.federation import (
+    CentralConfig,
     ClientDivergedError,
     FedConfig,
     GlobalState,
@@ -178,7 +179,7 @@ class TestSharedSgdLoop:
     def test_train_centralized_matches_allocating_loop_bitwise(self, activation, batch_size):
         ds = synth_dataset(3, 6, 90, seed=22)
         spec = MlpSpec((6, 5, 3), activation)
-        history, final = train_centralized(spec, ds, None, lr=0.2, batch_size=batch_size, epochs=2, seed=22)
+        history, final = train_centralized(spec, ds, None, CentralConfig(lr=0.2, batch_size=batch_size, epochs=2), seed=22)
         w = init_params(spec, derive_seed(22, "init")).values.copy()
         for epoch in range(2):
             perm = np.random.default_rng(derive_seed(22, "epoch", epoch)).permutation(len(ds))
@@ -249,9 +250,9 @@ class TestSharedSgdLoop:
             return (np.nan if len(calls) > 6 else value), grad  # 90 rows in batches of 16: 6 steps an epoch
 
         monkeypatch.setattr(federation, "loss_and_grad_raw", nan_loss_in_epoch_1)
-        kept = []
+        kept, config = [], CentralConfig(lr=0.1, batch_size=16, epochs=3)
         with pytest.raises(ClientDivergedError) as err:
-            train_centralized(MlpSpec((6, 3)), ds, None, lr=0.1, batch_size=16, epochs=3, seed=26, on_round=kept.append)
+            train_centralized(MlpSpec((6, 3)), ds, None, config, seed=26, on_round=kept.append)
         assert err.value.round_index == 1
         assert [m.round_index for m in kept] == [0]
         assert len(calls) == 7  # the loop stops at the first non-finite loss
@@ -527,8 +528,8 @@ class TestTrainingLoops:
     def test_centralized_online_and_batch_modes(self):
         ds = synth_dataset(3, 6, 90, seed=7)
         spec = MlpSpec((6, 3))
-        batch_hist, _ = train_centralized(spec, ds, None, lr=0.5, batch_size=None, epochs=3, seed=18)
-        online_hist, _ = train_centralized(spec, ds, None, lr=0.05, batch_size=1, epochs=1, seed=18)
+        batch_hist, _ = train_centralized(spec, ds, None, CentralConfig(lr=0.5, batch_size=None, epochs=3), seed=18)
+        online_hist, _ = train_centralized(spec, ds, None, CentralConfig(lr=0.05, batch_size=1, epochs=1), seed=18)
         assert len(batch_hist) == 3 and len(online_hist) == 1
         assert batch_hist[-1].train_accuracy is not None
 
@@ -539,18 +540,19 @@ class TestTrainingLoops:
         covering = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=60, samples_per_client=1, seed=33))
         partial = partition(ds, PartitionPlan(SINGLE_SAMPLE, num_clients=60, samples_per_client=1, seed=33))[:59]
         partial.append(shard_of(ds, 59, [partial[0].indices[0]]))  # a repeated row, so one row is left out
-        subsets = []
-        original = Dataset.subset
-        monkeypatch.setattr(Dataset, "subset", lambda self, idx: subsets.append(idx) or original(self, idx))
+        copies = []
+        original = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: copies.append(len(self)) or original(self))
 
         history, state = train_federated(spec, config, covering, ds)
-        assert subsets == []
+        assert copies == []
         assert history[-1].train_accuracy == evaluate(state.weights, ds)
 
         history, state = train_federated(spec, config, partial, ds)
-        assert subsets == []  # partial shards are scored by gathering their rows a chunk at a time
+        assert copies == []  # partial shards are scored by gathering their rows a chunk at a time
         union = np.sort(np.concatenate([s.indices for s in partial]))
-        assert history[-1].train_accuracy == evaluate(state.weights, ds.subset(union))
+        scored = Dataset(ds.inputs[union], ds.labels[union], ds.num_classes)
+        assert history[-1].train_accuracy == evaluate(state.weights, scored)
 
     def test_round_metrics_wall_clock_positive(self):
         ds, shards, spec = make_setup()
@@ -603,7 +605,7 @@ class TestEvaluate:
             for chunk in (7, 16384):  # a short last chunk, and one chunk
                 assert evaluate(params, ds, chunk) == reference_evaluate(params, ds, chunk)
                 got = evaluate(params, ds, chunk, rows=rows)
-                assert got == reference_evaluate(params, ds.subset(rows), chunk)
+                assert got == reference_evaluate(params, Dataset(ds.inputs[rows], ds.labels[rows], ds.num_classes), chunk)
 
     def test_rows_out_of_range_are_refused(self):
         spec = MlpSpec((5, 3))

@@ -32,7 +32,7 @@ import pytest
 
 from fedsim import federation
 from fedsim.data import IID, SINGLE_LABEL, SINGLE_SAMPLE, PartitionPlan, partition, synth_dataset
-from fedsim.federation import SEND_DELTA, ClientDivergedError, FedConfig, train_centralized, train_federated
+from fedsim.federation import SEND_DELTA, CentralConfig, ClientDivergedError, FedConfig, train_centralized, train_federated
 from fedsim.harness import write_rounds_csv
 from fedsim.machine import THREAD_VARS, fingerprint
 from fedsim.nn import MlpSpec, ServerOptimizerState
@@ -83,7 +83,7 @@ def federated(on_round=None, **setup):
 def centralized(batch_size):
     ds = synth_dataset(3, 8, 90, seed=45)
     test = synth_dataset(3, 8, 30, seed=46)
-    return train_centralized(MlpSpec((8, 6, 3)), ds, test, lr=0.2, batch_size=batch_size, epochs=2, seed=47)
+    return train_centralized(MlpSpec((8, 6, 3)), ds, test, CentralConfig(lr=0.2, batch_size=batch_size, epochs=2), seed=47)
 
 
 FEDERATED = {

@@ -202,7 +202,10 @@ class TestLockstepRuns:
         ds = synth_dataset(3, 8, 200, seed=8)
         test = synth_dataset(3, 8, 60, seed=9)
         shards = shards_of_sizes(ds, [7, 10, 10, 13, 13, 10, 7, 10])
-        config = FedConfig(8, fraction, 2, 4, 0.3, 3, 8, eval_every=1)
+        config = FedConfig(
+            num_clients=8, client_fraction=fraction, local_epochs=2, batch_size=4, client_lr=0.3, rounds=3, seed=8,
+            eval_every=1,
+        )
         runs = {}
         for workers in (1, 2):
             for group in (None, 1):
@@ -222,7 +225,10 @@ class TestLockstepRuns:
         ds = synth_dataset(3, 784, 200, seed=10)
         test = synth_dataset(3, 784, 60, seed=11)
         shards = partition(ds, PartitionPlan(IID, 16, 10, seed=10))
-        config = FedConfig(16, 0.5, 2, 1, 0.05, 2, 10, eval_every=1)
+        config = FedConfig(
+            num_clients=16, client_fraction=0.5, local_epochs=2, batch_size=1, client_lr=0.05, rounds=2, seed=10,
+            eval_every=1,
+        )
         spec = MlpSpec((784, 64, 10))
         runs = []
         for group in (None, 1):
@@ -238,7 +244,9 @@ class TestLockstepRuns:
     def test_divergence_inside_a_group_names_the_first_failed_client(self, workers, group, monkeypatch):
         ds = synth_dataset(3, 8, 240, seed=7)
         shards = partition(ds, PartitionPlan(IID, 12, 10, seed=7))
-        config = FedConfig(12, 0.5, 2, 4, 0.3, 3, 7)
+        config = FedConfig(
+            num_clients=12, client_fraction=0.5, local_epochs=2, batch_size=4, client_lr=0.3, rounds=3, seed=7
+        )
         cohorts = [select_clients(12, 0.5, derive_seed(7, "round", t, "select")).tolist() for t in range(2)]
         # clients 2 and 4 first train in round 1, at positions 1 (a worker's, at 2 workers) and 2 (the parent's)
         assert 2 not in cohorts[0] and 4 not in cohorts[0]

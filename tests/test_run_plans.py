@@ -12,7 +12,7 @@ import pytest
 from fedsim import harness
 from fedsim.cli import main
 from fedsim.data import IID, SINGLE_LABEL, SINGLE_SAMPLE, PartitionPlan, partition, synth_dataset
-from fedsim.federation import FedConfig, train_centralized, train_federated
+from fedsim.federation import CentralConfig, FedConfig, train_centralized, train_federated
 from fedsim.nn import MlpSpec
 from fedsim.rng import derive_seed
 
@@ -45,7 +45,10 @@ def datasets():
 def fed_run(layers, kind, spc, partition_seed, run_seed):
     train, test = datasets()
     plan = PartitionPlan(kind, CLIENTS, spc, partition_seed)
-    config = FedConfig(CLIENTS, FRACTION, EPOCHS, BATCH, LR, ROUNDS, run_seed, eval_every=EVAL_EVERY)
+    config = FedConfig(
+        num_clients=CLIENTS, client_fraction=FRACTION, local_epochs=EPOCHS, batch_size=BATCH, client_lr=LR, rounds=ROUNDS,
+        seed=run_seed, eval_every=EVAL_EVERY,
+    )
     history, _ = train_federated(MlpSpec(layers), config, partition(train, plan), train, test)
     return plan, history
 
@@ -53,7 +56,8 @@ def fed_run(layers, kind, spc, partition_seed, run_seed):
 def central_run(layers):
     train, test = datasets()
     history, _ = train_centralized(
-        MlpSpec(layers), train, test, CENTRAL_LR, CENTRAL_BATCH, CENTRAL_EPOCHS, derive_seed(SEED, "central", label(layers))
+        MlpSpec(layers), train, test, CentralConfig(lr=CENTRAL_LR, batch_size=CENTRAL_BATCH, epochs=CENTRAL_EPOCHS),
+        derive_seed(SEED, "central", label(layers)),
     )
     return None, history
 
