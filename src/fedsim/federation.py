@@ -13,16 +13,17 @@ denominator is known before training), and is folded into a running sum
 (acc += term) in client-id order. A round therefore holds O(K x model) memory
 per process, not O(cohort x model), and gives bit for bit the mean that
 aggregate_weights and aggregate_deltas compute from a list of updates, since
-all three fold with the same step. A process trains its clients in lockstep
-groups of up to K clients of equal size (group_update): one stacked kernel
-call a step for the whole group, which gives each client the bits it gets
-alone. One function, layout, decides a run's K (held to a cache budget, or
-to a memory budget when every batch has one row), its N processes and its
-BLAS pin. When the local steps are too small for BLAS to thread,
-train_federated spreads each cohort over the parent and N - 1 forked
-workers (see fedsim.pool) and pins the BLAS to one thread. The parent folds
-in client-id order, so the bits depend neither on N nor on K, and those of
-such a run not on the BLAS thread count.
+all three fold with the same step. Every federated client trains as a row
+of a (K, P) stack: a process trains its clients in lockstep groups of up to
+K clients of equal size (group_update), one stacked kernel call a step for
+the whole group, a group of one being a (1, P) stack. One function, layout,
+decides a run's K (held to a cache budget, or to a memory budget when every
+batch has one row), its N processes and its BLAS pin. When the local steps
+are too small for BLAS to thread, train_federated spreads each cohort over
+the parent and N - 1 forked workers (see fedsim.pool) and pins the BLAS to
+one thread. The parent folds in client-id order, so the bits depend neither
+on N nor on K, and those of such a run not on the BLAS thread count. Only
+train_centralized trains a (P,) vector.
 
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
@@ -136,7 +137,7 @@ class CentralConfig:
     epochs: int = 5
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:  # written so that nan fails too
             raise FieldError("lr", "must be non-negative")
         if self.batch_size is not None and self.batch_size < 1:
             raise FieldError("batch_size", "must be >= 1 or None for full-batch descent")
@@ -189,21 +190,20 @@ def _sgd_epoch(
 ) -> list:
     """One epoch of plain mini-batch SGD on w, in place, over dataset rows in order.
 
-    This is the one local-SGD inner loop, shared by client_update,
-    group_update and train_centralized. w (P,) with order (n,) is one model;
-    a stack w (k, P) with order (k, n) is k models in lockstep, model i on
-    the rows order[i], with one kernel call a step for all of them. Each
-    batch is gathered into the workspace, and the step grad *= lr; w -= grad
-    rounds exactly like w -= lr * grad. w -= grad runs as the BLAS's daxpy
-    where machine.blas_subtract finds it pays, at addresses taken once per
-    call and per view. Returns the batch losses (arrays of k for a stack).
-    One model stops without stepping at the first non-finite loss, which is
-    then the last one returned. A stack takes every step: a model whose loss
-    goes non-finite gets a nan output bias that stays nan, and its rows never
-    touch the other models'.
+    This is the one local-SGD inner loop, shared by group_update and
+    train_centralized. A stack w (k, P) with order (k, n) is k models in
+    lockstep, model i on the rows order[i], with one kernel call a step for
+    all of them; train_centralized's w (P,) with order (n,) is one model.
+    Each batch is gathered into the workspace, and the step grad *= lr;
+    w -= grad rounds exactly like w -= lr * grad. w -= grad runs as the
+    BLAS's daxpy where machine.blas_subtract finds it pays, at addresses
+    taken once per call and per view. Returns the batch losses (arrays of k
+    for a stack). A stack takes every step: a model whose loss goes
+    non-finite gets a nan output bias that stays nan, and its rows never
+    touch the other models'. A vector stops without stepping at the first
+    non-finite loss, which is then the last one returned.
     """
     lead = w.shape[:-1]
-    ws.check_fits(spec, batch_size, *lead)
     check_dataset_fits(spec, dataset)
     subtract = blas_subtract(w)
     losses = []
@@ -234,35 +234,18 @@ def client_update(
     batch_size: int | None,
     client_lr: float,
     client_seed: int,
-    workspace: Workspace | None = None,
-    out: np.ndarray | None = None,
 ) -> ParamVector:
-    """Run the local training loop of one client and return its new weights.
+    """Run the local training loop of one client and return its new weights: a group_update of one.
 
     Per epoch the shard is reshuffled, split into batches, and stepped with
     plain gradient descent at client_lr. The incoming weights are untouched.
-    workspace holds the step buffers; one sized to this shard is made when it
-    is omitted. The client trains in out (a float64 vector of the weights'
-    length, overwritten with them first) when it is given, else in a fresh
-    copy; the returned values are that array.
+    Raises ClientDivergedError when its loss or weights go non-finite.
     """
-    spec = weights.spec
-    effective_b = _batch_rows(batch_size, shard.num_samples)
-    ws = workspace if workspace is not None else Workspace(spec, effective_b)
-    w = out if out is not None else np.empty_like(weights.values)
-    np.copyto(w, weights.values)
-    for epoch in range(local_epochs):
-        if shard.num_samples == 1:  # the only permutation of one index
-            order = shard.indices
-        else:
-            order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
-        losses = _sgd_epoch(w, spec, dataset, order, effective_b, client_lr, ws)
-        if not np.isfinite(losses[-1]):
-            raise ClientDivergedError(shard.client_id)
-    try:
-        return ParamVector(w, spec)  # its finiteness scan is the one check of the new weights
-    except ValueError as err:  # w has the weights' shape, so only non-finite entries land here
-        raise ClientDivergedError(shard.client_id) from err
+    out = np.empty((1, weights.values.size))
+    workspace = Workspace(weights.spec, _batch_rows(batch_size, shard.num_samples))
+    if group_update([shard], dataset, weights, local_epochs, batch_size, client_lr, [client_seed], workspace, out)[0]:
+        raise ClientDivergedError(shard.client_id)
+    return ParamVector(out[0], weights.spec)
 
 
 def group_update(
@@ -278,22 +261,13 @@ def group_update(
 ) -> np.ndarray:
     """Train k clients of equally many samples in lockstep, client i in row i of out (k, P); return who diverged.
 
-    Row i ends as the weights client_update gives shards[i] with
-    client_seeds[i], bit for bit: the same epoch permutations (a copy and
-    shuffle is what permutation runs), the same batches and, through
-    _sgd_epoch on the stack, the same kernel operations. workspace must fit
-    k clients' batches. A client whose loss or weights go non-finite does not
-    stop the others; it is flagged in the returned (k,) bool array instead.
-    A group of one is client_update, trained in out[0].
+    Every federated client trains here, a group of one as a (1, P) stack.
+    Per epoch client i's shard is reshuffled (seeded by client_seeds[i] and
+    the epoch), batched and stepped at client_lr through _sgd_epoch, so row
+    i gets the same bits in any group. workspace must fit k clients'
+    batches. A client whose loss or weights go non-finite does not stop the
+    others; it is flagged in the returned (k,) bool array.
     """
-    if len(shards) == 1:
-        try:
-            client_update(
-                shards[0], dataset, weights, local_epochs, batch_size, client_lr, client_seeds[0], workspace, out[0]
-            )
-        except ClientDivergedError:
-            return np.ones(1, dtype=bool)
-        return np.zeros(1, dtype=bool)
     n = shards[0].num_samples
     if any(s.num_samples != n for s in shards):
         raise ValueError("a lockstep group needs clients of equally many samples")
@@ -302,7 +276,7 @@ def group_update(
     for epoch in range(local_epochs):
         for row, shard, seed in zip(order, shards, client_seeds):
             row[:] = shard.indices
-            if n > 1:  # one index has one permutation, and client_update draws none for it
+            if n > 1:  # one index has one permutation: none is drawn for it
                 np.random.default_rng(derive_seed(seed, "epoch", epoch)).shuffle(row)
         _sgd_epoch(out, weights.spec, dataset, order, _batch_rows(batch_size, n), client_lr, workspace)
     return ~np.isfinite(out).all(axis=-1)
@@ -432,17 +406,15 @@ def _train_group(
     mean loss on its shard, or nan when its weights diverged. A client whose
     loss is non-finite has failed.
     """
-    k, n = len(shards), shards[0].num_samples
+    x, n = out[: len(shards)], shards[0].num_samples
     diverged = group_update(
-        shards, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, client_seeds,
-        workspace, out[:k],
+        shards, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, client_seeds, workspace, x
     )
-    # one client is one vector, as in client_update; a group is a stack (see nn.loss_raw)
-    x, idx = (out[0], shards[0].indices) if k == 1 else (out[:k], np.stack([s.indices for s in shards]))
+    idx = np.stack([s.indices for s in shards])
     views = workspace.fit(weights.spec, x.shape[:-1], n)
     np.take(dataset.inputs, idx, axis=0, out=views.inputs)
     np.take(dataset.labels, idx, out=views.labels)
-    losses = np.array(loss_raw(x, weights.spec, views.inputs, views.labels, workspace), ndmin=1)
+    losses = loss_raw(x, weights.spec, views.inputs, views.labels, workspace)
     losses[diverged] = np.nan
     if config.update_mode == SEND_DELTA:
         np.subtract(x, weights.values, out=x)

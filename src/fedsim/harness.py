@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -436,11 +436,6 @@ def _arch_label(layers) -> str:
     return "-".join(str(n) for n in layers)
 
 
-def _arch_keys(cfg: dict[str, Value]) -> list[str]:
-    """The keys of a preset's architectures, model.layers where it sets none."""
-    return sorted(k for k in cfg if k.startswith("preset.arch.")) or ["model.layers"]
-
-
 def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
     """The net of the layer sizes at key and model.activation; a range error or a misfit to dataset names its key."""
     with naming_keys(lambda field: "model.activation" if field == "activation" else key):
@@ -450,6 +445,16 @@ def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
     except ShapeMismatchError as err:
         raise ConfigError(str(err), key=key) from err
     return spec
+
+
+def _grid_specs(cfg: dict[str, Value], dataset: Dataset) -> Iterator[MlpSpec]:
+    """The nets of a grid's preset.arch.N keys (else model.layers) in key order; a repeated net names its key."""
+    key_of: dict[tuple[int, ...], str] = {}
+    for key in sorted(k for k in cfg if k.startswith("preset.arch.")) or ["model.layers"]:
+        spec = _mlp_spec(cfg, key, dataset)
+        if key_of.setdefault(spec.layer_sizes, key) != key:
+            raise ConfigError(f"repeats the layer sizes of {key_of[spec.layer_sizes]}", key=key)
+        yield spec
 
 
 def _partition(
@@ -552,9 +557,10 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         runs = [run(_mlp_spec(cfg, "model.layers", dataset), *_partition(cfg, dataset), "rounds.csv", seed)]
         return _train_plan(out_dir, runs, grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
+    if len(set(samples_values)) < len(samples_values):  # a repeated point, or net, would train a run into its CSV again
+        raise ConfigError(f"repeats a value in {samples_values}", key="preset.samples_per_client")
     runs = []
-    for key in _arch_keys(cfg):
-        model = _mlp_spec(cfg, key, dataset)
+    for model in _grid_specs(cfg, dataset):
         arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
             # partitioned here, so a grid point that cannot be met fails before any run trains
@@ -569,8 +575,7 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
     config = from_config(CentralConfig, cfg, "central.")  # after the data, so a missing data file is an I/O error first
     grid = cfg["experiment"] == CENTRAL_BASELINE
 
-    def run(key: str) -> Run:
-        model = _mlp_spec(cfg, key, dataset)
+    def run(model: MlpSpec) -> Run:
         arch = _arch_label(model.layer_sizes)
 
         def train(on_round) -> None:
@@ -578,7 +583,8 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
 
         return arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train
 
-    return _train_plan(out_dir, [run(key) for key in (_arch_keys(cfg) if grid else ["model.layers"])], grid)
+    models = _grid_specs(cfg, dataset) if grid else [_mlp_spec(cfg, "model.layers", dataset)]
+    return _train_plan(out_dir, [run(model) for model in models], grid)
 
 
 def run_cost(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:

@@ -1,9 +1,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsim.data import load_idx
+from fedsim.nn import loss_and_grad_raw
+from fedsim.rng import derive_seed
 
 DATA_DIR = Path(os.environ.get("FEDSIM_DATA_DIR", str(Path(__file__).resolve().parent.parent / "data")))
 
@@ -37,3 +40,24 @@ def mnist():
     assert len(train) == 60_000 and train.num_features == 784
     assert len(test) == 10_000
     return train, test
+
+
+def reference_sgd_epoch(w, spec, ds, order, batch_size, lr):
+    """The allocating loop: fresh batch arrays and gradient per step, then w -= lr * grad."""
+    losses = []
+    for start in range(0, order.size, batch_size):
+        idx = order[start : start + batch_size]
+        value, grad = loss_and_grad_raw(w, spec, ds.inputs[idx], ds.labels[idx])
+        w -= lr * grad
+        losses.append(value)
+    return losses
+
+
+def reference_client_update(shard, ds, weights, local_epochs, batch_size, lr, client_seed):
+    """One client's local training as a (P,) vector through the allocating loop; returns its new weights."""
+    w = weights.values.copy()
+    b = shard.num_samples if batch_size is None else batch_size
+    for epoch in range(local_epochs):
+        order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
+        reference_sgd_epoch(w, weights.spec, ds, order, b, lr)
+    return w

@@ -235,7 +235,7 @@ class TestCliTrainFed:
             "--set", "data.source=synth",
             "--set", "data.num_classes=3", "--set", "data.features=6",
             "--set", "data.train_samples=200", "--set", "data.test_samples=60",
-            "--set", "preset.arch.0=6,3", "--set", "preset.arch.1=6,8,3", "--set", "preset.arch.2=6,3",
+            "--set", "preset.arch.0=6,3", "--set", "preset.arch.1=6,8,3", "--set", "preset.arch.2=6,4,3",
             "--set", "preset.samples_per_client=1,5",
             "--set", "fed.num_clients=10", "--set", "fed.rounds=2",
             "--set", "fed.local_epochs=1", "--set", "fed.batch_size=5",
@@ -245,6 +245,26 @@ class TestCliTrainFed:
         assert rows[0] == ["arch", "samples_per_client", "final_train_acc", "final_test_acc"]
         assert len(rows) == 1 + 3 * 2
         assert (tmp_path / "rounds_6-3_spc1.csv").exists()
+
+    @pytest.mark.parametrize("command, experiment, override, key, message", [
+        ("train-fed", "samples_sweep", "preset.arch.2=6,3", "preset.arch.2", "repeats the layer sizes of preset.arch.0"),
+        ("train-fed", "samples_sweep", "preset.samples_per_client=5,1,5", "preset.samples_per_client", "repeats a value"),
+        ("train-central", "central_baseline", "preset.arch.1=6,3", "preset.arch.1", "repeats the layer sizes of preset.arch.0"),
+    ])
+    def test_a_repeated_grid_point_fails_before_any_run_trains(self, tmp_path, capsys, command, experiment, override, key, message):
+        code = main([
+            command, "--out", str(tmp_path),
+            "--set", f"experiment={experiment}", "--set", "seed=5", "--set", "data.source=synth",
+            "--set", "data.num_classes=3", "--set", "data.features=6",
+            "--set", "data.train_samples=200", "--set", "data.test_samples=60",
+            "--set", "preset.arch.0=6,3", "--set", "preset.arch.1=6,8,3", "--set", "preset.arch.2=6,4,3",
+            "--set", "preset.samples_per_client=1,5", "--set", "fed.num_clients=10", "--set", "fed.rounds=2",
+            "--set", "central.epochs=1", "--set", override,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
+        assert list(tmp_path.glob("*.csv")) == []
+        assert "run.status = failed" in (tmp_path / "manifest.txt").read_text().splitlines()
 
     def test_unpartitionable_grid_point_fails_before_any_run_trains(self, tmp_path, capsys):
         code = main([

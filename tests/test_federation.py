@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_client_update, reference_sgd_epoch
 
 from fedsim.config import FieldError
 from fedsim.data import (
@@ -100,9 +101,7 @@ class TestClientUpdate:
         ds, shards, spec = make_setup()
         w = init_params(spec, 4)
         before = w.values.copy()
-        client_update(shards[0], ds, w, local_epochs=2, batch_size=4, client_lr=0.5, client_seed=4)
-        assert np.array_equal(w.values, before)
-        out = client_update(shards[0], ds, w, 2, 4, 0.5, 4, workspace=Workspace(spec, 4))
+        out = client_update(shards[0], ds, w, local_epochs=2, batch_size=4, client_lr=0.5, client_seed=4)
         assert np.array_equal(w.values, before)
         assert not np.shares_memory(out.values, w.values)
 
@@ -116,45 +115,47 @@ class TestClientUpdate:
         assert err.value.client_id == shards[3].client_id
 
 
-    def test_out_is_trained_in_place_and_matches_a_fresh_copy(self):
+class TestGroupOfOne:
+    """group_update of one client, the call client_update makes, with the caller's workspace and out."""
+
+    def test_out_is_trained_in_place_and_matches_client_update(self):
         ds, shards, _ = make_setup(spc=20, seed=30)
         spec = MlpSpec((8, 6, 3))
         w = init_params(spec, 30)
         before = w.values.copy()
-        out = np.full_like(w.values, np.nan)
-        result = client_update(shards[1], ds, w, 2, 6, 0.3, 30, workspace=Workspace(spec, 6), out=out)
-        assert np.shares_memory(result.values, out)
+        out = np.full((1, spec.parameter_count()), np.nan)
+        failed = group_update([shards[1]], ds, w, 2, 6, 0.3, [30], Workspace(spec, 6), out)
+        assert failed.tolist() == [False]
         assert np.array_equal(w.values, before)
-        assert np.array_equal(result.values, client_update(shards[1], ds, w, 2, 6, 0.3, 30).values)
+        assert np.array_equal(out[0], client_update(shards[1], ds, w, 2, 6, 0.3, 30).values)
 
-    def test_divergence_raises_when_training_in_out(self):
+    def test_divergence_is_flagged_when_training_in_out(self):
         ds, shards, _ = make_setup(spc=10)
         spec = MlpSpec((8, 6, 3))
         w = init_params(spec, 5)
+        out = np.empty((1, spec.parameter_count()))
         with np.errstate(all="ignore"):
-            with pytest.raises(ClientDivergedError) as err:
-                client_update(shards[3], ds, w, 5, 2, 1e160, 5, out=np.empty_like(w.values))
-        assert err.value.client_id == shards[3].client_id
+            failed = group_update([shards[3]], ds, w, 5, 2, 1e160, [5], Workspace(spec, 2), out)
+        assert failed.tolist() == [True]
 
+    def test_workspace_must_fit_the_spec_and_batch(self):
+        ds, shards, spec = make_setup(spc=20, seed=27)
+        w = init_params(spec, 27)
+        out = np.empty((1, spec.parameter_count()))
+        with pytest.raises(ShapeMismatchError):
+            group_update([shards[0]], ds, w, 1, 6, 0.1, [27], Workspace(spec, 5), out)
+        with pytest.raises(ShapeMismatchError):
+            group_update([shards[0]], ds, w, 1, 6, 0.1, [27], Workspace(MlpSpec((8, 4, 3)), 6), out)
 
-def reference_sgd_epoch(w, spec, ds, order, batch_size, lr):
-    """The allocating loop: fresh batch arrays and gradient per step, then w -= lr * grad."""
-    losses = []
-    for start in range(0, order.size, batch_size):
-        idx = order[start : start + batch_size]
-        value, grad = loss_and_grad_raw(w, spec, ds.inputs[idx], ds.labels[idx])
-        w -= lr * grad
-        losses.append(value)
-    return losses
-
-
-def reference_client_update(shard, ds, weights, local_epochs, batch_size, lr, client_seed):
-    w = weights.values.copy()
-    b = shard.num_samples if batch_size is None else batch_size
-    for epoch in range(local_epochs):
-        order = np.random.default_rng(derive_seed(client_seed, "epoch", epoch)).permutation(shard.indices)
-        reference_sgd_epoch(w, weights.spec, ds, order, b, lr)
-    return w
+    def test_clients_back_to_back_on_one_workspace_match_each_alone(self):
+        ds = synth_dataset(3, 8, 200, seed=24)
+        spec = MlpSpec((8, 6, 3))
+        w = init_params(spec, 24)
+        big, small = shard_of(ds, 0, np.arange(0, 20)), shard_of(ds, 1, np.arange(50, 57))
+        workspace, out = Workspace(spec, 5), np.empty((1, spec.parameter_count()))
+        for s in (big, small, big):
+            group_update([s], ds, w, 2, 5, 0.3, [24 + s.client_id], workspace, out)
+            assert np.array_equal(out[0], client_update(s, ds, w, 2, 5, 0.3, 24 + s.client_id).values)
 
 
 def shard_of(ds, client_id, indices):
@@ -197,25 +198,6 @@ class TestSharedSgdLoop:
             out = client_update(shard, ds, w, local_epochs=3, batch_size=1, client_lr=0.3, client_seed=28 + row)
             expected = reference_client_update(shard, ds, w, 3, 1, 0.3, 28 + row)
             assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
-
-    def test_workspace_must_fit_the_spec_and_batch(self):
-        ds, shards, spec = make_setup(spc=20, seed=27)
-        w = init_params(spec, 27)
-        with pytest.raises(ShapeMismatchError):
-            client_update(shards[0], ds, w, 1, 6, 0.1, 27, workspace=Workspace(spec, 5))
-        with pytest.raises(ShapeMismatchError):
-            client_update(shards[0], ds, w, 1, 6, 0.1, 27, workspace=Workspace(MlpSpec((8, 4, 3)), 6))
-
-    def test_clients_back_to_back_on_one_workspace_match_each_alone(self):
-        ds = synth_dataset(3, 8, 200, seed=24)
-        spec = MlpSpec((8, 6, 3))
-        w = init_params(spec, 24)
-        big, small = shard_of(ds, 0, np.arange(0, 20)), shard_of(ds, 1, np.arange(50, 57))
-        workspace = Workspace(spec, 5)
-        shared = [client_update(s, ds, w, 2, 5, 0.3, 24 + s.client_id, workspace=workspace) for s in (big, small, big)]
-        alone = [client_update(s, ds, w, 2, 5, 0.3, 24 + s.client_id) for s in (big, small, big)]
-        for a, b in zip(shared, alone):
-            assert np.array_equal(a.values, b.values)
 
     def test_diverged_run_keeps_completed_rounds(self, monkeypatch):
         import fedsim.federation as federation
@@ -346,7 +328,10 @@ def reference_round(state, config, shards, ds):
     for c in selected:
         shard = shards[int(c)]
         seed = derive_seed(config.seed, "round", t, "client", int(c))
-        local = client_update(shard, ds, state.weights, config.local_epochs, config.batch_size, config.client_lr, seed)
+        local = ParamVector(
+            reference_client_update(shard, ds, state.weights, config.local_epochs, config.batch_size, config.client_lr, seed),
+            state.weights.spec,
+        )
         updates.append((local, shard.num_samples))
         losses.append(loss(local, Batch(ds.inputs[shard.indices], ds.labels[shard.indices])))
     total = float(sum(s.num_samples for s in shards)) if config.alg1_literal_normalization else None
@@ -425,6 +410,16 @@ class TestFedConfig:
     def test_an_out_of_range_value_raises_a_field_error_naming_its_field(self, field, value):
         with pytest.raises(FieldError) as err:
             fed_config(**{"num_clients": 6, field: value})
+        assert err.value.field == field
+
+
+class TestCentralConfig:
+    @pytest.mark.parametrize(
+        "field, value", [("lr", float("nan")), ("lr", -0.1), ("batch_size", 0), ("epochs", -1)]
+    )
+    def test_an_out_of_range_value_raises_a_field_error_naming_its_field(self, field, value):
+        with pytest.raises(FieldError) as err:
+            CentralConfig(**{field: value})
         assert err.value.field == field
 
 

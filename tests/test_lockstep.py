@@ -2,7 +2,9 @@
 
 A group's stacked kernel runs each client's slice with the same BLAS call and
 shape as that client alone, so every test here compares with np.array_equal
-(or as int64, to tell -0.0 from +0.0) against one client at a time.
+(or as int64, to tell -0.0 from +0.0) against one client at a time: a (P,)
+vector through the allocating loop (conftest.reference_client_update), or
+whole runs at K = 1, where every group is a stack of one.
 """
 
 import csv
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_client_update
 from test_cohort_pool import layout_of, pin_workers
 
 from fedsim import federation, pool
@@ -21,7 +24,6 @@ from fedsim.federation import (
     ClientDivergedError,
     FedConfig,
     Layout,
-    client_update,
     group_update,
     select_clients,
     train_federated,
@@ -132,7 +134,7 @@ class TestGroupUpdate:
         failed = group_update(shards, ds, w, 3, batch_size, 0.3, seeds, Workspace(spec, rows, 4), out)
         assert not failed.any()
         for row, shard, seed in zip(out, shards, seeds):
-            alone = client_update(shard, ds, w, 3, batch_size, 0.3, seed).values
+            alone = reference_client_update(shard, ds, w, 3, batch_size, 0.3, seed)
             assert np.array_equal(row.view(np.int64), alone.view(np.int64))
 
     def test_one_sample_clients(self):
@@ -143,7 +145,8 @@ class TestGroupUpdate:
         out = np.empty((5, spec.parameter_count()))
         group_update(shards, ds, w, 2, 1, 0.3, range(40, 45), Workspace(spec, 1, 5), out)
         for row, shard, seed in zip(out, shards, range(40, 45)):
-            assert np.array_equal(row.view(np.int64), client_update(shard, ds, w, 2, 1, 0.3, seed).values.view(np.int64))
+            alone = reference_client_update(shard, ds, w, 2, 1, 0.3, seed)
+            assert np.array_equal(row.view(np.int64), alone.view(np.int64))
 
     def test_a_diverged_client_is_flagged_and_leaves_the_others_alone(self):
         ds = synth_dataset(3, 8, 120, seed=5)
@@ -156,7 +159,7 @@ class TestGroupUpdate:
             failed = group_update(shards, marked, w, 2, 5, 0.3, [1, 2, 3, 4], Workspace(spec, 5, 4), out)
         assert failed.tolist() == [False, False, True, False]
         for row, shard, seed in zip(out[[0, 1, 3]], [shards[0], shards[1], shards[3]], [1, 2, 4]):
-            assert np.array_equal(row, client_update(shard, marked, w, 2, 5, 0.3, seed).values)
+            assert np.array_equal(row, reference_client_update(shard, marked, w, 2, 5, 0.3, seed))
 
     def test_a_group_needs_clients_of_equal_size(self):
         ds = synth_dataset(3, 8, 60, seed=6)
@@ -238,6 +241,31 @@ class TestLockstepRuns:
             runs.append((data_columns(history), state.weights.values))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1].view(np.int64), runs[1][1].view(np.int64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_group_of_one_is_a_stack_and_never_calls_client_update(self, workers, monkeypatch):
+        ds = synth_dataset(3, 8, 200, seed=12)
+        test = synth_dataset(3, 8, 60, seed=13)
+        shards = partition(ds, PartitionPlan(IID, 8, 10, seed=12))
+        config = FedConfig(
+            num_clients=8, client_fraction=0.5, local_epochs=2, batch_size=4, client_lr=0.3, rounds=3, seed=12,
+            eval_every=1,
+        )
+        spec = MlpSpec((8, 6, 3))
+        pin(monkeypatch, workers)
+        assert federation.layout(spec, config, shards).group > 1
+        derived_history, derived_state = train_federated(spec, config, shards, ds, test)
+
+        def no_vector_path(*args, **kwargs):
+            raise AssertionError("a federated run called client_update")
+
+        pin(monkeypatch, workers, group=1)
+        monkeypatch.setattr(federation, "client_update", no_vector_path)  # before the pool forks its workers
+        assert federation.layout(spec, config, shards).group == 1
+        history, state = train_federated(spec, config, shards, ds, test)
+        assert data_columns(history) == data_columns(derived_history)
+        assert np.array_equal(state.weights.values.view(np.int64), derived_state.weights.values.view(np.int64))
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("group", [None, 1])
