@@ -22,8 +22,8 @@ batch has one row), its N processes and its BLAS pin. When the local steps
 are too small for BLAS to thread, train_federated spreads each cohort over
 the parent and N - 1 forked workers (see fedsim.pool) and pins the BLAS to
 one thread. The parent folds in client-id order, so the bits depend neither
-on N nor on K, and those of such a run not on the BLAS thread count. Only
-train_centralized trains a (P,) vector.
+on N nor on K, and those of such a run not on the BLAS thread count.
+train_centralized's one model is a (1, P) stack of the same loop.
 
 Everything is deterministic given the run seed: client selection, batch
 order, and init all draw from seeds derived per (seed, round, client).
@@ -47,6 +47,7 @@ from .nn import loss  # noqa: F401  unused here; bench/child.py traces this name
 from .nn import (
     GradVector,
     MlpSpec,
+    NonFiniteError,
     ParamVector,
     ServerOptimizerState,
     ShapeMismatchError,
@@ -69,13 +70,14 @@ EVAL_EVERY_DEFAULT_THRESHOLD = 200  # above this many rounds, evaluate every 5th
 
 
 class ClientDivergedError(RuntimeError):
-    """Local training produced a non-finite loss or non-finite weights."""
+    """Training produced a non-finite loss or non-finite weights: a client's, or the server step's (client_id None)."""
 
-    def __init__(self, client_id: int, round_index: int | None = None):
+    def __init__(self, client_id: int | None, round_index: int | None = None):
         self.client_id = client_id
         self.round_index = round_index
+        who = "the server step" if client_id is None else f"client {client_id}"
         where = f" in round {round_index}" if round_index is not None else ""
-        super().__init__(f"client {client_id} diverged{where} (non-finite loss or weights)")
+        super().__init__(f"{who} diverged{where} (non-finite loss or weights)")
 
     def __reduce__(self):  # a cohort worker sends it to the parent pickled
         return type(self), (self.client_id, self.round_index)
@@ -187,37 +189,30 @@ def check_dataset_fits(spec: MlpSpec, dataset: Dataset) -> None:
 
 def _sgd_epoch(
     w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace
-) -> list:
-    """One epoch of plain mini-batch SGD on w, in place, over dataset rows in order.
+) -> np.ndarray:
+    """One epoch of plain mini-batch SGD on a stack w (k, P), in place, model i on the dataset rows order[i].
 
-    This is the one local-SGD inner loop, shared by group_update and
-    train_centralized. A stack w (k, P) with order (k, n) is k models in
-    lockstep, model i on the rows order[i], with one kernel call a step for
-    all of them; train_centralized's w (P,) with order (n,) is one model.
-    Each batch is gathered into the workspace, and the step grad *= lr;
-    w -= grad rounds exactly like w -= lr * grad. w -= grad runs as the
-    BLAS's daxpy where machine.blas_subtract finds it pays, at addresses
-    taken once per call and per view. Returns the batch losses (arrays of k
-    for a stack). A stack takes every step: a model whose loss goes
-    non-finite gets a nan output bias that stays nan, and its rows never
-    touch the other models'. A vector stops without stepping at the first
-    non-finite loss, which is then the last one returned.
+    The one SGD inner loop: group_update's k clients, or train_centralized's
+    one model, step in lockstep, one kernel call a step. Each batch is
+    gathered into the workspace, and the step grad *= lr; w -= grad rounds
+    exactly like w -= lr * grad, run as the BLAS's daxpy where
+    machine.blas_subtract finds it pays (addresses taken once per call and
+    per view). Returns the (steps, k) batch losses. Every step is taken: a
+    model whose loss goes non-finite gets a nan output bias that stays nan,
+    and its rows never touch the other models'.
     """
-    lead = w.shape[:-1]
     check_dataset_fits(spec, dataset)
     subtract = blas_subtract(w)
-    losses = []
-    for start in range(0, order.shape[-1], batch_size):
-        idx = order[..., start : start + batch_size]
-        views = ws.fit(spec, lead, idx.shape[-1])
+    starts = range(0, order.shape[-1], batch_size)
+    losses = np.empty((len(starts), len(w)))
+    for step, start in enumerate(starts):
+        idx = order[:, start : start + batch_size]
+        views = ws.fit(spec, len(w), idx.shape[-1])
         x, y = views.inputs, views.labels
         np.take(dataset.inputs, idx, axis=0, out=x)
         np.take(dataset.labels, idx, out=y)
         # called through this module's global, where the benchmark's tracer wraps it
-        batch_loss, grad = loss_and_grad_raw(w, spec, x, y, ws)
-        losses.append(batch_loss)
-        if not lead and not np.isfinite(batch_loss):
-            break
+        losses[step], grad = loss_and_grad_raw(w, spec, x, y, ws)
         grad *= lr
         if subtract is None:
             w -= grad
@@ -411,7 +406,7 @@ def _train_group(
         shards, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, client_seeds, workspace, x
     )
     idx = np.stack([s.indices for s in shards])
-    views = workspace.fit(weights.spec, x.shape[:-1], n)
+    views = workspace.fit(weights.spec, len(x), n)
     np.take(dataset.inputs, idx, axis=0, out=views.inputs)
     np.take(dataset.labels, idx, out=views.labels)
     losses = loss_raw(x, weights.spec, views.inputs, views.labels, workspace)
@@ -555,11 +550,14 @@ def run_round(
             raise ClientDivergedError(int(client_id), t)
         losses.append(client_loss)
 
-    if config.update_mode == SEND_DELTA:
-        np.negative(acc, out=acc)
-        new_weights, new_server_state = server_apply(state.server_opt_state, state.weights, GradVector(acc, spec))
-    else:
-        new_weights, new_server_state = ParamVector(acc, spec), state.server_opt_state
+    try:  # the vector checks that every round makes tell an overflowing server step
+        if config.update_mode == SEND_DELTA:
+            np.negative(acc, out=acc)
+            new_weights, new_server_state = server_apply(state.server_opt_state, state.weights, GradVector(acc, spec))
+        else:
+            new_weights, new_server_state = ParamVector(acc, spec), state.server_opt_state
+    except NonFiniteError as err:
+        raise ClientDivergedError(None, t) from err
 
     train_acc = test_acc = None
     if compute_accuracy:
@@ -647,11 +645,12 @@ def train_centralized(
 ) -> tuple[list[RoundMetrics], ParamVector]:
     """Plain mini-batch SGD baseline with config's rate, batch size and epochs.
 
-    Returns one RoundMetrics per epoch (round_index reused as epoch index),
-    and passes each to on_round, when given, as soon as the epoch completes.
+    The model trains as a (1, P) stack in _sgd_epoch. Returns one
+    RoundMetrics per epoch (round_index reused as epoch index), and passes
+    each to on_round, when given, as soon as the epoch completes; an epoch
+    with a non-finite loss or weight raises ClientDivergedError(-1, epoch).
     """
-    weights = init_params(model, derive_seed(seed, "init"))
-    w = weights.values.copy()
+    w = init_params(model, derive_seed(seed, "init")).values[None].copy()
     n = len(dataset)
     effective_b = _batch_rows(config.batch_size, n)
     ws = Workspace(model, effective_b)
@@ -659,10 +658,10 @@ def train_centralized(
     for epoch in range(config.epochs):
         started = time.perf_counter()
         perm = np.random.default_rng(derive_seed(seed, "epoch", epoch)).permutation(n)
-        epoch_losses = _sgd_epoch(w, model, dataset, perm, effective_b, config.lr, ws)
-        if not np.isfinite(epoch_losses[-1]):
+        epoch_losses = _sgd_epoch(w, model, dataset, perm[None], effective_b, config.lr, ws)
+        if not (np.isfinite(epoch_losses).all() and np.isfinite(w).all()):
             raise ClientDivergedError(client_id=-1, round_index=epoch)
-        params = ParamVector(w.copy(), model)
+        params = ParamVector(w[0].copy(), model)
         history.append(
             RoundMetrics(
                 round_index=epoch,
@@ -675,4 +674,4 @@ def train_centralized(
         )
         if on_round is not None:
             on_round(history[-1])
-    return history, ParamVector(w, model)
+    return history, ParamVector(w[0], model)

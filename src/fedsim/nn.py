@@ -11,10 +11,11 @@ loss_and_grad_raw: it writes every intermediate, and the gradient it returns,
 into a Workspace of buffers allocated once per (spec, batch rows, models),
 so a training loop can take each step, and update its weights in place,
 without allocating. It runs the same IEEE operations in the same order as
-the allocating formulation, so results are bit-identical. The raw functions
-take one model, a (P,) vector with (m, d) inputs, or a stack of k models, a
-(k, P) array with (k, m, d) inputs, which steps k independent models in
-lockstep with the bits each gets alone.
+the allocating formulation, so results are bit-identical. The raw step
+functions take a stack of k models, a (k, P) array with (k, m, d) inputs,
+and step the k independent models in lockstep with the bits each gets
+alone; one model is a stack of one. The public wrappers and forward_logits
+take a (P,) vector.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ PROB_FLOOR = 1e-12  # clamp for log() so confident wrong predictions stay finite
 
 class ShapeMismatchError(ValueError):
     """A vector or batch does not fit the architecture it claims to."""
+
+
+class NonFiniteError(ValueError):
+    """A vector has a nan or infinite entry."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ def _check_vector(values: Array, spec: MlpSpec) -> Array:
             f"(expected {spec.parameter_count()})"
         )
     if not np.isfinite(values).all():  # the method skips np.all's Python wrapper, a few us on every client
-        raise ValueError("vector contains non-finite entries")
+        raise NonFiniteError("vector contains non-finite entries")
     return values
 
 
@@ -190,22 +195,15 @@ def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Ar
     return h
 
 
-def _picks(lead: tuple[int, ...], m: int) -> tuple[Array, ...]:
-    """Index arrays that, with the labels appended, pick each row's label entry of (*lead, m, C) probabilities."""
-    rows = np.arange(m)
-    return (rows,) if not lead else (np.arange(lead[0])[:, None], rows)
-
-
 class _Views:
-    """A Workspace's buffers shaped for one call: (m, .) for one model, (k, m, .) for a stack of k."""
+    """A Workspace's buffers shaped for one call of a stack of k models on m rows each: (k, m, .)."""
 
-    def __init__(self, ws: Workspace, lead: tuple[int, ...], m: int):
+    def __init__(self, ws: Workspace, k: int, m: int):
         spec = ws.spec
         outs = spec.layer_sizes[1:]
-        rows = (lead[0] if lead else 1) * m
 
         def view(flat: Array, d: int) -> Array:
-            return flat[: rows * d].reshape(*lead, m, d)
+            return flat[: k * m * d].reshape(k, m, d)
 
         self.z = [view(flat, d) for flat, d in zip(ws._z, outs)]
         self.acts = [view(flat, d) for flat, d in zip(ws._acts, outs)]
@@ -213,31 +211,25 @@ class _Views:
         self.deltas = [view(flat, d) for flat, d in zip(ws._deltas, outs)]
         self.row_scratch = view(ws._row_scratch, 1)
         self.inputs = view(ws._inputs, spec.input_dim)
-        self.labels = ws._labels[:rows].reshape(*lead, m)
-        self.picks = _picks(lead, m)
-        if lead:
-            self.grad = ws._grad[: lead[0] * spec.parameter_count()].reshape(*lead, -1)
-            # the bias gradients are (k, d_out), the shape np.add.reduce gives over each model's rows
-            self.grad_layers = [(gw, gb[..., 0, :]) for gw, gb in unflatten(self.grad, spec)]
-        else:
-            self.grad = ws.grad
-            self.grad_layers = unflatten(self.grad, spec)
+        self.labels = ws._labels[: k * m].reshape(k, m)
+        # with the labels appended, these pick each row's label entry of the (k, m, C) probabilities
+        self.picks = (np.arange(k)[:, None], np.arange(m))
+        self.grad = ws._grad[: k * spec.parameter_count()].reshape(k, -1)
+        # the bias gradients are (k, d_out), the shape np.add.reduce gives over each model's rows
+        self.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(self.grad, spec)]
         self.grad_address = self.grad.ctypes.data  # taken once: .ctypes costs microseconds a call
-        self.outer = "...ki,...kj->...ij" if lead else "ki,kj->ij"
 
 
 class Workspace:
-    """Reusable buffers for loss_and_grad_raw and loss_raw on batches of up to `rows` rows.
+    """Reusable buffers for loss_and_grad_raw and loss_raw on a stack of up to `clients` models, `rows` rows each.
 
     Per layer: the pre-activations z, and for hidden layers the activations,
     the back-propagated deltas and (ReLU only) the active-unit masks. Also the
     flat gradient with its per-layer (W, b) views, and the inputs/labels
     buffers a training loop gathers each batch into. Each buffer is flat and
-    holds `clients` times `rows` rows, so one workspace serves one model on
-    up to `rows` rows or a stack of up to `clients` models on up to `rows`
-    rows each. A call of k models on m rows uses the leading k * m rows of
-    every buffer, viewed as a contiguous (k, m, .) array (one model: (m, .));
-    fit() makes those views once per shape.
+    holds `clients` times `rows` rows. A call of k models on m rows uses the
+    leading k * m rows of every buffer, viewed as a contiguous (k, m, .)
+    array; fit() makes those views once per shape.
     """
 
     def __init__(self, spec: MlpSpec, rows: int, clients: int = 1):
@@ -257,26 +249,18 @@ class Workspace:
         self._inputs = np.empty(size * spec.input_dim)
         self._labels = np.empty(size, dtype=np.int64)
         self._grad = np.empty(clients * spec.parameter_count())
-        self.grad = self._grad[: spec.parameter_count()]  # one model's gradient
-        self._views: dict[tuple[tuple[int, ...], int], _Views] = {}
+        self._views: dict[tuple[int, int], _Views] = {}
 
-    def check_fits(self, spec: MlpSpec, rows: int, clients: int = 1) -> None:
-        """Raise ShapeMismatchError unless batches of `rows` rows of spec, for `clients` models, fit here."""
-        if self.spec != spec or rows > self.rows or clients > self.clients:
-            raise ShapeMismatchError(
-                f"batches of {rows} rows for {clients} model(s) of spec {spec.layer_sizes} do not fit a "
-                f"workspace of {self.rows} rows for {self.clients} of spec {self.spec.layer_sizes}"
-            )
-
-    def fit(self, spec: MlpSpec, lead: tuple[int, ...], m: int) -> _Views:
-        """The buffers for m rows of one model (lead ()) or of each of a stack of k (lead (k,)).
-
-        Raises ShapeMismatchError unless they fit.
-        """
-        views = self._views.get((lead, m))
+    def fit(self, spec: MlpSpec, k: int, m: int) -> _Views:
+        """The buffers for m rows of each of a stack of k models of spec; raises ShapeMismatchError unless they fit."""
+        views = self._views.get((k, m))
         if views is None or (spec is not self.spec and spec != self.spec):
-            self.check_fits(spec, m, *lead)
-            views = self._views[lead, m] = _Views(self, lead, m)
+            if self.spec != spec or m > self.rows or k > self.clients:
+                raise ShapeMismatchError(
+                    f"batches of {m} rows for {k} model(s) of spec {spec.layer_sizes} do not fit a "
+                    f"workspace of {self.rows} rows for {self.clients} of spec {self.spec.layer_sizes}"
+                )
+            views = self._views[k, m] = _Views(self, k, m)
         return views
 
 
@@ -295,35 +279,32 @@ def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
     return logits
 
 
-def _loss_from_probs(probs: Array, labels: Array, picks: tuple[Array, ...]) -> float | Array:
-    """Mean cross-entropy of probabilities (m, C), a float, or of a stack (k, m, C), an array of k."""
+def _loss_from_probs(probs: Array, labels: Array, picks: tuple[Array, ...]) -> Array:
+    """The k mean cross-entropies of a stack of probabilities (k, m, C)."""
     n = probs.shape[-2]
     picked = probs[(*picks, labels)]
     np.maximum(picked, PROB_FLOOR, out=picked)
     np.log(picked, out=picked)
     # the sum and division .mean() runs, negated after rather than before: the
-    # same bits, without mean()'s Python wrappers; a stack sums each row alone
-    losses = -(np.add.reduce(picked, axis=-1) / n)
-    return float(losses) if picked.ndim == 1 else losses
+    # same bits, without mean()'s Python wrappers; each model's rows are summed alone
+    return -(np.add.reduce(picked, axis=-1) / n)
 
 
 def loss_and_grad_raw(
     values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
-) -> tuple[float | Array, Array]:
+) -> tuple[Array, Array]:
     """Mean cross-entropy and its exact gradient, both on raw arrays.
 
-    values (P,) with inputs (m, d) and labels (m,) is one model's step: the
-    loss is a float and the gradient (P,). A stack (k, P) with inputs
-    (k, m, d) and labels (k, m) is k models' steps in lockstep: k losses and
-    a (k, P) gradient. Each model's slice runs the same operations, with the
-    same BLAS calls on the same shapes, as its own call, so the same bits.
-    Every intermediate is written into workspace (a temporary one sized to
-    the batch when omitted). The returned gradient lives in the workspace,
-    so the next call on it overwrites it.
+    A stack (k, P) with inputs (k, m, d) and labels (k, m) is k models'
+    steps in lockstep: k losses and a (k, P) gradient; one model is a stack
+    of one. Each model's slice runs the same operations, with the same BLAS
+    calls on the same shapes, as its own call, so the same bits. Every
+    intermediate is written into workspace (a temporary one sized to the
+    batch when omitted). The returned gradient lives in the workspace, so
+    the next call on it overwrites it.
     """
-    lead, m = values.shape[:-1], inputs.shape[-2]
-    ws = workspace if workspace is not None else Workspace(spec, m, *lead)
-    v = ws.fit(spec, lead, m)
+    (k, _), m = values.shape, inputs.shape[-2]
+    v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
     relu = spec.activation == "relu"
     layers = unflatten(values, spec)
     last = len(layers) - 1
@@ -352,7 +333,7 @@ def loss_and_grad_raw(
             # a one-row product is one rounded multiply added onto +0, as in the
             # dgemm, but einsum skips BLAS's fixed cost; wider batches keep BLAS,
             # whose summation order the results depend on
-            np.einsum(v.outer, a, delta, out=gw)
+            np.einsum("...ki,...kj->...ij", a, delta, out=gw)
         else:
             np.matmul(a.swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
@@ -370,35 +351,30 @@ def loss_and_grad_raw(
 
 def loss_raw(
     values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
-) -> float | Array:
-    """Mean softmax cross-entropy on raw arrays, unchecked; loss() validates and wraps it.
+) -> Array:
+    """The k mean softmax cross-entropies of a stack, on raw arrays, unchecked; loss() validates and wraps it.
 
-    Shapes as in loss_and_grad_raw: one model gives a float, a stack of k an
-    array of k. With a workspace (which must fit the batch) the forward pass
-    runs in its z buffers and allocates no layer; the value is the same
-    either way.
+    Shapes as in loss_and_grad_raw. The forward pass runs in the z buffers
+    of workspace (a temporary one sized to the batch when omitted), which
+    must fit the batch.
     """
-    lead, m = values.shape[:-1], inputs.shape[-2]
-    if workspace is None:
-        buffers, row_scratch, picks = None, np.empty((*inputs.shape[:-1], 1)), _picks(lead, m)
-    else:
-        v = workspace.fit(spec, lead, m)
-        buffers, row_scratch, picks = v.z, v.row_scratch, v.picks
-    logits = forward_logits(values, spec, inputs, buffers)
-    return _loss_from_probs(_softmax_inplace(logits, row_scratch), labels, picks)
+    (k, _), m = values.shape, inputs.shape[-2]
+    v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
+    logits = forward_logits(values, spec, inputs, v.z)
+    return _loss_from_probs(_softmax_inplace(logits, v.row_scratch), labels, v.picks)
 
 
 def loss(params: ParamVector, batch: Batch) -> float:
     """Mean softmax cross-entropy of the batch under the given parameters."""
     _check_batch(params.spec, batch)
-    return loss_raw(params.values, params.spec, batch.inputs, batch.labels)
+    return float(loss_raw(params.values[None], params.spec, batch.inputs[None], batch.labels[None])[0])
 
 
 def loss_grad(params: ParamVector, batch: Batch) -> tuple[float, GradVector]:
     """Loss plus its gradient w.r.t. every parameter, via backpropagation."""
     _check_batch(params.spec, batch)
-    value, grad = loss_and_grad_raw(params.values, params.spec, batch.inputs, batch.labels)
-    return value, GradVector(grad, params.spec)
+    value, grad = loss_and_grad_raw(params.values[None], params.spec, batch.inputs[None], batch.labels[None])
+    return float(value[0]), GradVector(grad[0], params.spec)
 
 
 def sgd_step(params: ParamVector, grad: GradVector, lr: float) -> ParamVector:

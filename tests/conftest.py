@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedsim.data import load_idx
-from fedsim.nn import loss_and_grad_raw
+from fedsim.nn import unflatten
 from fedsim.rng import derive_seed
 
 DATA_DIR = Path(os.environ.get("FEDSIM_DATA_DIR", str(Path(__file__).resolve().parent.parent / "data")))
@@ -42,12 +42,47 @@ def mnist():
     return train, test
 
 
+def reference_loss_and_grad(values, spec, inputs, labels):
+    """The allocating formulation of loss_and_grad_raw: every intermediate is a fresh array."""
+    layers = unflatten(values, spec)
+    acts = [inputs]
+    pre = []
+    h = inputs
+    for i, (w, b) in enumerate(layers):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < len(layers) - 1 and spec.activation == "relu" else z
+        acts.append(h)
+    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = inputs.shape[0]
+    value = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-12)).mean())
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad = np.empty_like(values)
+    grad_layers = unflatten(grad, spec)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        gw[:] = acts[i].T @ delta
+        gb[:] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ layers[i][0].T
+            if spec.activation == "relu":
+                delta = delta * (pre[i - 1] > 0)
+    return value, grad
+
+
 def reference_sgd_epoch(w, spec, ds, order, batch_size, lr):
-    """The allocating loop: fresh batch arrays and gradient per step, then w -= lr * grad."""
+    """The allocating loop on a (P,) vector: fresh batch arrays and gradient per step, then w -= lr * grad.
+
+    It shares no code with fedsim's kernel, so the bit tests that compare against it check the kernel too.
+    """
     losses = []
     for start in range(0, order.size, batch_size):
         idx = order[start : start + batch_size]
-        value, grad = loss_and_grad_raw(w, spec, ds.inputs[idx], ds.labels[idx])
+        value, grad = reference_loss_and_grad(w, spec, ds.inputs[idx], ds.labels[idx])
         w -= lr * grad
         losses.append(value)
     return losses

@@ -200,6 +200,52 @@ class TestCliTrainFed:
         assert "run.status = failed" in lines
         assert "run.failed_round = 2" in lines
 
+    def test_an_overflowing_server_step_is_a_divergence(self, tmp_path, capsys):
+        # rmsprop's first step is about 3.16 * lr per weight: at lr 1e308 round 0's server step overflows
+        code = main([
+            "train-fed", "--out", str(tmp_path), "--config", str(REPO / "configs" / "synth_quick.cfg"),
+            "--set", "fed.rounds=3", "--set", "fed.update_mode=send_delta",
+            "--set", "server.kind=rmsprop", "--set", "server.lr=1e308",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged: the server step diverged in round 0" in err.splitlines()[-1]
+        assert "config error" not in err
+        assert "run.failed_round = 0" in (tmp_path / "manifest.txt").read_text().splitlines()
+        assert read_csv(tmp_path / "rounds.csv")[1:] == []
+
+    def test_a_server_step_overflow_keeps_the_rounds_before_it(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import fedsim.federation as federation
+
+        original = federation.server_apply
+
+        def overflows_from_round_1(state, params, pseudo_grad):  # the real step, its rate raised from round 1
+            return original(dataclasses.replace(state, lr=1e308) if state.step >= 1 else state, params, pseudo_grad)
+
+        monkeypatch.setattr(federation, "server_apply", overflows_from_round_1)
+        code = main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + [
+            "--set", "fed.update_mode=send_delta", "--set", "server.kind=rmsprop", "--set", "server.lr=0.01",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged: the server step diverged in round 1" in err.splitlines()[-1]
+        assert "config error" not in err
+        assert "run.failed_round = 1" in (tmp_path / "manifest.txt").read_text().splitlines()
+        assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0"]
+
+    def test_a_server_step_shape_mismatch_is_still_a_config_error(self, tmp_path, monkeypatch, capsys):
+        import fedsim.federation as federation
+
+        def mismatched(state, params, pseudo_grad):
+            raise federation.ShapeMismatchError("params and pseudo-gradient disagree on architecture")
+
+        monkeypatch.setattr(federation, "server_apply", mismatched)
+        code = main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", "fed.update_mode=send_delta"])
+        assert code == 2
+        assert "config error: params and pseudo-gradient disagree" in capsys.readouterr().err
+
     def test_interrupted_run_says_so_and_exits_130(self, tmp_path, monkeypatch, capsys):
         import fedsim.federation as federation
 
@@ -328,6 +374,21 @@ class TestCliTrainCentral:
         assert code == 3
         assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0"]
         assert "run.failed_round = 1" in (tmp_path / "manifest.txt").read_text().splitlines()
+
+    def test_weights_that_overflow_at_an_epochs_last_step_are_a_divergence(self, tmp_path, capsys):
+        # full-batch steps at lr 1e24: the losses of epoch 3 are finite, its last step's weights are not
+        code = main([
+            "train-central", "--out", str(tmp_path),
+            "--set", "seed=3", "--set", "data.source=synth", "--set", "data.num_classes=3", "--set", "data.features=6",
+            "--set", "data.train_samples=60", "--set", "data.test_samples=0", "--set", "model.layers=6,16,16,3",
+            "--set", "central.batch_size=full", "--set", "central.lr=1e24", "--set", "central.epochs=4",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged: client -1 diverged in round 3" in err.splitlines()[-1]
+        assert "config error" not in err
+        assert "run.failed_round = 3" in (tmp_path / "manifest.txt").read_text().splitlines()
+        assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0", "1", "2"]
 
 
 class TestCliCost:

@@ -237,7 +237,21 @@ class TestSharedSgdLoop:
             train_centralized(MlpSpec((6, 3)), ds, None, config, seed=26, on_round=kept.append)
         assert err.value.round_index == 1
         assert [m.round_index for m in kept] == [0]
-        assert len(calls) == 7  # the loop stops at the first non-finite loss
+        assert len(calls) == 12  # the epoch of the first non-finite loss ends, and no later epoch starts
+
+    def test_train_centralized_steps_a_stack_of_one(self, monkeypatch):
+        import fedsim.federation as federation
+
+        ranks = []
+
+        def records_rank(values, *args):
+            ranks.append(values.ndim)
+            return loss_and_grad_raw(values, *args)
+
+        monkeypatch.setattr(federation, "loss_and_grad_raw", records_rank)
+        ds = synth_dataset(3, 6, 40, seed=29)
+        train_centralized(MlpSpec((6, 5, 3)), ds, None, CentralConfig(lr=0.1, batch_size=16, epochs=2), seed=29)
+        assert ranks == [2] * 6  # 40 rows in batches of 16: 3 steps an epoch
 
 
 class TestAggregation:

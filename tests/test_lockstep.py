@@ -190,7 +190,7 @@ class poisoned_kernel:
 
         def poisoned(values, spec, inputs, labels, workspace=None):
             loss, grad = original(values, spec, inputs, labels, workspace)
-            grad[inputs[..., 0, -1] == 1.0] = np.inf  # one model: a 0-d mask; a stack: one flag a model
+            grad[inputs[:, 0, -1] == 1.0] = np.inf  # one flag a model of the stack
             return loss, grad
 
         federation.loss_and_grad_raw = poisoned

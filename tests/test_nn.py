@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import reference_loss_and_grad
 
 from fedsim.nn import (
     Batch,
@@ -40,38 +41,6 @@ def finite_difference_grad(params, batch, h=1e-5):
         down = loss(ParamVector(bumped, params.spec), batch)
         grad[i] = (up - down) / (2 * h)
     return grad
-
-
-def reference_loss_and_grad(values, spec, inputs, labels):
-    """The allocating formulation of loss_and_grad_raw: every intermediate is a fresh array."""
-    layers = unflatten(values, spec)
-    acts = [inputs]
-    pre = []
-    h = inputs
-    for i, (w, b) in enumerate(layers):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < len(layers) - 1 and spec.activation == "relu" else z
-        acts.append(h)
-    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    n = inputs.shape[0]
-    value = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-12)).mean())
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    grad = np.empty_like(values)
-    grad_layers = unflatten(grad, spec)
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grad_layers[i]
-        gw[:] = acts[i].T @ delta
-        gb[:] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ layers[i][0].T
-            if spec.activation == "relu":
-                delta = delta * (pre[i - 1] > 0)
-    return value, grad
 
 
 def naive_per_sample_loss(params, batch):
@@ -200,18 +169,18 @@ class TestLossGrad:
 class TestWorkspaceKernel:
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     def test_reused_workspace_matches_allocating_reference_bitwise(self, activation):
-        # full, short, single-row and full again: short batches leave stale rows behind
+        # stacks of one: full, short, single-row and full again: short batches leave stale rows behind
         spec = MlpSpec((9, 7, 6, 4), activation)
         rng = np.random.default_rng(30)
         workspace = Workspace(spec, 12)
         for seed, rows in enumerate([12, 5, 1, 12, 3]):
             params = init_params(spec, 40 + seed)
             batch = random_batch(rng, rows, spec)
-            value, grad = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, workspace)
+            values, grads = loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None], workspace)
             ref_value, ref_grad = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)
-            assert value == ref_value
-            assert np.array_equal(grad, ref_grad)
-            assert grad is workspace.grad
+            assert values[0] == ref_value
+            assert np.array_equal(grads[0], ref_grad)
+            assert grads is workspace.fit(spec, 1, rows).grad
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("hidden", [(7,), (7, 6, 5)])
@@ -228,10 +197,10 @@ class TestWorkspaceKernel:
             batch = random_batch(rng, 1, spec)
             batch.inputs[0, ::3] = 0.0
             batch.inputs[0, 1::4] *= -0.0
-            value, grad = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, workspace)
+            values, grads = loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None], workspace)
             ref_value, ref_grad = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)
-            assert value == ref_value
-            assert np.array_equal(grad.view(np.int64), ref_grad.view(np.int64))
+            assert values[0] == ref_value
+            assert np.array_equal(grads[0].view(np.int64), ref_grad.view(np.int64))
             zeros += int(np.count_nonzero(ref_grad == 0.0))
         assert zeros > 0
 
@@ -243,7 +212,7 @@ class TestWorkspaceKernel:
         expected = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)[0]
         assert loss(params, batch) == expected
         workspace = Workspace(spec, 12)
-        assert loss_raw(params.values, spec, batch.inputs, batch.labels, workspace) == expected
+        assert loss_raw(params.values[None], spec, batch.inputs[None], batch.labels[None], workspace)[0] == expected
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     def test_forward_into_buffers_matches_allocating_forward_bitwise(self, activation):
@@ -277,7 +246,7 @@ class TestWorkspaceKernel:
             labels = rng.integers(0, 4, size=(k, rows))
             values, grads = loss_and_grad_raw(stack, spec, inputs, labels, workspace)
             assert grads.shape == (k, spec.parameter_count()) and values.shape == (k,)
-            assert np.shares_memory(grads, workspace.grad)
+            assert grads is workspace.fit(spec, k, rows).grad
             for i in range(k):
                 ref_value, ref_grad = reference_loss_and_grad(stack[i], spec, inputs[i], labels[i])
                 assert values[i] == ref_value
@@ -299,14 +268,14 @@ class TestWorkspaceKernel:
         params = init_params(spec, 36)
         batch = random_batch(np.random.default_rng(36), 6, spec)
         with pytest.raises(ShapeMismatchError):
-            loss_raw(params.values, spec, batch.inputs, batch.labels, Workspace(spec, 5))
+            loss_raw(params.values[None], spec, batch.inputs[None], batch.labels[None], Workspace(spec, 5))
 
     def test_without_workspace_each_call_gets_its_own_gradient(self):
         spec = MlpSpec((5, 4, 3))
         params = init_params(spec, 32)
         batch = random_batch(np.random.default_rng(32), 6, spec)
-        _, g1 = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels)
-        _, g2 = loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels)
+        _, g1 = loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None])
+        _, g2 = loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None])
         assert g1 is not g2
         assert np.array_equal(g1, g2)
 
@@ -315,9 +284,11 @@ class TestWorkspaceKernel:
         params = init_params(spec, 33)
         batch = random_batch(np.random.default_rng(33), 6, spec)
         with pytest.raises(ShapeMismatchError):
-            loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, Workspace(spec, 5))
+            loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None], Workspace(spec, 5))
         with pytest.raises(ShapeMismatchError):
-            loss_and_grad_raw(params.values, spec, batch.inputs, batch.labels, Workspace(MlpSpec((5, 3)), 6))
+            loss_and_grad_raw(
+                params.values[None], spec, batch.inputs[None], batch.labels[None], Workspace(MlpSpec((5, 3)), 6)
+            )
 
 
 class TestSgdStep:
