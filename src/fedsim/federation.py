@@ -35,7 +35,7 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -386,26 +386,30 @@ def _groups(shards: Sequence[ClientShard], share: Sequence[int], cap: int) -> li
 
 def _train_group(
     out: np.ndarray,
+    clients: Sequence[int],
+    round_index: int,
     shards: Sequence[ClientShard],
     dataset: Dataset,
     weights: ParamVector,
     config: FedConfig,
-    client_seeds: Sequence[int],
     denom: float,
     workspace: Workspace,
 ) -> np.ndarray:
-    """Train a group of a round in out[:k], leave there the clients' terms of the weighted sum; return their losses.
+    """Train a round's group of clients (ids) in out[:k], leave there their terms of the weighted sum; return losses.
 
-    A client's term is (n / denom) * x, where x is its new weights, or their
-    delta from weights in send_delta mode, and its loss is the new weights'
-    mean loss on its shard, or nan when its weights diverged. A client whose
-    loss is non-finite has failed.
+    Each client trains from its seed, derived per (run seed, round, client).
+    Its term is (n / denom) * x, where x is its new weights, or their delta
+    from weights in send_delta mode, and its loss is the new weights' mean
+    loss on its shard, or nan when its weights diverged. A client whose loss
+    is non-finite has failed.
     """
-    x, n = out[: len(shards)], shards[0].num_samples
+    members = [shards[c] for c in clients]
+    seeds = [_client_seed(config.seed, round_index, c) for c in clients]
+    x, n = out[: len(members)], members[0].num_samples
     diverged = group_update(
-        shards, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, client_seeds, workspace, x
+        members, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, seeds, workspace, x
     )
-    idx = np.stack([s.indices for s in shards])
+    idx = np.stack([s.indices for s in members])
     views = workspace.fit(weights.spec, len(x), n)
     np.take(dataset.inputs, idx, axis=0, out=views.inputs)
     np.take(dataset.labels, idx, out=views.labels)
@@ -474,17 +478,20 @@ def _train_share(
     round_index: int,
     denom: float,
     workspace: Workspace,
-):
-    """Train a process's share of a round group by group in out (K, P), yielding each client's (term, loss).
+    acc: np.ndarray,
+) -> Iterator[float]:
+    """A process's share of a round as a stream: per client in share order, fold its term into acc, yield its loss.
 
-    The clients come in the share's order, and each group trains when the
-    first of its clients is asked for, so out is free by then.
+    The share trains group by group in out (K, P). Each group trains when
+    the first of its clients is asked for, so out is free by then. A failed
+    client (non-finite loss) adds nothing.
     """
     for group in _groups(shards, [int(c) for c in share], out.shape[0]):
-        seeds = [_client_seed(config.seed, round_index, c) for c in group]
-        losses = _train_group(out, [shards[c] for c in group], dataset, weights, config, seeds, denom, workspace)
-        for row, client_loss in enumerate(losses.tolist()):
-            yield out[row], client_loss
+        losses = _train_group(out, group, round_index, shards, dataset, weights, config, denom, workspace)
+        for term, client_loss in zip(out, losses.tolist()):
+            if math.isfinite(client_loss):
+                acc += term
+            yield client_loss
 
 
 def run_round(
@@ -502,14 +509,15 @@ def run_round(
 
     Client updates all start from the same global weights and are aggregated
     in client-id order, so any evaluation order gives identical results.
-    This process trains its clients, and measures their losses, in
-    workspace, which must fit the largest shard. It trains them in lockstep
-    groups (see _groups) of up to workspace.clients clients, the group size
-    K; when workspace is omitted, one is made for the K of layout. With a
-    pool, its workers train the other clients. A group's terms go into one
-    (K, P) buffer (or a worker's slot) and are folded into the weighted sum,
-    one client at a time in cohort order, before the next group trains, so
-    the round holds O(K x model) state, not O(cohort x model). A client that
+    Each of the N processes (this one, then a pool's workers) trains a share
+    of the cohort, position k going to process k % N, as a stream that folds
+    each client's term into the weighted sum and yields its loss; the round
+    takes client k from stream k % N. This process trains in workspace,
+    which must fit the largest shard, in lockstep groups (see _groups) of up
+    to workspace.clients clients, the group size K; when workspace is
+    omitted, one is made for the K of layout. A group's terms go into one
+    (K, P) buffer (or a worker's slot), reused once they are folded, so the
+    round holds O(K x model) state, not O(cohort x model). A client that
     failed (non-finite weights or loss) raises ClientDivergedError when the
     fold reaches it, as if it had trained alone. Train accuracy is measured
     on the dataset rows train_rows (default: all).
@@ -528,22 +536,16 @@ def run_round(
     weighted = shards if config.alg1_literal_normalization else [shards[int(c)] for c in selected]
     denom = float(sum(s.num_samples for s in weighted))
     workers = 1 if pool is None else pool.workers
-    if pool is not None:
-        pool.start_round(t, w_t, selected, denom)
+    shares = [selected[j::workers] for j in range(workers)]  # cohort position k is in process k % workers's share
     acc = np.zeros_like(w_t)
-    own = _train_share(
-        np.empty((workspace.clients, w_t.size)), selected[::workers], shards, dataset, state.weights, config, t,
-        denom, workspace,
-    )
+    own = np.empty((workspace.clients, w_t.size))
+    streams = [_train_share(own, shares[0], shards, dataset, state.weights, config, t, denom, workspace, acc)]
+    if pool is not None:
+        streams += pool.start_round(t, w_t, shares[1:], denom, acc)
     losses = []
     for k, client_id in enumerate(selected):
         try:
-            if k % workers:
-                client_loss = pool.fold(acc, k)
-            else:
-                term, client_loss = next(own)
-                if math.isfinite(client_loss):
-                    acc += term
+            client_loss = next(streams[k % workers])
         except ClientDivergedError as err:  # raised rather than flagged: a worker's, or a patched trainer's
             raise ClientDivergedError(err.client_id, t) from err
         if not math.isfinite(client_loss):

@@ -39,6 +39,7 @@ from .config import (
 )
 from .costs import (
     DEFAULT_PRICE_SHEET,
+    INSTANCE_ROLES,
     CentralScenario,
     CostBreakdown,
     FlScenario,
@@ -166,14 +167,15 @@ EXPERIMENTS = tuple(PRESETS)
 # that are no dataclass field are listed by hand.
 SECTIONS = (
     ("fed.", FedConfig), ("central.", CentralConfig), ("server.", ServerOptimizerState), ("model.", MlpSpec),
-    ("cost.", FlScenario), ("cost.", CentralScenario),
+    ("cost.", FlScenario), ("cost.", CentralScenario), ("price.", PriceSheet),
 )
 KNOWN_KEYS = {
     "experiment", "seed", "model.layers", "partition.kind", "partition.samples_per_client", "preset.samples_per_client",
     "data.source", "data.dir", *MNIST_FILES, "data.num_classes", "data.features", "data.train_samples", "data.test_samples",
     "cost.scenario", "cost.sweep.dimension", "cost.sweep.values", "price.zero",
+    *(f"price.instance.{role}" for role in INSTANCE_ROLES),
 } | {prefix + name for prefix, cls in SECTIONS for name in config_fields(cls)}
-KNOWN_PREFIXES = ("run.", "price.", "preset.arch.")
+KNOWN_PREFIXES = ("run.", "preset.arch.")
 
 
 def validate_keys(cfg: dict[str, Value]) -> None:
@@ -248,9 +250,8 @@ def build_fed_config(cfg: dict[str, Value]) -> FedConfig:
 
 
 def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
-    """The base sheet (default, or all zeros under price.zero) with price.* overrides."""
+    """The base sheet (default, or all zeros under price.zero) with the price.* overrides of a validated cfg."""
     base = PriceSheet.zeros() if get_typed(cfg, "price.zero", bool, False) else DEFAULT_PRICE_SHEET
-    scalars = config_fields(PriceSheet)
     changes: dict[str, float] = {}
     instance = dict(base.instance_hourly)
     for key in cfg:
@@ -259,14 +260,9 @@ def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
         name = key[len("price."):]
         price = get_typed(cfg, key, float)
         if name.startswith("instance."):
-            role = name[len("instance."):]
-            if role not in instance:
-                raise ConfigError(f"unknown instance role {role!r}", key=key)
-            instance[role] = price
-        elif name in scalars:
-            changes[name] = price
+            instance[name[len("instance."):]] = price
         else:
-            raise ConfigError("unknown price field", key=key)
+            changes[name] = price
     with naming_keys(lambda field: "price." + field):
         return replace(base, instance_hourly=instance, **changes)
 
@@ -480,7 +476,10 @@ def _partition(
     try:
         return plan, partition(dataset, plan)
     except PartitionError as err:  # ClassPoolExhaustedError too
-        fit = f"fed.num_clients = {num_clients} shards of {samples_per_client} must fit data.train_samples"
+        rows = f"the dataset's {len(dataset)} rows"
+        if get_typed(cfg, "data.source", str, "synth") == "synth":
+            rows += " (data.train_samples)"
+        fit = f"fed.num_clients = {num_clients} shards of {samples_per_client} must fit {rows}"
         raise ConfigError(f"{err}; {fit}", key=spc_key) from err
 
 

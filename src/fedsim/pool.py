@@ -1,25 +1,26 @@
 """Cohort-parallel rounds: forked worker processes that train a share of every round's cohort.
 
 federation.train_federated makes a CohortPool when federation.layout lays
-the run out on more than one process, and run_round hands it the
-worker-owned cohort positions. Only that call imports this module, so a run
+the run out on more than one process, and run_round folds the workers'
+streams beside its own. Only that call imports this module, so a run
 without a pool pays nothing for multiprocessing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import multiprocessing
 import os
 import pickle
 import signal
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .data import ClientShard, Dataset
-from .federation import FedConfig, _client_seed, _groups, _round_workspace, _train_group
+from .federation import FedConfig, _groups, _round_workspace, _train_group
 from .nn import MlpSpec, ParamVector
 
 _SLOTS = 2  # a worker trains into a ring of two group slots: the next group while the parent folds the last
@@ -29,22 +30,22 @@ _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 class CohortPool:
     """workers - 1 forked processes that train a share of every round's cohort.
 
-    Cohort position k belongs to process k % workers; process 0 is the
-    parent. Every process cuts its positions into the same lockstep groups
-    of up to `group` clients (federation._groups). Worker j trains its groups
-    in order, each into the next slot of its ring with
-    federation._train_group, and writes each client's loss (nan for a
-    diverged client) beside its slot row, and whether the group raised. The
-    parent trains its own groups and folds every position in order, waiting
-    for a worker's slot when it reaches the first client of the slot's group
-    and freeing the slot after the last. One anonymous shared mapping, made
-    before the fork, holds the round's global weights, the slots and the
-    loss table. The dataset and shards are inherited copy-on-write, not
-    pickled; fork is safe with OpenBLAS, which stops its threads around a
-    fork. A worker's exception is sent through its pipe and raised in the
-    parent when the parent reaches the group's first client, and a diverged
-    client when the parent reaches it, so either is raised where a single
-    process would raise it.
+    Worker j's share is the clients at cohort positions j + 1, j + 1 +
+    workers, ..., as run_round cuts them. start_round sends each worker its
+    share and returns one stream per worker, which run_round folds like its
+    own. Worker j cuts its share into lockstep groups of up to `group`
+    clients (federation._groups) and trains them in order, each into the
+    next slot of its ring with federation._train_group; beside the slot it
+    writes each client's loss (nan for a diverged client) and the group's
+    size, 0 when the group raised. Its stream waits for each slot in turn,
+    folds the slot's rows one client at a time and frees it after the last.
+    One anonymous shared mapping, made before the fork, holds the round's
+    global weights, the slots, the losses and the sizes. The dataset and
+    shards are inherited copy-on-write, not pickled; fork is safe with
+    OpenBLAS, which stops its threads around a fork. A worker's exception is
+    sent through its pipe and raised by the stream at the group's first
+    client, and a diverged client's loss reaches run_round as one of its
+    own, so either is raised where a single process would raise it.
     Workers ignore SIGINT and take SIGTERM's default action, whatever
     handlers the parent has: close() terminates (SIGTERM) and joins them.
     """
@@ -53,15 +54,14 @@ class CohortPool:
         self, workers: int, spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard], dataset: Dataset,
         group: int,
     ):
-        self.workers, self.group, self._shards = workers, group, shards
+        self.workers = workers
         n, size, rows = workers - 1, spec.parameter_count(), (workers - 1) * _SLOTS * group
         self._mem = mmap.mmap(-1, 8 * (size + rows * (size + 1) + n * _SLOTS))
         shared = np.frombuffer(self._mem, dtype=np.float64)
         self._weights = shared[:size]
         self._slots = shared[size : size + rows * size].reshape(n, _SLOTS, group, size)
         self._losses = shared[size + rows * size : size + rows * (size + 1)].reshape(n, _SLOTS, group)
-        self._raised = shared[size + rows * (size + 1) :].reshape(n, _SLOTS)  # whether a slot's group raised
-        self._where: dict[int, tuple[int, int, int, bool]] = {}
+        self._sizes = shared[size + rows * (size + 1) :].reshape(n, _SLOTS)  # a slot's group size; 0: it raised
         ctx = multiprocessing.get_context("fork")
         self._ready = [ctx.Semaphore(0) for _ in range(n)]
         self._free = [ctx.Semaphore(_SLOTS) for _ in range(n)]
@@ -97,38 +97,37 @@ class CohortPool:
         for conn in self._conns:
             conn.close()
 
-    def start_round(self, round_index: int, weights: np.ndarray, selected: np.ndarray, denom: float) -> None:
-        """Publish the round's global weights and send each worker its share of the cohort."""
+    def start_round(
+        self, round_index: int, weights: np.ndarray, shares: Sequence[np.ndarray], denom: float, acc: np.ndarray
+    ) -> list[Iterator[float]]:
+        """Publish the round's global weights, send worker j shares[j], and return each worker's stream into acc."""
         np.copyto(self._weights, weights)
-        self._where.clear()  # cohort position -> (worker, slot, row, whether the row is its group's last)
-        for j, conn in enumerate(self._conns):
-            share = [int(c) for c in selected[j + 1 :: self.workers]]
-            conn.send((round_index, share, denom))
-            position = j + 1
-            for g, group in enumerate(_groups(self._shards, share, self.group)):
-                for row in range(len(group)):
-                    self._where[position] = (j, g % _SLOTS, row, row == len(group) - 1)
-                    position += self.workers
+        for conn, share in zip(self._conns, shares):
+            conn.send((round_index, [int(c) for c in share], denom))
+        return [self._stream(j, acc) for j in range(len(self._conns))]
 
-    def fold(self, acc: np.ndarray, position: int) -> float:
-        """acc += the term of the worker-trained client at cohort position; return its loss.
+    def _stream(self, j: int, acc: np.ndarray) -> Iterator[float]:
+        """Worker j's share as a stream: per client in share order, fold its term into acc, yield its loss.
 
         A failed client, whose loss is non-finite, adds nothing. Raises the
-        worker's exception instead when its group raised one.
+        worker's exception instead when a group raised one. The stream does
+        not end: run_round takes exactly the share's clients from it.
         """
-        j, slot, row, last = self._where[position]
-        proc = self._procs[j]
-        while row == 0 and not self._ready[j].acquire(timeout=1.0):
-            if not proc.is_alive():
-                raise RuntimeError(f"cohort worker {proc.pid} exited with code {proc.exitcode}")
-        if self._raised[j, slot]:
-            raise pickle.loads(self._conns[j].recv_bytes())
-        client_loss = float(self._losses[j, slot, row])
-        if math.isfinite(client_loss):
-            acc += self._slots[j, slot, row]
-        if last:
-            self._free[j].release()  # from here on the worker may overwrite the slot
-        return client_loss
+        proc, ready, free = self._procs[j], self._ready[j], self._free[j]
+        for slot in itertools.cycle(range(_SLOTS)):
+            while not ready.acquire(timeout=1.0):  # the one place the parent waits on a worker
+                if not proc.is_alive():
+                    raise RuntimeError(f"cohort worker {proc.pid} exited with code {proc.exitcode}")
+            size = int(self._sizes[j, slot])
+            if size == 0:
+                raise pickle.loads(self._conns[j].recv_bytes())
+            for row in range(size):
+                client_loss = float(self._losses[j, slot, row])
+                if math.isfinite(client_loss):
+                    acc += self._slots[j, slot, row]
+                if row == size - 1:
+                    free.release()  # from here on the worker may overwrite the slot
+                yield client_loss
 
     def _serve(self, j, conn, parent, spec, config, shards, dataset, group) -> None:
         """Worker j's loop: train its share of each announced round, until the parent goes away."""
@@ -137,7 +136,7 @@ class CohortPool:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         for parent_end in self._conns:  # so that recv sees EOF once the parent is gone
             parent_end.close()
-        ready, free, slots, losses, raised = self._ready[j], self._free[j], self._slots[j], self._losses[j], self._raised[j]
+        ready, free, slots, losses, sizes = self._ready[j], self._free[j], self._slots[j], self._losses[j], self._sizes[j]
         workspace = _round_workspace(spec, shards, group)
         while True:
             try:
@@ -151,13 +150,12 @@ class CohortPool:
                         return
                 slot, error = g % _SLOTS, None
                 try:
-                    seeds = [_client_seed(config.seed, round_index, c) for c in members]
                     losses[slot, : len(members)] = _train_group(
-                        slots[slot], [shards[c] for c in members], dataset, weights, config, seeds, denom, workspace
+                        slots[slot], members, round_index, shards, dataset, weights, config, denom, workspace
                     )
                 except Exception as exc:  # raised in the parent when it reaches the group's first client
                     error = exc
-                raised[slot] = error is not None
+                sizes[slot] = 0 if error is not None else len(members)
                 ready.release()
                 if error is not None:
                     # after the release: a payload larger than the pipe buffer waits for the parent's read

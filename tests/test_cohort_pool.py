@@ -40,13 +40,13 @@ FED = [
 ]
 
 
-def cohort(round_index):
-    return [int(c) for c in select_clients(CLIENTS, FRACTION, derive_seed(SEED, "round", round_index, "select"))]
+def cohort(round_index, fraction=FRACTION):
+    return [int(c) for c in select_clients(CLIENTS, fraction, derive_seed(SEED, "round", round_index, "select"))]
 
 
-def fail_at(monkeypatch, round_index, position, exc):
+def fail_at(monkeypatch, round_index, position, exc, fraction=FRACTION):
     """Make group_update raise exc for the client at this cohort position of this round, wherever its group trains."""
-    client = cohort(round_index)[position]
+    client = cohort(round_index, fraction)[position]
     target = federation._client_seed(SEED, round_index, client)
     original = federation.group_update
 
@@ -178,6 +178,28 @@ class TestPoolFailures:
         assert main(["train-fed", "--out", str(tmp_path)] + FED) == 2
         assert capsys.readouterr().err == "config error: a patched failure\n"
         assert "run.status = failed" in manifest_lines(tmp_path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc", [ShapeMismatchError, ClientDivergedError])
+    def test_a_worker_failure_after_its_slot_ring_wrapped_reads_as_in_one_process(self, monkeypatch, exc):
+        # the whole cohort at N = 2 and K = 1: position 7 is the worker's 4th group, in the slot its 2nd used
+        client = fail_at(monkeypatch, 1, 7, exc, fraction=1.0)
+        pin_workers(monkeypatch, 2)
+        for budget in ("_LOCKSTEP_BYTES", "_ONE_ROW_LOCKSTEP_BYTES"):
+            monkeypatch.setattr(federation, budget, 0)
+        ds = synth_dataset(3, 6, 160, seed=SEED)
+        shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=1.0, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
+        assert layout(MlpSpec((6, 5, 3)), config, shards) == Layout(2, 1, True)
+        kept = []
+        with pytest.raises(exc) as err:
+            train_federated(MlpSpec((6, 5, 3)), config, shards, ds, on_round=kept.append)
+        assert type(err.value) is exc
+        if exc is ClientDivergedError:
+            assert (err.value.client_id, err.value.round_index) == (client, 1)
+        else:
+            assert str(err.value) == "a patched failure"
+        assert [m.round_index for m in kept] == [0]
         assert multiprocessing.active_children() == []
 
     def test_a_worker_exception_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch):

@@ -517,6 +517,16 @@ class TestConfigKeys:
         assert main(["cost", "--out", str(tmp_path), "--set", f"{key}=1"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["price.bogus", "price.instance.bogus", "cost.bogus"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["train-fed"] + SYNTH_FED, ["train-central"] + SYNTH_CENTRAL, ["cost"], ["sweep"], ["partition-stats"] + SYNTH_FED],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_keys_are_rejected_in_every_command(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path), "--set", f"{key}=1"]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: unknown config key\n"
+
     @pytest.mark.parametrize(
         "argv, named",
         [

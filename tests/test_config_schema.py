@@ -8,6 +8,7 @@ import pytest
 
 import fedsim.harness as harness
 from fedsim.cli import main
+from fedsim.costs import PriceSheet
 from fedsim.harness import KNOWN_KEYS, build_fed_config
 from fedsim.nn import ServerOptimizerState
 
@@ -101,6 +102,17 @@ def test_full_where_no_batch_size_is_read_is_a_config_error_naming_its_key(tmp_p
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+# the price sheet's entries: its scalar fields, and an hourly price per instance role
+PRICE_KEYS = {
+    "price.data_in_per_gb", "price.data_out_per_gb", "price.dns_monthly_fixed", "price.lb_hourly", "price.nat_hourly",
+    "price.object_read_per_1k", "price.object_write_per_1k", "price.storage_per_gb_month", "price.sync_per_gb",
+    "price.instance.aggregator", "price.instance.ingestion", "price.instance.jumpbox", "price.instance.monitoring",
+    "price.instance.portal", "price.instance.tagging", "price.instance.training",
+}
+
+
 def test_known_keys_are_unchanged():
     assert len(PARENT_KNOWN_KEYS) == 57
-    assert KNOWN_KEYS == PARENT_KNOWN_KEYS
+    assert len(PRICE_KEYS) == 16
+    assert KNOWN_KEYS == PARENT_KNOWN_KEYS | PRICE_KEYS
+    assert {f"price.{name}" for name in PriceSheet.zeros().as_flat_dict()} == PRICE_KEYS

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fedsim.data as data
+from fedsim.cli import main
 from fedsim.config import FieldError
 from fedsim.data import (
     IID,
@@ -95,6 +96,23 @@ class TestLoadIdx:
         labels.write_bytes(idx_label_bytes(labels=[7, 2, 1], count=3))
         with pytest.raises(IdxCountMismatchError):
             load_idx(images, labels)
+
+
+@pytest.mark.parametrize("command", ["train-fed", "partition-stats"])
+def test_a_plan_idx_data_cannot_meet_names_its_rows_not_the_synthetic_key(tmp_path, monkeypatch, capsys, command):
+    pixels = [[10 * i + j for j in range(6)] for i in range(6)]
+    for split in ("train", "t10k"):
+        (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(idx_image_bytes(count=6, pixels=pixels))
+        (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels=[0, 1, 2, 0, 1, 2]))
+    monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path))
+    argv = [command, "--out", str(tmp_path / "out"), "--set", "seed=1", "--set", "data.source=mnist"]
+    argv += ["--set", "model.layers=6,3", "--set", "fed.num_clients=4", "--set", "partition.samples_per_client=2"]
+    argv += ["--set", "fed.client_fraction=0.5", "--set", "fed.client_lr=0.1", "--set", "fed.rounds=1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: partition.samples_per_client: plan needs 8 samples but dataset has 6; "
+        "fed.num_clients = 4 shards of 2 must fit the dataset's 6 rows\n"
+    )
 
 
 class TestSynthDataset:

@@ -210,7 +210,7 @@ class TestLockstepRuns:
             eval_every=1,
         )
         runs = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):  # at 3, the two workers fill their slots with groups of different sizes
             for group in (None, 1):
                 pin(monkeypatch, workers, group)
                 history, state = train_federated(MlpSpec((8, 6, 3)), config, shards, ds, test)
