@@ -38,7 +38,7 @@ pooled = Batch(dataset.inputs[union], dataset.labels[union])
 state = GlobalState(init_params(spec, 0), 0, config.server_opt)
 central = state.weights
 for t in range(10):
-    state, _ = run_round(state, config, shards, dataset, compute_accuracy=False)
+    state, _ = run_round(state, config, shards, dataset)
     central = sgd_step(central, loss_grad(central, pooled)[1], 0.3)
     gap = np.max(np.abs(state.weights.values - central.values))
     print(f"round {t}: max |federated - central| = {gap:.3e}")

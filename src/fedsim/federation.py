@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -154,13 +154,13 @@ class GlobalState:
     server_opt_state: ServerOptimizerState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundMetrics:
     round_index: int
     selected_clients: tuple[int, ...]
     mean_client_loss: float
-    train_accuracy: float | None
-    test_accuracy: float | None
+    train_accuracy: float | None = None  # None: not evaluated this round
+    test_accuracy: float | None = None
     elapsed_s: float
 
 
@@ -331,33 +331,34 @@ def aggregate_deltas(
     return GradVector(values, deltas[0][0].spec)
 
 
-def evaluate(params: ParamVector, dataset: Dataset, chunk: int = 16384, rows: np.ndarray | None = None) -> float:
+# Rows per evaluate block. A block's product has the same shape in any process, but the BLAS sums a
+# product of another row count in another order, so this size is part of the bits (README "Determinism").
+_EVAL_ROWS = 1024
+
+
+def evaluate(params: ParamVector, dataset: Dataset, rows: np.ndarray | None = None) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
-    rows, when given, are the indices of the dataset rows to score, in order
-    (default: every row). They are gathered a chunk at a time, so the rows
-    are never copied whole, and each layer of a chunk is written into buffers
-    allocated once per call.
+    rows are the indices of the dataset rows to score, in order (default:
+    every row). They are gathered _EVAL_ROWS at a time into one block, and
+    each layer of a block is written into buffers allocated once per call, so
+    the rows are never copied whole.
     """
-    n = len(dataset) if rows is None else rows.size
-    size = min(chunk, n)
+    if rows is None:
+        rows = np.arange(len(dataset))
+    elif rows.min() < 0 or rows.max() >= len(dataset):
+        raise IndexError(f"rows out of range for a dataset of {len(dataset)} rows")
+    size = min(_EVAL_ROWS, rows.size)
+    gathered = np.empty((size, dataset.num_features))
     buffers = [np.empty((size, d)) for d in params.spec.layer_sizes[1:]]
-    if rows is not None:
-        if rows.min() < 0 or rows.max() >= len(dataset):
-            raise IndexError(f"rows out of range for a dataset of {len(dataset)} rows")
-        gathered = np.empty((size, dataset.num_features))
     hits = 0
-    for start in range(0, n, chunk):
-        if rows is None:
-            block, labels = dataset.inputs[start : start + chunk], dataset.labels[start : start + chunk]
-        else:
-            idx = rows[start : start + chunk]
-            # mode="clip" lets take write into out without a buffer; the bounds are checked above
-            block = np.take(dataset.inputs, idx, axis=0, out=gathered[: idx.size], mode="clip")
-            labels = dataset.labels[idx]
+    for start in range(0, rows.size, _EVAL_ROWS):
+        idx = rows[start : start + _EVAL_ROWS]
+        # mode="clip" lets take write into out without a buffer; the bounds are checked above
+        block = np.take(dataset.inputs, idx, axis=0, out=gathered[: idx.size], mode="clip")
         logits = forward_logits(params.values, params.spec, block, buffers)
-        hits += int(np.count_nonzero(logits.argmax(axis=1) == labels))
-    return hits / n
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == dataset.labels[idx]))
+    return hits / rows.size
 
 
 def _client_seed(run_seed: int, round_index: int, client_id: int) -> int:
@@ -499,16 +500,13 @@ def run_round(
     config: FedConfig,
     shards: Sequence[ClientShard],
     dataset: Dataset,
-    test_set: Dataset | None = None,
-    train_rows: np.ndarray | None = None,
-    compute_accuracy: bool = True,
     workspace: Workspace | None = None,
     pool: CohortPool | None = None,
 ) -> tuple[GlobalState, RoundMetrics]:
-    """Execute one aggregation round and return the advanced state plus metrics.
+    """Execute one aggregation round (select, train, fold, server step); return the advanced state and metrics.
 
     Client updates all start from the same global weights and are aggregated
-    in client-id order, so any evaluation order gives identical results.
+    in client-id order, so any training order gives identical results.
     Each of the N processes (this one, then a pool's workers) trains a share
     of the cohort, position k going to process k % N, as a stream that folds
     each client's term into the weighted sum and yields its loss; the round
@@ -519,8 +517,8 @@ def run_round(
     (K, P) buffer (or a worker's slot), reused once they are folded, so the
     round holds O(K x model) state, not O(cohort x model). A client that
     failed (non-finite weights or loss) raises ClientDivergedError when the
-    fold reaches it, as if it had trained alone. Train accuracy is measured
-    on the dataset rows train_rows (default: all).
+    fold reaches it, as if it had trained alone. The round evaluates
+    nothing: its metrics carry None accuracies (train_federated scores them).
     """
     if len(shards) != config.num_clients:
         raise ValueError(f"config says {config.num_clients} clients but got {len(shards)} shards")
@@ -561,18 +559,10 @@ def run_round(
     except NonFiniteError as err:
         raise ClientDivergedError(None, t) from err
 
-    train_acc = test_acc = None
-    if compute_accuracy:
-        train_acc = evaluate(new_weights, dataset, rows=train_rows)
-        if test_set is not None:
-            test_acc = evaluate(new_weights, test_set)
-
     metrics = RoundMetrics(
         round_index=t,
         selected_clients=tuple(int(c) for c in selected),
         mean_client_loss=float(np.mean(losses)),
-        train_accuracy=train_acc,
-        test_accuracy=test_acc,
         elapsed_s=time.perf_counter() - started,
     )
     return GlobalState(new_weights, t + 1, new_server_state), metrics
@@ -585,35 +575,30 @@ def train_federated(
     shards: Sequence[ClientShard],
     dataset: Dataset,
     test_set: Dataset | None = None,
-    initial_weights: ParamVector | None = None,
     on_round: Callable[[RoundMetrics], object] | None = None,
 ) -> tuple[list[RoundMetrics], GlobalState]:
     """Run the full federated loop and return per-round metrics and final state.
 
-    Accuracy is computed on the union of the shards (the data the federation
-    actually trains on) and on test_set, every eval_every rounds plus the
-    final round. eval_every defaults to 1 for short runs and 5 for long ones.
-    on_round, when given, gets each round's metrics as soon as the round
-    completes. The run's layout, taken once, sets the N processes its cohorts
-    train on (forked once, each training lockstep groups of up to K clients)
-    and the pin: under one_thread the rounds (pool fork, local steps, shard
-    losses, fold, server step, evaluations) run with the BLAS on one thread.
-    Workers stop and the thread count is restored however the run ends.
+    Every eval_every rounds, and after the final round, accuracy is scored on
+    the shards' sorted union (the rows the federation trains on) and on
+    test_set; eval_every defaults to 1 for short runs and 5 for long ones. A
+    round's elapsed_s runs from the start of run_round to the end of its
+    evaluation. on_round, when given, gets each round's metrics as soon as the
+    round completes. The run's layout, taken once, sets the N processes its
+    cohorts train on (forked once, each training lockstep groups of up to K
+    clients) and the pin: under one_thread the rounds (pool fork, local steps,
+    shard losses, fold, server step, evaluations) run with the BLAS on one
+    thread. Workers stop and the thread count is restored however the run ends.
     """
-    weights = initial_weights if initial_weights is not None else init_params(model, derive_seed(config.seed, "init"))
-    state = GlobalState(weights, 0, config.server_opt)
+    state = GlobalState(init_params(model, derive_seed(config.seed, "init")), 0, config.server_opt)
 
     eval_every = config.eval_every
     if eval_every is None:
         eval_every = 1 if config.rounds <= EVAL_EVERY_DEFAULT_THRESHOLD else 5
 
     union = np.sort(np.concatenate([s.indices for s in shards]))
-    # shards that cover every row exactly once are scored on the dataset as it is
-    train_rows = None if np.array_equal(union, np.arange(len(dataset))) else union
-
-    spec = weights.spec
-    run_layout = layout(spec, config, shards)
-    workspace = _round_workspace(spec, shards, run_layout.group)
+    run_layout = layout(model, config, shards)
+    workspace = _round_workspace(model, shards, run_layout.group)
     history: list[RoundMetrics] = []
     with contextlib.ExitStack() as stack:
         if run_layout.one_thread:
@@ -622,17 +607,19 @@ def train_federated(
         if run_layout.workers > 1:
             from .pool import CohortPool  # imported here: multiprocessing would add ~10 ms to every CLI start
 
-            pool = stack.enter_context(CohortPool(run_layout.workers, spec, config, shards, dataset, run_layout.group))
+            pool = stack.enter_context(CohortPool(run_layout.workers, model, config, shards, dataset, run_layout.group))
         for t in range(config.rounds):
-            eval_now = (t + 1) % eval_every == 0 or t == config.rounds - 1
-            state, metrics = run_round(
-                state, config, shards, dataset,
-                test_set=test_set, train_rows=train_rows, compute_accuracy=eval_now,
-                workspace=workspace, pool=pool,
-            )
-            history.append(metrics)
+            started = time.perf_counter()
+            state, metrics = run_round(state, config, shards, dataset, workspace, pool)
+            if (t + 1) % eval_every == 0 or t == config.rounds - 1:
+                metrics = replace(
+                    metrics,
+                    train_accuracy=evaluate(state.weights, dataset, union),
+                    test_accuracy=None if test_set is None else evaluate(state.weights, test_set),
+                )
+            history.append(replace(metrics, elapsed_s=time.perf_counter() - started))
             if on_round is not None:
-                on_round(metrics)
+                on_round(history[-1])
     return history, state
 
 

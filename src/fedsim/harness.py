@@ -234,6 +234,9 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
         }
         train = load_idx(paths["data.train_images"], paths["data.train_labels"])
         test = load_idx(paths["data.test_images"], paths["data.test_labels"])
+        if test.num_features != train.num_features:
+            message = f"test images have {test.num_features} pixels, training images {train.num_features}"
+            raise ConfigError(message, key="data.test_images")
         return train, test
     raise ConfigError(f"unknown data source {source!r}", key="data.source")
 
@@ -432,22 +435,28 @@ def _arch_label(layers) -> str:
     return "-".join(str(n) for n in layers)
 
 
-def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset) -> MlpSpec:
-    """The net of the layer sizes at key and model.activation; a range error or a misfit to dataset names its key."""
+def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset, test_set: Dataset | None) -> MlpSpec:
+    """The net of the layer sizes at key and model.activation; a range error or a misfit to dataset names its key.
+
+    A test label the net has no output for names data.test_labels.
+    """
     with naming_keys(lambda field: "model.activation" if field == "activation" else key):
         spec = MlpSpec(tuple(_typed_list(cfg, key, int)), read_field(MlpSpec, cfg, "model.", "activation"))
     try:
         check_dataset_fits(spec, dataset)
     except ShapeMismatchError as err:
         raise ConfigError(str(err), key=key) from err
+    if test_set is not None and test_set.num_classes > spec.num_classes:
+        message = f"test label {test_set.num_classes - 1} has no output in {spec.layer_sizes}"
+        raise ConfigError(message, key="data.test_labels")
     return spec
 
 
-def _grid_specs(cfg: dict[str, Value], dataset: Dataset) -> Iterator[MlpSpec]:
+def _grid_specs(cfg: dict[str, Value], dataset: Dataset, test_set: Dataset | None) -> Iterator[MlpSpec]:
     """The nets of a grid's preset.arch.N keys (else model.layers) in key order; a repeated net names its key."""
     key_of: dict[tuple[int, ...], str] = {}
     for key in sorted(k for k in cfg if k.startswith("preset.arch.")) or ["model.layers"]:
-        spec = _mlp_spec(cfg, key, dataset)
+        spec = _mlp_spec(cfg, key, dataset, test_set)
         if key_of.setdefault(spec.layer_sizes, key) != key:
             raise ConfigError(f"repeats the layer sizes of {key_of[spec.layer_sizes]}", key=key)
         yield spec
@@ -553,13 +562,13 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
 
     if experiment == CUSTOM:
-        runs = [run(_mlp_spec(cfg, "model.layers", dataset), *_partition(cfg, dataset), "rounds.csv", seed)]
+        runs = [run(_mlp_spec(cfg, "model.layers", dataset, test_set), *_partition(cfg, dataset), "rounds.csv", seed)]
         return _train_plan(out_dir, runs, grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
     if len(set(samples_values)) < len(samples_values):  # a repeated point, or net, would train a run into its CSV again
         raise ConfigError(f"repeats a value in {samples_values}", key="preset.samples_per_client")
     runs = []
-    for model in _grid_specs(cfg, dataset):
+    for model in _grid_specs(cfg, dataset, test_set):
         arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
             # partitioned here, so a grid point that cannot be met fails before any run trains
@@ -582,7 +591,7 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
 
         return arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train
 
-    models = _grid_specs(cfg, dataset) if grid else [_mlp_spec(cfg, "model.layers", dataset)]
+    models = _grid_specs(cfg, dataset, test_set) if grid else [_mlp_spec(cfg, "model.layers", dataset, test_set)]
     return _train_plan(out_dir, [run(model) for model in models], grid)
 
 

@@ -100,7 +100,7 @@ def test_c02_full_participation_round_equals_central_batch_step():
     central = state.weights
     worst = 0.0
     for _ in range(10):
-        state, _ = run_round(state, config, shards, ds, compute_accuracy=False)
+        state, _ = run_round(state, config, shards, ds)
         central = sgd_step(central, loss_grad(central, pooled)[1], 0.3)
         worst = max(worst, float(np.max(np.abs(state.weights.values - central.values))))
         assert worst <= 1e-9
@@ -116,7 +116,7 @@ def test_c03_single_sample_round_equals_minibatch_sgd_step():
     )
 
     state = GlobalState(init_params(spec, 22), 0, config.server_opt)
-    new_state, metrics = run_round(state, config, shards, ds, compute_accuracy=False)
+    new_state, metrics = run_round(state, config, shards, ds)
 
     chosen = np.array([shards[c].indices[0] for c in metrics.selected_clients])
     minibatch = Batch(ds.inputs[chosen], ds.labels[chosen])

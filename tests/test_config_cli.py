@@ -267,6 +267,25 @@ class TestCliTrainFed:
         assert not any(line.startswith(("run.error", "run.outputs")) for line in lines)
         assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
 
+    def test_a_memory_error_is_a_documented_stop_that_keeps_the_completed_rounds(self, tmp_path, monkeypatch, capsys):
+        import fedsim.federation as federation
+
+        original = federation.run_round
+
+        def runs_out_in_round_2(state, *args, **kwargs):  # raised, not provoked: nothing large is allocated
+            if state.round_index == 2:
+                raise MemoryError("Unable to allocate 226. TiB for an array with shape (31000000000010,)")
+            return original(state, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "run_round", runs_out_in_round_2)
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED) == 5
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 226. TiB for an array with shape (31000000000010,)\n"
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.status = failed" in lines
+        assert f"run.error = {err.strip()}" in lines
+        assert [row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
+
     def test_non_federated_preset_is_a_config_error_before_any_data_is_read(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path / "nowhere"))
         assert main(["train-fed", "--out", str(tmp_path), "--set", "experiment=central_baseline"]) == 2

@@ -10,6 +10,7 @@ known key, has a known prefix, or is one the case set.
 """
 
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,31 +53,59 @@ def bases() -> list[tuple[str, str, dict]]:
     return found
 
 
-def cases() -> list[tuple[str, list[str]]]:
-    rng = np.random.default_rng(SEED)
-    keys = sorted(KNOWN_KEYS) + ["price.data_out_per_gb", "price.instance.portal", "preset.arch.1", "run.status"]
-    all_bases, out = bases(), []
-    for _ in range(CASES):
-        name, command, cfg = all_bases[rng.integers(len(all_bases))]
-        cfg = {**cfg, **SHRINK}
-        for _ in range(rng.integers(1, 4)):
-            action = rng.random()
-            if action < 0.15:
-                cfg.pop(sorted(cfg)[rng.integers(len(cfg))])
-            elif action < 0.2:
-                cfg["fuzz.unknown"] = "1"
-            else:
-                cfg[keys[rng.integers(len(keys))]] = VALUES[rng.integers(len(VALUES))]
-        if rng.random() < 0.2:
-            command = sorted(COMMANDS)[rng.integers(len(COMMANDS))]
-        overrides = [x for key in sorted(cfg) for x in ("--set", f"{key}={format_value(cfg[key])}")]
-        out.append((f"{name}:{command}", [command, *overrides]))
-    return out
+def sections() -> dict[str, list[str]]:
+    """The keys a case may set, by section: the part of the key before its first dot."""
+    by_section: dict[str, list[str]] = {}
+    for key in sorted(KNOWN_KEYS | {"preset.arch.1", "run.status"}):
+        by_section.setdefault(key.partition(".")[0], []).append(key)
+    return by_section
+
+
+def case(i: int, all_bases: list[tuple[str, str, dict]], by_section: dict[str, list[str]]) -> tuple[str, list, set]:
+    """Case i, drawn from its own generator: (name, argv, the sections it set a key of).
+
+    A key is picked by section and then by field, so a key added to one
+    section changes only the cases that picked that section.
+    """
+    rng = np.random.default_rng([SEED, i])
+    names, picked = sorted(by_section), set()
+    name, command, cfg = all_bases[rng.integers(len(all_bases))]
+    cfg = {**cfg, **SHRINK}
+    for _ in range(rng.integers(1, 4)):
+        action = rng.random()
+        if action < 0.15:
+            cfg.pop(sorted(cfg)[rng.integers(len(cfg))])
+        elif action < 0.2:
+            cfg["fuzz.unknown"] = "1"
+        else:
+            section = names[rng.integers(len(names))]
+            picked.add(section)
+            fields = by_section[section]
+            cfg[fields[rng.integers(len(fields))]] = VALUES[rng.integers(len(VALUES))]
+    if rng.random() < 0.2:
+        command = sorted(COMMANDS)[rng.integers(len(COMMANDS))]
+    overrides = [x for key in sorted(cfg) for x in ("--set", f"{key}={format_value(cfg[key])}")]
+    return f"{name}:{command}", [command, *overrides], picked
+
+
+def cases() -> list[tuple[str, list[str], set[str]]]:
+    all_bases, by_section = bases(), sections()
+    return [case(i, all_bases, by_section) for i in range(CASES)]
+
+
+def test_a_new_key_changes_only_the_cases_that_picked_its_section(monkeypatch):
+    before = cases()
+    monkeypatch.setattr(sys.modules[__name__], "KNOWN_KEYS", KNOWN_KEYS | {"fed.fuzz_extra"})
+    after = cases()
+    assert sum("fed" in picked for _, _, picked in before) > 0
+    for i, (old, new) in enumerate(zip(before, after)):
+        if "fed" not in old[2]:
+            assert new == old, i
 
 
 def test_mutated_configs_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path / "no-mnist-here"))
-    for i, (name, argv) in enumerate(cases()):
+    for i, (name, argv, _) in enumerate(cases()):
         out = tmp_path / str(i)
         try:
             code = main([argv[0], "--out", str(out), *argv[1:]])

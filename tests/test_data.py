@@ -115,6 +115,31 @@ def test_a_plan_idx_data_cannot_meet_names_its_rows_not_the_synthetic_key(tmp_pa
     )
 
 
+@pytest.mark.parametrize("command", ["train-fed", "train-central"])
+@pytest.mark.parametrize(
+    "test_side, test_labels, key",
+    [(3, [0, 1, 2, 0, 1, 2], "data.test_images"), (2, [0, 1, 7, 0, 1, 2], "data.test_labels")],
+    ids=["3x3-images", "label-7"],
+)
+def test_a_test_set_the_net_cannot_score_names_its_file_before_any_run_trains(
+    tmp_path, monkeypatch, capsys, command, test_side, test_labels, key
+):
+    for split, side, labels in (("train", 2, [0, 1, 2, 0, 1, 2]), ("t10k", test_side, test_labels)):
+        pixels = [[10 * i + j for j in range(side * side)] for i in range(6)]
+        (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(idx_image_bytes(count=6, rows=side, cols=side, pixels=pixels))
+        (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels=labels))
+    monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path))
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--set", "seed=1", "--set", "data.source=mnist", "--set", "model.layers=4,3"]
+    argv += ["--set", "fed.num_clients=3", "--set", "partition.samples_per_client=2", "--set", "fed.client_lr=0.1"]
+    argv += ["--set", "fed.client_fraction=1", "--set", "fed.rounds=1", "--set", "central.epochs=1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+    assert list(out.glob("*.csv")) == []
+    assert "run.status = failed" in (out / "manifest.txt").read_text().splitlines()
+
+
 class TestSynthDataset:
     def test_balanced_labels(self):
         ds = synth_dataset(3, 10, 300, seed=1)

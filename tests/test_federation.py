@@ -382,7 +382,7 @@ class TestStreamedRound:
         )
         streamed = reference = GlobalState(init_params(spec, 31), 0, config.server_opt)
         for _ in range(config.rounds):
-            streamed, metrics = run_round(streamed, config, shards, ds, compute_accuracy=False)
+            streamed, metrics = run_round(streamed, config, shards, ds)
             reference, mean_loss = reference_round(reference, config, shards, ds)
             assert np.array_equal(streamed.weights.values, reference.weights.values)
             assert metrics.mean_client_loss == mean_loss
@@ -404,11 +404,11 @@ class TestStreamedRound:
             config = fed_config(num_clients, batch_size=1, seed=32, update_mode="send_delta")
             assert federation.layout(spec, config, shards).group == 4  # the one-row budget's, not the cohort's
             state = GlobalState(init_params(spec, 32), 0, config.server_opt)
-            run_round(state, config, shards, ds, compute_accuracy=False)  # warm up
+            run_round(state, config, shards, ds)  # warm up
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                run_round(state, config, shards, ds, compute_accuracy=False)
+                run_round(state, config, shards, ds)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -467,7 +467,7 @@ class TestRoundEquivalences:
         state = GlobalState(init_params(spec, 11), 0, config.server_opt)
         central = state.weights
         for _ in range(10):
-            state, _ = run_round(state, config, shards, ds, compute_accuracy=False)
+            state, _ = run_round(state, config, shards, ds)
             central = sgd_step(central, loss_grad(central, pooled)[1], 0.25)
             assert np.max(np.abs(state.weights.values - central.values)) <= 1e-9
 
@@ -478,7 +478,7 @@ class TestRoundEquivalences:
         config = fed_config(30, client_fraction=0.2, client_lr=0.4, seed=12)
 
         state = GlobalState(init_params(spec, 12), 0, config.server_opt)
-        new_state, metrics = run_round(state, config, shards, ds, compute_accuracy=False)
+        new_state, metrics = run_round(state, config, shards, ds)
 
         chosen = np.array([shards[c].indices[0] for c in metrics.selected_clients])
         minibatch = Batch(ds.inputs[chosen], ds.labels[chosen])
@@ -499,8 +499,8 @@ class TestRoundEquivalences:
         ds, shards, spec = make_setup(num_clients=4, spc=10, seed=4)
         base = dict(num_clients=4, client_fraction=0.5, local_epochs=1, batch_size=None, client_lr=0.2, rounds=1, seed=14)
         state = GlobalState(init_params(spec, 14), 0, ServerOptimizerState())
-        standard, _ = run_round(state, FedConfig(**base), shards, ds, compute_accuracy=False)
-        literal, _ = run_round(state, FedConfig(alg1_literal_normalization=True, **base), shards, ds, compute_accuracy=False)
+        standard, _ = run_round(state, FedConfig(**base), shards, ds)
+        literal, _ = run_round(state, FedConfig(alg1_literal_normalization=True, **base), shards, ds)
         # 2 of 4 equal-size shards participate, so the literal form halves the average
         assert np.allclose(literal.weights.values, 0.5 * standard.weights.values, atol=1e-12)
 
@@ -558,7 +558,7 @@ class TestTrainingLoops:
         assert history[-1].train_accuracy == evaluate(state.weights, ds)
 
         history, state = train_federated(spec, config, partial, ds)
-        assert copies == []  # partial shards are scored by gathering their rows a chunk at a time
+        assert copies == []  # partial shards are scored by gathering their rows a block at a time
         union = np.sort(np.concatenate([s.indices for s in partial]))
         scored = Dataset(ds.inputs[union], ds.labels[union], ds.num_classes)
         assert history[-1].train_accuracy == evaluate(state.weights, scored)
@@ -571,7 +571,7 @@ class TestTrainingLoops:
 
 
 def reference_evaluate(params, ds, chunk):
-    """The allocating evaluation: h @ w + b per layer, chunk by chunk."""
+    """The allocating evaluation: h @ w + b per layer, on contiguous chunks of rows."""
     layers = unflatten(params.values, params.spec)
     hits = 0
     for start in range(0, len(ds), chunk):
@@ -605,16 +605,41 @@ class TestEvaluate:
         assert evaluate(params, ds) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
-    def test_matches_allocating_reference_with_and_without_rows(self, activation):
+    def test_matches_allocating_reference_with_and_without_rows(self, activation, monkeypatch):
+        import fedsim.federation as federation
+
         spec = MlpSpec((5, 6, 4, 3), activation)
         ds = synth_dataset(3, 5, 61, seed=12)
         rows = np.sort(np.concatenate([np.arange(3, 50, 2), [7, 7, 60]]))  # repeats, like overlapping shards
-        for seed in range(4):
-            params = init_params(spec, 60 + seed)
-            for chunk in (7, 16384):  # a short last chunk, and one chunk
-                assert evaluate(params, ds, chunk) == reference_evaluate(params, ds, chunk)
-                got = evaluate(params, ds, chunk, rows=rows)
-                assert got == reference_evaluate(params, Dataset(ds.inputs[rows], ds.labels[rows], ds.num_classes), chunk)
+        picked = Dataset(ds.inputs[rows], ds.labels[rows], ds.num_classes)
+        for block in (federation._EVAL_ROWS, 7):  # one block at the default size, then 7-row blocks and a short last one
+            monkeypatch.setattr(federation, "_EVAL_ROWS", block)
+            for seed in range(4):
+                params = init_params(spec, 60 + seed)
+                assert evaluate(params, ds) == reference_evaluate(params, ds, block)
+                assert evaluate(params, ds, rows) == reference_evaluate(params, picked, block)
+
+    @pytest.mark.parametrize("given", [True, False], ids=["rows", "all-rows"])
+    def test_peak_memory_does_not_grow_with_the_rows_scored(self, given):
+        spec = MlpSpec((100, 50, 10))
+        params = init_params(spec, 14)
+        full = synth_dataset(10, 100, 12_000, seed=14)
+
+        def peak(n):
+            ds = full if given else Dataset(full.inputs[:n], full.labels[:n], full.num_classes)
+            kwargs = {"rows": np.arange(n)} if given else {}
+            evaluate(params, ds, **kwargs)  # warm up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate(params, ds, **kwargs)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(3_000), peak(12_000)
+        index_bytes = 0 if given else 8 * (12_000 - 3_000)  # scoring every row makes its (n,) row index
+        assert large - small <= index_bytes + 4096
 
     def test_rows_out_of_range_are_refused(self):
         spec = MlpSpec((5, 3))
