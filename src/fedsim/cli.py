@@ -67,31 +67,18 @@ STOPS = (
 )
 
 
-def _add_common_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, default=None, help="flat key=value config file")
-    sub.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable)",
-    )
-    sub.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fedsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in COMMANDS.items():
-        _add_common_args(sub.add_parser(name, help=help_text))
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", type=Path, default=None, help="flat key=value config file")
+        command.add_argument(
+            "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+            help="override a config key (repeatable)",
+        )
+        command.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     return parser
-
-
-def _load_effective(args) -> dict:
-    cfg = load_config(args.config) if args.config is not None else {}
-    cfg = apply_overrides(cfg, args.overrides)
-    return effective_config(cfg)
 
 
 def _raise_interrupt(signum, frame):
@@ -118,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, _raise_interrupt)
     try:
         try:
-            cfg = _load_effective(args)
+            cfg = effective_config(apply_overrides(load_config(args.config) if args.config else {}, args.overrides))
             note = platform_note(cfg)
             if note is not None:  # a rerun from a manifest written on another platform
                 print(note, file=sys.stderr)

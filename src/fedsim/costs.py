@@ -293,17 +293,3 @@ def sweep(dimension: str, values: Iterable[float], base: FlScenario, p: PriceShe
             )
         )
     return rows
-
-
-def sync_slope_from_costs(
-    total_low: float, total_high: float, population: int, bytes_low: float, bytes_high: float
-) -> float:
-    """Per-GB slope implied by two (sync volume, total cost) observations.
-
-    This is the calibration rule behind the default sheet's sync pricing:
-    the slope equals sync_per_gb + storage_per_gb_month, since those are the
-    only volume-proportional terms in central_cost.
-    """
-    delta_gb = population * (bytes_high - bytes_low) / GB
-    return (total_high - total_low) / delta_gb
-

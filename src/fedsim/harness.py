@@ -1,14 +1,13 @@
-"""Experiment harness: presets, dataset resolution, CSV emission, manifests.
+"""Experiment harness, in order: presets and keys, datasets, CSV and table emission, manifests, commands.
 
-Every run directory gets a manifest.txt holding the effective config plus
-run metadata under the reserved `run.` namespace. Manifests are themselves
-valid configs, so a finished run can be repeated with --config manifest.txt;
-all data columns are emitted deterministically (timing columns and manifest
-timestamps are the only thing that varies between identical runs).
-
-Preset hyperparameters (client counts, rates, round budgets) are desk-scale
-defaults chosen for this simulator, not published values; manifests carry a
-note saying so.
+Each command, run_*, takes (cfg, out_dir, meta) and returns its outputs and
+the text to print. A training command lists its runs, each one's training
+call bound with functools.partial, and _train_plan trains them in order and
+writes their CSVs. Every run directory gets a manifest.txt: the effective
+config plus run.* metadata, itself a valid config, so --config manifest.txt
+repeats the run. Data columns are deterministic; only elapsed_s and the
+manifest timestamps vary between identical runs. Preset hyperparameters are
+desk-scale simulator defaults, not published values; manifests say so.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -34,6 +34,7 @@ from .config import (
     format_value,
     from_config,
     get_typed,
+    load_config,
     naming_keys,
     read_field,
 )
@@ -178,38 +179,20 @@ KNOWN_KEYS = {
 KNOWN_PREFIXES = ("run.", "preset.arch.")
 
 
-def validate_keys(cfg: dict[str, Value]) -> None:
-    for key in cfg:
-        if key in KNOWN_KEYS or any(key.startswith(p) for p in KNOWN_PREFIXES):
-            continue
-        raise ConfigError("unknown config key", key=key)
-
-
 def effective_config(cfg: dict[str, Value]) -> dict[str, Value]:
-    """Overlay the user config on its experiment preset's defaults."""
+    """Overlay the user config on its experiment preset's defaults; an unknown key is a config error."""
     experiment = cfg.get("experiment", CUSTOM)
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}, pick one of {EXPERIMENTS}", key="experiment")
     merged = {**PRESETS[experiment], **cfg}
     merged["experiment"] = experiment
-    validate_keys(merged)
+    for key in merged:
+        if key not in KNOWN_KEYS and not key.startswith(KNOWN_PREFIXES):
+            raise ConfigError("unknown config key", key=key)
     return merged
 
 
 # ---------------------------------------------------------------- datasets
-
-def _resolve_idx_path(directory: Path, name: str, key: str) -> Path:
-    """Accept the configured name, with or without a .gz twist."""
-    candidates = [directory / name]
-    if name.endswith(".gz"):
-        candidates.append(directory / name[: -len(".gz")])
-    else:
-        candidates.append(directory / (name + ".gz"))
-    for c in candidates:
-        if c.exists():
-            return c
-    raise FileNotFoundError(f"{key}: none of {[str(c) for c in candidates]} exist")
-
 
 def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
     """Build (train, test) datasets from the data.* config section."""
@@ -228,10 +211,13 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
         return train, test
     if source == "mnist":
         directory = Path(os.environ.get(ENV_DATA_DIR) or get_typed(cfg, "data.dir", str, "data"))
-        paths = {
-            key: _resolve_idx_path(directory, get_typed(cfg, key, str, default_name), key)
-            for key, default_name in MNIST_FILES.items()
-        }
+        paths = {}
+        for key, default_name in MNIST_FILES.items():  # each file as named, or with its .gz suffix toggled
+            name = get_typed(cfg, key, str, default_name)
+            candidates = [directory / name, directory / (name[:-3] if name.endswith(".gz") else name + ".gz")]
+            paths[key] = next((c for c in candidates if c.exists()), None)
+            if paths[key] is None:
+                raise FileNotFoundError(f"{key}: none of {[str(c) for c in candidates]} exist")
         train = load_idx(paths["data.train_images"], paths["data.train_labels"])
         test = load_idx(paths["data.test_images"], paths["data.test_labels"])
         if test.num_features != train.num_features:
@@ -253,38 +239,22 @@ def build_fed_config(cfg: dict[str, Value]) -> FedConfig:
 
 
 def build_price_sheet(cfg: dict[str, Value]) -> PriceSheet:
-    """The base sheet (default, or all zeros under price.zero) with the price.* overrides of a validated cfg."""
+    """The base sheet (default, or all zeros under price.zero), each price overridden by its price.* key."""
     base = PriceSheet.zeros() if get_typed(cfg, "price.zero", bool, False) else DEFAULT_PRICE_SHEET
-    changes: dict[str, float] = {}
-    instance = dict(base.instance_hourly)
-    for key in cfg:
-        if not key.startswith("price.") or key == "price.zero":
-            continue
-        name = key[len("price."):]
-        price = get_typed(cfg, key, float)
-        if name.startswith("instance."):
-            instance[name[len("instance."):]] = price
-        else:
-            changes[name] = price
+    changes = {name: get_typed(cfg, "price." + name, float, getattr(base, name)) for name in config_fields(PriceSheet)}
+    instance = {role: get_typed(cfg, f"price.instance.{role}", float, p) for role, p in base.instance_hourly.items()}
     with naming_keys(lambda field: "price." + field):
         return replace(base, instance_hourly=instance, **changes)
 
 
 # ---------------------------------------------------------------- emission
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One CSV, each float cell to 10 significant digits; the csv module writes None as an empty cell."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        writer.writerows([f"{x:.10g}" if isinstance(x, float) else x for x in row] for row in rows)
 
 
 def write_rounds_csv(path: Path, history: list[RoundMetrics]) -> None:
@@ -292,22 +262,6 @@ def write_rounds_csv(path: Path, history: list[RoundMetrics]) -> None:
         path,
         ["round", "train_acc", "test_acc", "mean_client_loss", "elapsed_s"],
         ([m.round_index, m.train_accuracy, m.test_accuracy, m.mean_client_loss, m.elapsed_s] for m in history),
-    )
-
-
-def write_breakdown_csv(path: Path, breakdown: CostBreakdown) -> None:
-    _write_csv(
-        path,
-        ["item", "name", "category", "quantity", "unit_price", "dollars"],
-        ([i, item.name, item.category, item.quantity, item.unit_price, item.dollars] for i, item in enumerate(breakdown.items)),
-    )
-
-
-def write_sweep_csv(path: Path, rows: list[SweepRow]) -> None:
-    _write_csv(
-        path,
-        ["value", "training_cost", "deployment_cost"],
-        ([row.value, row.training_cost, row.deployment_cost] for row in rows),
     )
 
 
@@ -321,16 +275,6 @@ set key bottom right
 plot "{csv}" using 1:2 every ::1 with linespoints title "train", \\
      "{csv}" using 1:3 every ::1 with linespoints title "test"
 """
-
-
-def write_partition_csv(path: Path, shards, dataset: Dataset) -> None:
-    rows = []
-    for shard in shards:
-        census = shard.label_census
-        p = census[census > 0] / census.sum()
-        entropy = float(-(p * np.log(p)).sum())
-        rows.append([shard.client_id, shard.num_samples, int(census.argmax()), entropy])
-    _write_csv(path, ["client_id", "num_samples", "dominant_label", "census_entropy"], rows)
 
 
 def format_breakdown_table(title: str, breakdown: CostBreakdown) -> str:
@@ -397,20 +341,20 @@ def platform_note(cfg: dict[str, Value]) -> str | None:
 
 
 def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.txt"
     _write_manifest(path, cfg, command, {"run.started_utc": _utc_now(), "run.status": "running"})
     return path
 
 
 def finish_manifest(path: Path, cfg: dict[str, Value], command: str, run_meta: dict[str, Value]) -> None:
-    """Rewrite the manifest with the finish time and run_meta, the run.* entries its outcome decided.
+    """Rewrite the manifest with the start time it holds, the finish time and run_meta, its outcome's run.* entries.
 
     run_meta holds run.status (complete, failed or interrupted) and whatever
     the command and its outcome added: run.outputs, run.error, run.workers,
     run.client_group, run.blas_threads.
     """
-    _write_manifest(path, cfg, command, {"run.finished_utc": _utc_now(), **run_meta})
+    started = load_config(path)["run.started_utc"]
+    _write_manifest(path, cfg, command, {"run.started_utc": started, "run.finished_utc": _utc_now(), **run_meta})
 
 
 # ---------------------------------------------------------------- commands
@@ -420,8 +364,8 @@ BLAS_NOTE = (
     " their results may differ in their last bits across thread counts"
 )
 
-# One run of a plan: arch label, samples per client, rounds CSV name, and a
-# closure that trains the run, passing each round's metrics to its argument.
+# One run of a plan: arch label, samples per client, rounds CSV name, and its
+# training call, which passes each round's metrics to its argument.
 Run = tuple[str, int, str, Callable[[Callable[[RoundMetrics], object]], object]]
 
 COST_SCENARIOS = {
@@ -506,15 +450,13 @@ def _train_plan(out_dir: Path, runs: list[Run], grid: bool) -> tuple[list[Path],
     for arch, samples_per_client, name, train in runs:
         path = out_dir / name
         rows: list[RoundMetrics] = []
-        rejected = False
         try:
             train(rows.append)
-        except ValueError:
-            rejected = not rows
-            raise
-        finally:
-            if not rejected:  # one write per run, after training: no file I/O inside the timed call
+        except BaseException as stop:  # written once the run ends, so no file I/O falls inside the timed call
+            if rows or not isinstance(stop, ValueError):
                 write_rounds_csv(path, rows)
+            raise
+        write_rounds_csv(path, rows)
         outputs.append(path)
         last = next((m for m in reversed(rows) if m.train_accuracy is not None), None)
         summary.append([arch, samples_per_client, last and last.train_accuracy, last and last.test_accuracy])
@@ -544,26 +486,24 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     seed = get_typed(cfg, "seed", int)
     noted = False
 
-    def run(model: MlpSpec, plan: PartitionPlan, shards: list[ClientShard], name: str, run_seed: int) -> Run:
-        config = replace(fed_config, seed=run_seed)
-
-        def train(on_round) -> None:
-            nonlocal noted
-            run_layout, threads = layout(model, config, shards), blas_thread_count()
-            pinned = "unknown" if threads is None else 1 if run_layout.one_thread else threads
-            meta.setdefault("run.workers", []).append(run_layout.workers)
-            meta.setdefault("run.client_group", []).append(run_layout.group)
-            meta.setdefault("run.blas_threads", []).append(pinned)
-            if threads is None and run_layout.one_thread and not noted:
-                noted = True
-                print(BLAS_NOTE, file=sys.stderr)
-            train_federated(model, config, shards, dataset, test_set, on_round=on_round)
-
-        return _arch_label(model.layer_sizes), plan.samples_per_client, name, train
+    def train(model: MlpSpec, config: FedConfig, shards: list[ClientShard], on_round) -> None:
+        nonlocal noted
+        run_layout, threads = layout(model, config, shards), blas_thread_count()
+        pinned = "unknown" if threads is None else 1 if run_layout.one_thread else threads
+        meta.setdefault("run.workers", []).append(run_layout.workers)
+        meta.setdefault("run.client_group", []).append(run_layout.group)
+        meta.setdefault("run.blas_threads", []).append(pinned)
+        if threads is None and run_layout.one_thread and not noted:
+            noted = True
+            print(BLAS_NOTE, file=sys.stderr)
+        train_federated(model, config, shards, dataset, test_set, on_round=on_round)
 
     if experiment == CUSTOM:
-        runs = [run(_mlp_spec(cfg, "model.layers", dataset, test_set), *_partition(cfg, dataset), "rounds.csv", seed)]
-        return _train_plan(out_dir, runs, grid=False)
+        model = _mlp_spec(cfg, "model.layers", dataset, test_set)
+        plan, shards = _partition(cfg, dataset)
+        arch = _arch_label(model.layer_sizes)
+        run = arch, plan.samples_per_client, "rounds.csv", partial(train, model, fed_config, shards)
+        return _train_plan(out_dir, [run], grid=False)
     samples_values = _typed_list(cfg, "preset.samples_per_client", int)
     if len(set(samples_values)) < len(samples_values):  # a repeated point, or net, would train a run into its CSV again
         raise ConfigError(f"repeats a value in {samples_values}", key="preset.samples_per_client")
@@ -572,8 +512,9 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
         arch = _arch_label(model.layer_sizes)
         for spc in samples_values:
             # partitioned here, so a grid point that cannot be met fails before any run trains
-            plan, shards = _partition(cfg, dataset, spc, arch, spc, single_sample=experiment == ROUND_CURVES and spc == 1)
-            runs.append(run(model, plan, shards, f"rounds_{arch}_spc{spc}.csv", derive_seed(seed, "run", arch, spc)))
+            _, shards = _partition(cfg, dataset, spc, arch, spc, single_sample=experiment == ROUND_CURVES and spc == 1)
+            config = replace(fed_config, seed=derive_seed(seed, "run", arch, spc))
+            runs.append((arch, spc, f"rounds_{arch}_spc{spc}.csv", partial(train, model, config, shards)))
     return _train_plan(out_dir, runs, grid=True)
 
 
@@ -582,17 +523,12 @@ def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Valu
     seed = get_typed(cfg, "seed", int)
     config = from_config(CentralConfig, cfg, "central.")  # after the data, so a missing data file is an I/O error first
     grid = cfg["experiment"] == CENTRAL_BASELINE
-
-    def run(model: MlpSpec) -> Run:
+    runs = []
+    for model in _grid_specs(cfg, dataset, test_set) if grid else [_mlp_spec(cfg, "model.layers", dataset, test_set)]:
         arch = _arch_label(model.layer_sizes)
-
-        def train(on_round) -> None:
-            train_centralized(model, dataset, test_set, config, derive_seed(seed, "central", arch), on_round)
-
-        return arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train
-
-    models = _grid_specs(cfg, dataset, test_set) if grid else [_mlp_spec(cfg, "model.layers", dataset, test_set)]
-    return _train_plan(out_dir, [run(model) for model in models], grid)
+        train = partial(train_centralized, model, dataset, test_set, config, derive_seed(seed, "central", arch))
+        runs.append((arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train))
+    return _train_plan(out_dir, runs, grid)
 
 
 def run_cost(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
@@ -608,7 +544,8 @@ def run_cost(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tu
         title, scenario_cls, cost = COST_SCENARIOS[kind]
         breakdown = cost(from_config(scenario_cls, cfg, "cost."), sheet)
         path = out_dir / f"breakdown_{kind}.csv"
-        write_breakdown_csv(path, breakdown)
+        rows = ([i, x.name, x.category, x.quantity, x.unit_price, x.dollars] for i, x in enumerate(breakdown.items))
+        _write_csv(path, ["item", "name", "category", "quantity", "unit_price", "dollars"], rows)
         outputs.append(path)
         texts.append(format_breakdown_table(title, breakdown))
     return outputs, "\n\n".join(texts)
@@ -623,13 +560,19 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> t
     with naming_keys(lambda field: "cost.sweep." + ("dimension" if field == "dimension" else "values")):
         rows = sweep(dimension, values, base, sheet)
     path = out_dir / "sweep.csv"
-    write_sweep_csv(path, rows)
+    columns = ["value", "training_cost", "deployment_cost"]
+    _write_csv(path, columns, ([getattr(row, column) for column in columns] for row in rows))
     return [path], format_sweep_table(dimension, rows)
 
 
 def run_partition_stats(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
     dataset, _ = resolve_datasets(cfg)
     _, shards = _partition(cfg, dataset)
+    rows = []
+    for shard in shards:
+        census = shard.label_census
+        p = census[census > 0] / census.sum()
+        rows.append([shard.client_id, shard.num_samples, int(census.argmax()), float(-(p * np.log(p)).sum())])
     path = out_dir / "shards.csv"
-    write_partition_csv(path, shards, dataset)
+    _write_csv(path, ["client_id", "num_samples", "dominant_label", "census_entropy"], rows)
     return [path], ""

@@ -57,6 +57,8 @@ class MlpSpec:
         sizes = self.layer_sizes
         # not a field, so equality and hashing ignore it; every client's vector checks against it
         object.__setattr__(self, "_parameter_count", sum((din + 1) * dout for din, dout in zip(sizes[:-1], sizes[1:])))
+        if 8 * self._parameter_count > np.iinfo(np.intp).max:  # numpy could not even describe its float64 vector
+            raise FieldError("layer_sizes", f"give {self._parameter_count} parameters, more than one array can hold")
 
     @property
     def input_dim(self) -> int:

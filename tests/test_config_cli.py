@@ -118,6 +118,18 @@ class TestCliTrainFed:
         assert main(["train-fed", "--config", str(first / "manifest.txt"), "--out", str(second)]) == 0
         assert drop_elapsed(read_csv(first / "rounds.csv")) == drop_elapsed(read_csv(second / "rounds.csv"))
 
+    @pytest.mark.parametrize("override, code", [("fed.rounds=2", 0), ("fed.eval_every=0", 2)], ids=["complete", "failed"])
+    def test_the_finished_manifest_keeps_its_start_time(self, tmp_path, monkeypatch, override, code):
+        import fedsim.harness as harness
+
+        stamps = iter(["2026-01-02T03:04:05Z", "2026-01-02T03:04:09Z"])
+        monkeypatch.setattr(harness, "_utc_now", lambda: next(stamps))
+        assert main(["train-fed", "--out", str(tmp_path)] + SYNTH_FED + ["--set", override]) == code
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert [line for line in lines if line.endswith("_utc", 0, line.find(" = "))] == [
+            "run.finished_utc = 2026-01-02T03:04:09Z", "run.started_utc = 2026-01-02T03:04:05Z",
+        ]
+
     def test_rerun_on_the_same_platform_prints_no_note(self, tmp_path, capsys):
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["train-fed", "--out", str(first)] + SYNTH_FED) == 0
@@ -598,6 +610,14 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert f"config error: {override.split('=')[0]}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train-fed", "train-central"])
+    def test_a_net_too_large_for_one_array_names_its_key(self, tmp_path, capsys, command):
+        argv = [command, "--out", str(tmp_path)] + (SYNTH_FED if command == "train-fed" else SYNTH_CENTRAL)
+        assert main(argv + ["--set", "model.layers=6,1000000000000000000,3"]) == 2  # 8e19 bytes of weights
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.layers: layer_sizes give 10000000000000000003 parameters, ")
+        assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize(
         "argv, key",

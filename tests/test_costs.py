@@ -13,7 +13,6 @@ from fedsim.costs import (
     fl_deployment_cost,
     fl_training_cost,
     sweep,
-    sync_slope_from_costs,
 )
 from fedsim.config import from_config
 from fedsim.harness import COST_MODEL_SIZE_SWEEP, COST_ROUNDS_SWEEP, PRESETS
@@ -21,6 +20,19 @@ from fedsim.harness import COST_MODEL_SIZE_SWEEP, COST_ROUNDS_SWEEP, PRESETS
 # the campaigns of the cost_model_size_sweep and cost_rounds_sweep presets
 MODEL_SIZE_BASE = from_config(FlScenario, PRESETS[COST_MODEL_SIZE_SWEEP], "cost.")
 ROUNDS_BASE = from_config(FlScenario, PRESETS[COST_ROUNDS_SWEEP], "cost.")
+
+
+def sync_slope_from_costs(
+    total_low: float, total_high: float, population: int, bytes_low: float, bytes_high: float
+) -> float:
+    """Per-GB slope implied by two (sync volume, total cost) observations.
+
+    This is the calibration rule behind the default sheet's sync pricing:
+    the slope equals sync_per_gb + storage_per_gb_month, since those are the
+    only volume-proportional terms in central_cost.
+    """
+    delta_gb = population * (bytes_high - bytes_low) / GB
+    return (total_high - total_low) / delta_gb
 
 
 def fl(model_size=500_000, rounds=200, rounds_per_day=100, **kw):

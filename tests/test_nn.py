@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import reference_loss_and_grad
 
+from fedsim.config import FieldError
 from fedsim.nn import (
     Batch,
     GradVector,
@@ -71,6 +72,12 @@ class TestMlpSpec:
             MlpSpec((784, 0, 10))
         with pytest.raises(ValueError):
             MlpSpec((784, 10), activation="tanh")
+
+    def test_rejects_a_net_whose_vector_numpy_cannot_describe(self):
+        largest = np.iinfo(np.intp).max // 16  # a (1, n) net has 2n parameters, 16n bytes
+        assert MlpSpec((1, largest)).parameter_count() == 2 * largest
+        with pytest.raises(FieldError, match="^layer_sizes give "):
+            MlpSpec((1, largest + 1))
 
 
 class TestInitParams:
