@@ -7,12 +7,14 @@ Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O error,
 stopped by SIGTERM. Every way a run ends after its manifest is started goes
 through one finish path, which records the outcome in the manifest:
 run.status = complete, failed (with run.error; a diverged run also records
-run.failed_round) or interrupted. A stopped training run keeps the rounds it
-completed in its rounds CSV. A stop prints one stderr line and no traceback;
-any other exception is a bug: its run is recorded as failed and the
-exception is raised again (exit 1, with its traceback). SIGKILL is the one
-stop that leaves run.status = running and no rounds CSV, since the process
-gets no chance to write them.
+run.failed_round) or interrupted. It keeps the start time in memory and reads
+no file, so a manifest changed or deleted while the run ran is written anew,
+whole. A stopped training run keeps the rounds it completed in its rounds
+CSV. A stop prints one stderr line and no traceback; any other exception is
+a bug: its run is recorded as failed and the exception is raised again
+(exit 1, with its traceback). SIGKILL is the one stop that leaves
+run.status = running and no rounds CSV, since the process gets no chance to
+write them.
 A config read back from a manifest carries its run.platform.* entries;
 where they differ from the fingerprint of the machine the rerun runs on, one
 note: line on stderr names the fields first, and the exit code and outputs
@@ -118,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
             meta.update(_outcome(stop)[2])
         if manifest is not None:  # the one finish path, whatever the outcome
             try:
-                finish_manifest(manifest, cfg, args.command, meta)
+                finish_manifest(*manifest, cfg, args.command, meta)
             except OSError as err:
                 stop = stop or err  # a run that already stopped reports its own stop
     finally:

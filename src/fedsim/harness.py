@@ -34,7 +34,6 @@ from .config import (
     format_value,
     from_config,
     get_typed,
-    load_config,
     naming_keys,
     read_field,
 )
@@ -340,20 +339,21 @@ def platform_note(cfg: dict[str, Value]) -> str | None:
     return f"note: the manifest's platform differs here ({', '.join(differ)}); results may differ in their last bits"
 
 
-def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> Path:
-    path = out_dir / "manifest.txt"
-    _write_manifest(path, cfg, command, {"run.started_utc": _utc_now(), "run.status": "running"})
-    return path
+def start_manifest(out_dir: Path, command: str, cfg: dict[str, Value]) -> tuple[Path, str]:
+    """Write the manifest of a run that is starting; returns its path and start time for finish_manifest."""
+    path, started = out_dir / "manifest.txt", _utc_now()
+    _write_manifest(path, cfg, command, {"run.started_utc": started, "run.status": "running"})
+    return path, started
 
 
-def finish_manifest(path: Path, cfg: dict[str, Value], command: str, run_meta: dict[str, Value]) -> None:
-    """Rewrite the manifest with the start time it holds, the finish time and run_meta, its outcome's run.* entries.
+def finish_manifest(path: Path, started: str, cfg: dict[str, Value], command: str, run_meta: dict[str, Value]) -> None:
+    """Rewrite the manifest whole, from the start time start_manifest returned, the finish time and run_meta.
 
-    run_meta holds run.status (complete, failed or interrupted) and whatever
-    the command and its outcome added: run.outputs, run.error, run.workers,
-    run.client_group, run.blas_threads.
+    It reads no file, so a manifest changed or deleted while the run ran is
+    written anew. run_meta holds run.status (complete, failed or interrupted)
+    and whatever the command and its outcome added: run.outputs, run.error,
+    run.workers, run.client_group, run.blas_threads.
     """
-    started = load_config(path)["run.started_utc"]
     _write_manifest(path, cfg, command, {"run.started_utc": started, "run.finished_utc": _utc_now(), **run_meta})
 
 

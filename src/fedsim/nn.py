@@ -10,12 +10,13 @@ their inputs and return new vectors and states. The training hot path is
 loss_and_grad_raw: it writes every intermediate, and the gradient it returns,
 into a Workspace of buffers allocated once per (spec, batch rows, models),
 so a training loop can take each step, and update its weights in place,
-without allocating. It runs the same IEEE operations in the same order as
-the allocating formulation, so results are bit-identical. The raw step
-functions take a stack of k models, a (k, P) array with (k, m, d) inputs,
-and step the k independent models in lockstep with the bits each gets
-alone; one model is a stack of one. The public wrappers and forward_logits
-take a (P,) vector.
+without allocating. It runs forward_logits' one layer loop, and each layer's
+one buffer holds its output, then its delta. It runs the same IEEE
+operations in the same order as the allocating formulation, so results are
+bit-identical. The raw step functions take a stack of k models, a (k, P)
+array with (k, m, d) inputs, and step the k independent models in lockstep
+with the bits each gets alone; one model is a stack of one. The public
+wrappers and forward_logits take a (P,) vector.
 """
 
 from __future__ import annotations
@@ -172,33 +173,36 @@ def _check_batch(spec: MlpSpec, batch: Batch) -> None:
         )
 
 
-def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Array] | None = None) -> Array:
-    """Forward pass on raw arrays, returning the logits. Hot path, skips wrapper allocation.
+def _forward(layers: list[tuple[Array, Array]], relu: bool, inputs: Array, outs: list[Array]) -> Array:
+    """The one forward layer loop, for loss_and_grad_raw and forward_logits; returns outs[-1], the logits.
 
-    values (P,) with inputs (m, d) is one model; a stack (k, P) with inputs
-    (k, m, d) is k models, each on its own batch. Layer i is written into the
-    leading m rows of buffers[i] (one buffer per layer, each with at least
-    as many rows as inputs) when buffers are given, else into a fresh array;
-    hidden ReLUs run in place. Either way each layer is matmul, += b, then
-    ReLU: the operations of h @ w + b, so the same bits.
+    Layer i is matmul into outs[i], += b, then on hidden ReLU layers
+    max(., 0) in place: the operations of h @ w + b, so the same bits.
     """
-    m = inputs.shape[-2]
-    relu = spec.activation == "relu"
-    layers = unflatten(values, spec)
     last = len(layers) - 1
     h = inputs
     for i, (w, b) in enumerate(layers):
-        z = np.empty((*inputs.shape[:-1], w.shape[-1])) if buffers is None else buffers[i][..., :m, :]
-        np.matmul(h, w, out=z)
-        z += b
+        h = np.matmul(h, w, out=outs[i])
+        h += b
         if i < last and relu:
-            np.maximum(z, 0.0, out=z)
-        h = z
+            np.maximum(h, 0.0, out=h)
     return h
 
 
+def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Array]) -> Array:
+    """Forward pass on raw arrays, returning the logits. Hot path, skips wrapper allocation.
+
+    values (P,) with inputs (m, d) is one model; a stack (k, P) with inputs
+    (k, m, d) is k models, each on its own batch. Each layer's output is
+    written into the leading m rows of its buffer in buffers (one per layer,
+    each with at least as many rows as inputs); the last one holds the logits.
+    """
+    m = inputs.shape[-2]
+    return _forward(unflatten(values, spec), spec.activation == "relu", inputs, [buf[..., :m, :] for buf in buffers])
+
+
 class _Views:
-    """A Workspace's buffers shaped for one call of a stack of k models on m rows each: (k, m, .)."""
+    """A Workspace's buffers as (k, m, .) views for k models on m rows; outs[i] holds layer i's output, then its delta."""
 
     def __init__(self, ws: Workspace, k: int, m: int):
         spec = ws.spec
@@ -207,10 +211,8 @@ class _Views:
         def view(flat: Array, d: int) -> Array:
             return flat[: k * m * d].reshape(k, m, d)
 
-        self.z = [view(flat, d) for flat, d in zip(ws._z, outs)]
-        self.acts = [view(flat, d) for flat, d in zip(ws._acts, outs)]
+        self.outs = [view(flat, d) for flat, d in zip(ws._outs, outs)]
         self.masks = [view(flat, d) for flat, d in zip(ws._masks, outs)]
-        self.deltas = [view(flat, d) for flat, d in zip(ws._deltas, outs)]
         self.row_scratch = view(ws._row_scratch, 1)
         self.inputs = view(ws._inputs, spec.input_dim)
         self.labels = ws._labels[: k * m].reshape(k, m)
@@ -225,13 +227,13 @@ class _Views:
 class Workspace:
     """Reusable buffers for loss_and_grad_raw and loss_raw on a stack of up to `clients` models, `rows` rows each.
 
-    Per layer: the pre-activations z, and for hidden layers the activations,
-    the back-propagated deltas and (ReLU only) the active-unit masks. Also the
-    flat gradient with its per-layer (W, b) views, and the inputs/labels
-    buffers a training loop gathers each batch into. Each buffer is flat and
-    holds `clients` times `rows` rows. A call of k models on m rows uses the
-    leading k * m rows of every buffer, viewed as a contiguous (k, m, .)
-    array; fit() makes those views once per shape.
+    One float buffer per layer holds its output, then its back-propagated
+    delta; hidden ReLU layers also keep an active-unit mask. Also the flat
+    gradient with its per-layer (W, b) views, and the inputs/labels buffers a
+    training loop gathers each batch into. Each buffer is flat and holds
+    `clients` times `rows` rows. A call of k models on m rows uses the leading
+    k * m rows of every buffer, viewed as a contiguous (k, m, .) array; fit()
+    makes those views once per shape.
     """
 
     def __init__(self, spec: MlpSpec, rows: int, clients: int = 1):
@@ -241,12 +243,9 @@ class Workspace:
         self.rows = rows
         self.clients = clients
         outs = spec.layer_sizes[1:]
-        relu = spec.activation == "relu"
         size = clients * rows
-        self._z = [np.empty(size * d) for d in outs]
-        self._acts = [np.empty(size * d) for d in outs[:-1]] if relu else self._z[:-1]
-        self._masks = [np.empty(size * d, dtype=bool) for d in outs[:-1]] if relu else []
-        self._deltas = [np.empty(size * d) for d in outs[:-1]]
+        self._outs = [np.empty(size * d) for d in outs]
+        self._masks = [np.empty(size * d, dtype=bool) for d in outs[:-1]] if spec.activation == "relu" else []
         self._row_scratch = np.empty(size)
         self._inputs = np.empty(size * spec.input_dim)
         self._labels = np.empty(size, dtype=np.int64)
@@ -311,17 +310,7 @@ def loss_and_grad_raw(
     layers = unflatten(values, spec)
     last = len(layers) - 1
 
-    # forward, keeping pre-activations for the backward pass
-    h = inputs
-    for i, (w, b) in enumerate(layers):
-        z = v.z[i]
-        np.matmul(h, w, out=z)
-        z += b
-        h = v.acts[i] if i < last else z
-        if i < last and relu:
-            np.maximum(z, 0.0, out=h)
-
-    probs = _softmax_inplace(h, v.row_scratch)
+    probs = _softmax_inplace(_forward(layers, relu, inputs, v.outs), v.row_scratch)
     loss = _loss_from_probs(probs, labels, v.picks)
 
     delta = probs  # the output delta (probs - onehot) / m overwrites the probabilities
@@ -330,7 +319,7 @@ def loss_and_grad_raw(
 
     for i in range(last, -1, -1):
         gw, gb = v.grad_layers[i]
-        a = inputs if i == 0 else v.acts[i - 1]
+        a = inputs if i == 0 else v.outs[i - 1]
         if m == 1:
             # a one-row product is one rounded multiply added onto +0, as in the
             # dgemm, but einsum skips BLAS's fixed cost; wider batches keep BLAS,
@@ -339,15 +328,13 @@ def loss_and_grad_raw(
         else:
             np.matmul(a.swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
-        if i > 0:
-            upstream = v.deltas[i - 1]
-            w = layers[i][0]
-            np.matmul(delta, w.swapaxes(-1, -2), out=upstream)
+        if i > 0:  # the output gw read gives the mask (max(z, 0) > 0 just where z > 0), then takes the delta
             if relu:
-                mask = v.masks[i - 1]
-                np.greater(v.z[i - 1], 0.0, out=mask)
-                np.multiply(upstream, mask, out=upstream)
-            delta = upstream
+                np.greater(a, 0.0, out=v.masks[i - 1])
+            np.matmul(delta, layers[i][0].swapaxes(-1, -2), out=a)
+            if relu:
+                np.multiply(a, v.masks[i - 1], out=a)
+            delta = a
     return loss, v.grad
 
 
@@ -356,13 +343,13 @@ def loss_raw(
 ) -> Array:
     """The k mean softmax cross-entropies of a stack, on raw arrays, unchecked; loss() validates and wraps it.
 
-    Shapes as in loss_and_grad_raw. The forward pass runs in the z buffers
+    Shapes as in loss_and_grad_raw. The forward pass runs in the layer buffers
     of workspace (a temporary one sized to the batch when omitted), which
     must fit the batch.
     """
     (k, _), m = values.shape, inputs.shape[-2]
     v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
-    logits = forward_logits(values, spec, inputs, v.z)
+    logits = forward_logits(values, spec, inputs, v.outs)
     return _loss_from_probs(_softmax_inplace(logits, v.row_scratch), labels, v.picks)
 
 

@@ -130,6 +130,31 @@ class TestCliTrainFed:
             "run.finished_utc = 2026-01-02T03:04:09Z", "run.started_utc = 2026-01-02T03:04:05Z",
         ]
 
+    @pytest.mark.parametrize("change", [
+        lambda path: path.write_text(path.read_text() + "a line without an equals sign\n"),
+        lambda path: path.write_text("seed = 1\n"),
+        Path.unlink,
+    ], ids=["unparseable", "no-start-time", "deleted"])
+    def test_a_manifest_changed_during_the_run_is_finished_from_memory(self, tmp_path, monkeypatch, capsys, change):
+        import fedsim.cli as cli
+        import fedsim.harness as harness
+
+        stamps = iter(["2026-01-02T03:04:05Z", "2026-01-02T03:04:09Z"])
+        monkeypatch.setattr(harness, "_utc_now", lambda: next(stamps))
+        help_text, run = cli.COMMANDS["cost"]
+
+        def run_then_change(cfg, out_dir, meta):
+            result = run(cfg, out_dir, meta)
+            change(out_dir / "manifest.txt")
+            return result
+
+        monkeypatch.setitem(cli.COMMANDS, "cost", (help_text, run_then_change))
+        assert main(["cost", "--out", str(tmp_path), "--set", "experiment=cost_rounds_sweep"]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.status = complete" in lines
+        assert "run.started_utc = 2026-01-02T03:04:05Z" in lines
+
     def test_rerun_on_the_same_platform_prints_no_note(self, tmp_path, capsys):
         first, second = tmp_path / "first", tmp_path / "second"
         assert main(["train-fed", "--out", str(first)] + SYNTH_FED) == 0

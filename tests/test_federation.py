@@ -655,8 +655,9 @@ class TestEvaluate:
         spec = MlpSpec((5, 4, 3))
         params = init_params(spec, 20)
         ds = synth_dataset(3, 5, 150, seed=9)
+        buffers = [np.empty((1, d)) for d in spec.layer_sizes[1:]]
         expected = np.mean([
-            int(np.argmax(forward_logits(params.values, spec, x[None, :])[0]) == y)
+            int(np.argmax(forward_logits(params.values, spec, x[None, :], buffers)[0]) == y)
             for x, y in zip(ds.inputs, ds.labels)
         ])
         assert evaluate(params, ds) == pytest.approx(float(expected))

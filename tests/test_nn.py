@@ -3,6 +3,7 @@ import pytest
 from conftest import reference_loss_and_grad
 
 from fedsim.config import FieldError
+from fedsim.data import synth_dataset
 from fedsim.nn import (
     Batch,
     GradVector,
@@ -235,10 +236,53 @@ class TestWorkspaceKernel:
                 h = h @ w + b
                 if i < len(layers) - 1 and activation == "relu":
                     h = np.maximum(h, 0.0)
-            for out in (None, buffers):
-                logits = forward_logits(params.values, spec, inputs, out)
-                assert np.array_equal(logits.view(np.int64), h.view(np.int64))
-            assert np.shares_memory(forward_logits(params.values, spec, inputs, buffers), buffers[-1])
+            logits = forward_logits(params.values, spec, inputs, buffers)
+            assert np.array_equal(logits.view(np.int64), h.view(np.int64))
+            assert np.shares_memory(logits, buffers[-1])
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("edge", ["zero", "nan"])
+    def test_relu_masks_at_zero_and_nan_pre_activations_match_the_reference_bit_for_bit(self, edge, rows):
+        # the kernel takes each ReLU mask from the layer's output, max(z, 0) > 0, where the
+        # reference takes z > 0: both are false at +0.0, -0.0 and nan
+        spec = MlpSpec((5, 4, 3, 3))
+        params = init_params(spec, 70)
+        (w0, b0), (w1, b1), _ = unflatten(params.values, spec)
+        if edge == "zero":
+            w0[:, 0], b0[0] = 0.0, 0.0
+            w1[:, 2], b1[2] = 0.0, -0.0
+        else:
+            w0[3, 1] = np.nan
+        batch = random_batch(np.random.default_rng(70 + rows), rows, spec)
+        values, grads = loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None])
+        ref_value, ref_grad = reference_loss_and_grad(params.values, spec, batch.inputs, batch.labels)
+        assert values.view(np.int64)[0] == np.float64(ref_value).view(np.int64)
+        assert np.array_equal(grads[0].view(np.int64), ref_grad.view(np.int64))
+        assert np.isnan(ref_value) == (edge == "nan")
+
+    def test_the_step_kernel_never_calls_forward_logits(self, monkeypatch):
+        # the benchmark traces forward_logits at both names its callers look up
+        import fedsim.federation as federation
+        import fedsim.nn as nn
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward_logits(*args)
+
+        monkeypatch.setattr(nn, "forward_logits", counted)
+        monkeypatch.setattr(federation, "forward_logits", counted)
+        spec = MlpSpec((5, 4, 3))
+        params = init_params(spec, 71)
+        batch = random_batch(np.random.default_rng(71), 6, spec)
+        loss_and_grad_raw(params.values[None], spec, batch.inputs[None], batch.labels[None])
+        assert len(calls) == 0
+        loss_raw(params.values[None], spec, batch.inputs[None], batch.labels[None])
+        assert len(calls) >= 1
+        calls.clear()
+        federation.evaluate(params, synth_dataset(3, 5, 20, seed=71))
+        assert len(calls) >= 1
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     def test_a_stack_of_models_steps_each_as_alone_bit_for_bit(self, activation):
