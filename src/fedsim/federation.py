@@ -340,25 +340,37 @@ def evaluate(params: ParamVector, dataset: Dataset, rows: np.ndarray | None = No
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
     rows are the indices of the dataset rows to score, in order (default:
-    every row). They are gathered _EVAL_ROWS at a time into one block, and
-    each layer of a block is written into buffers allocated once per call, so
-    the rows are never copied whole.
+    every row). They are scored _EVAL_ROWS at a time, and each layer of a
+    block is written into buffers allocated once per call. A whole dataset
+    whose inputs are C-contiguous is read in place, one row slice per block;
+    a given row set, or inputs in another layout, are gathered block by
+    block into one more buffer. Either way a block is the same C-contiguous
+    matrix of the same rows, so the products and their bits are the same.
     """
-    if rows is None:
+    if rows is not None:
+        if rows.size == 0:
+            raise ValueError("rows is empty: there is no row to score")
+        if rows.min() < 0 or rows.max() >= len(dataset):
+            raise IndexError(f"rows out of range for a dataset of {len(dataset)} rows")
+    elif not dataset.inputs.flags.c_contiguous:
         rows = np.arange(len(dataset))
-    elif rows.min() < 0 or rows.max() >= len(dataset):
-        raise IndexError(f"rows out of range for a dataset of {len(dataset)} rows")
-    size = min(_EVAL_ROWS, rows.size)
-    gathered = np.empty((size, dataset.num_features))
+    n = len(dataset) if rows is None else rows.size
+    size = min(_EVAL_ROWS, n)
+    gathered = None if rows is None else np.empty((size, dataset.num_features))
     buffers = [np.empty((size, d)) for d in params.spec.layer_sizes[1:]]
     hits = 0
-    for start in range(0, rows.size, _EVAL_ROWS):
-        idx = rows[start : start + _EVAL_ROWS]
-        # mode="clip" lets take write into out without a buffer; the bounds are checked above
-        block = np.take(dataset.inputs, idx, axis=0, out=gathered[: idx.size], mode="clip")
+    for start in range(0, n, _EVAL_ROWS):
+        if rows is None:
+            block = dataset.inputs[start : start + _EVAL_ROWS]
+            labels = dataset.labels[start : start + _EVAL_ROWS]
+        else:
+            idx = rows[start : start + _EVAL_ROWS]
+            # mode="clip" lets take write into out without a buffer; the bounds are checked above
+            block = np.take(dataset.inputs, idx, axis=0, out=gathered[: idx.size], mode="clip")
+            labels = dataset.labels[idx]
         logits = forward_logits(params.values, params.spec, block, buffers)
-        hits += int(np.count_nonzero(logits.argmax(axis=1) == dataset.labels[idx]))
-    return hits / rows.size
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == labels))
+    return hits / n
 
 
 def _client_seed(run_seed: int, round_index: int, client_id: int) -> int:
@@ -582,6 +594,8 @@ def train_federated(
     Every eval_every rounds, and after the final round, accuracy is scored on
     the shards' sorted union (the rows the federation trains on) and on
     test_set; eval_every defaults to 1 for short runs and 5 for long ones. A
+    union that is every row of dataset once, as one-sample shards give, is
+    scored as the whole dataset, which evaluate reads in place. A
     round's elapsed_s runs from the start of run_round to the end of its
     evaluation. on_round, when given, gets each round's metrics as soon as the
     round completes. The run's layout, taken once, sets the N processes its
@@ -597,6 +611,8 @@ def train_federated(
         eval_every = 1 if config.rounds <= EVAL_EVERY_DEFAULT_THRESHOLD else 5
 
     union = np.sort(np.concatenate([s.indices for s in shards]))
+    if np.array_equal(union, np.arange(len(dataset))):
+        union = None  # every row once, in order: evaluate reads the dataset in place
     run_layout = layout(model, config, shards)
     workspace = _round_workspace(model, shards, run_layout.group)
     history: list[RoundMetrics] = []

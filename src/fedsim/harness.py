@@ -205,6 +205,8 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
         keys = {"num_classes": "data.num_classes", "num_features": "data.features"}
         with naming_keys(lambda field: keys.get(field, "data.train_samples")):
             train = synth_dataset(classes, features, n_train, derive_seed(seed, "synth-train"))
+        if n_test < 0:
+            raise ConfigError("must be >= 0 (0: no test set)", key="data.test_samples")
         with naming_keys(lambda field: keys.get(field, "data.test_samples")):
             test = synth_dataset(classes, features, n_test, derive_seed(seed, "synth-test")) if n_test else None
         return train, test

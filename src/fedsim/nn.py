@@ -405,31 +405,53 @@ class ServerOptimizerState:
             raise FieldError("eps", "must be positive")
 
 
+def _moving_average(rate: float, old: Array | None, term: Array) -> Array:
+    """rate * old + term as a new array; a buffer not yet started counts as zeros.
+
+    Zeros plus term, not a copy of term: 0.0 + -0.0 is 0.0, as rate * 0.0 + term gives.
+    """
+    out = np.zeros_like(term) if old is None else np.multiply(rate, old)
+    return np.add(out, term, out=out)
+
+
 def server_apply(
     state: ServerOptimizerState, params: ParamVector, pseudo_grad: GradVector
 ) -> tuple[ParamVector, ServerOptimizerState]:
-    """Advance the global weights one server step along the pseudo-gradient."""
+    """Advance the global weights one server step along the pseudo-gradient.
+
+    With g the pseudo-gradient and t the new step count:
+      sgd:     w - lr * g
+      adam:    m = beta1 * m + (1 - beta1) * g, v = beta2 * v + (1 - beta2) * g * g,
+               w - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+      rmsprop: v = rho * v + (1 - rho) * g * g, w - lr * g / (sqrt(v) + eps)
+    Each operation runs in that order, left to right, so the bits are those of
+    the expressions as written, but into the arrays returned plus one scratch
+    vector, with no other temporary. The inputs are left unchanged.
+    """
     if params.spec != pseudo_grad.spec:
         raise ShapeMismatchError("params and pseudo-gradient disagree on architecture")
     g = pseudo_grad.values
     t = state.step + 1
 
     if state.kind == "sgd":
-        new_values = params.values - state.lr * g
+        new_values = np.multiply(state.lr, g)
         new_state = replace(state, step=t)
-    elif state.kind == "adam":
-        m = state.m if state.m is not None else np.zeros_like(g)
-        v = state.v if state.v is not None else np.zeros_like(g)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_values = params.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_state = replace(state, step=t, m=m, v=v)
-    else:  # rmsprop
-        v = state.v if state.v is not None else np.zeros_like(g)
-        v = state.rho * v + (1.0 - state.rho) * g * g
-        new_values = params.values - state.lr * g / (np.sqrt(v) + state.eps)
-        new_state = replace(state, step=t, v=v)
-
+    else:
+        scratch = np.empty_like(g)
+        rate = state.beta2 if state.kind == "adam" else state.rho
+        np.multiply(1.0 - rate, g, out=scratch)
+        v = _moving_average(rate, state.v, np.multiply(scratch, g, out=scratch))
+        if state.kind == "adam":
+            m = _moving_average(state.beta1, state.m, np.multiply(1.0 - state.beta1, g, out=scratch))
+            new_values = np.divide(m, 1.0 - state.beta1**t)  # m_hat
+            np.multiply(state.lr, new_values, out=new_values)
+            root = np.divide(v, 1.0 - state.beta2**t, out=scratch)  # v_hat
+            new_state = replace(state, step=t, m=m, v=v)
+        else:
+            new_values = np.multiply(state.lr, g)
+            root = v
+            new_state = replace(state, step=t, v=v)
+        np.add(np.sqrt(root, out=scratch), state.eps, out=scratch)
+        np.divide(new_values, scratch, out=new_values)
+    np.subtract(params.values, new_values, out=new_values)
     return ParamVector(new_values, params.spec), new_state

@@ -635,6 +635,8 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert f"config error: {override.split('=')[0]}: " in err
         assert "Traceback" not in err
+        if override == "data.test_samples=-1":  # 0 is accepted, so the message says what it means
+            assert err == "config error: data.test_samples: must be >= 0 (0: no test set)\n"
 
     @pytest.mark.parametrize("command", ["train-fed", "train-central"])
     def test_a_net_too_large_for_one_array_names_its_key(self, tmp_path, capsys, command):

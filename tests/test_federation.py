@@ -543,6 +543,8 @@ class TestTrainingLoops:
         assert batch_hist[-1].train_accuracy is not None
 
     def test_shards_covering_the_dataset_are_evaluated_without_a_copy(self, monkeypatch):
+        import fedsim.federation as federation
+
         ds = synth_dataset(3, 8, 60, seed=33)
         spec = MlpSpec((8, 3))
         config = fed_config(60, client_fraction=0.1, batch_size=1, rounds=2, seed=33)
@@ -552,13 +554,20 @@ class TestTrainingLoops:
         copies = []
         original = Dataset.__post_init__
         monkeypatch.setattr(Dataset, "__post_init__", lambda self: copies.append(len(self)) or original(self))
+        rows_given = []
+        monkeypatch.setattr(
+            federation, "evaluate", lambda params, dataset, rows=None: rows_given.append(rows) or evaluate(params, dataset, rows)
+        )
 
         history, state = train_federated(spec, config, covering, ds)
         assert copies == []
+        assert rows_given == [None, None]  # every row once: scored as the whole dataset, read in place
         assert history[-1].train_accuracy == evaluate(state.weights, ds)
 
+        rows_given.clear()
         history, state = train_federated(spec, config, partial, ds)
         assert copies == []  # partial shards are scored by gathering their rows a block at a time
+        assert len(rows_given) == 2 and all(rows is not None for rows in rows_given)
         union = np.sort(np.concatenate([s.indices for s in partial]))
         scored = Dataset(ds.inputs[union], ds.labels[union], ds.num_classes)
         assert history[-1].train_accuracy == evaluate(state.weights, scored)
@@ -638,8 +647,55 @@ class TestEvaluate:
                 tracemalloc.stop()
 
         small, large = peak(3_000), peak(12_000)
-        index_bytes = 0 if given else 8 * (12_000 - 3_000)  # scoring every row makes its (n,) row index
-        assert large - small <= index_bytes + 4096
+        assert large - small <= 4096
+
+    def test_a_whole_dataset_is_read_in_place_with_the_bits_of_its_rows_gathered(self, monkeypatch):
+        import fedsim.federation as federation
+        from fedsim.nn import forward_logits
+
+        spec = MlpSpec((5, 6, 4, 3))
+        ds = synth_dataset(3, 5, 61, seed=15)
+        fortran = Dataset(np.asfortranarray(ds.inputs), ds.labels, ds.num_classes)
+
+        def score(dataset, rows=None):
+            """The accuracy, and per block: was it read in place, is it C-contiguous, its logits."""
+            blocks = []
+
+            def spy(values, spec, inputs, buffers):
+                logits = forward_logits(values, spec, inputs, buffers)
+                blocks.append((np.shares_memory(inputs, dataset.inputs), inputs.flags.c_contiguous, logits.copy()))
+                return logits
+
+            monkeypatch.setattr(federation, "forward_logits", spy)
+            return evaluate(params, dataset, rows), blocks
+
+        for block in (federation._EVAL_ROWS, 7):  # one block, then 7-row blocks and a short last one
+            monkeypatch.setattr(federation, "_EVAL_ROWS", block)
+            for seed in range(3):
+                params = init_params(spec, 70 + seed)
+                accuracy, blocks = score(ds)
+                assert accuracy == reference_evaluate(params, ds, block)
+                assert [b[:2] for b in blocks] == [(True, True)] * -(-len(ds) // block)
+                for other_accuracy, others in (score(ds, np.arange(len(ds))), score(fortran)):
+                    assert other_accuracy == accuracy
+                    assert [b[:2] for b in others] == [(False, True)] * len(blocks)  # gathered
+                    assert all(np.array_equal(o[2], b[2]) for o, b in zip(others, blocks, strict=True))
+
+    def test_a_whole_dataset_allocates_less_than_one_gathered_block(self):
+        import fedsim.federation as federation
+
+        spec = MlpSpec((100, 50, 10))
+        params = init_params(spec, 16)
+        ds = synth_dataset(10, 100, 3_000, seed=16)
+        evaluate(params, ds)  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate(params, ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < federation._EVAL_ROWS * ds.num_features * 8
 
     def test_rows_out_of_range_are_refused(self):
         spec = MlpSpec((5, 3))
@@ -648,6 +704,13 @@ class TestEvaluate:
         for rows in ([0, 20], [-1, 3]):
             with pytest.raises(IndexError):
                 evaluate(params, ds, rows=np.array(rows))
+
+    def test_an_empty_row_set_is_refused(self):
+        spec = MlpSpec((5, 3))
+        params = init_params(spec, 13)
+        ds = synth_dataset(3, 5, 20, seed=13)
+        with pytest.raises(ValueError, match="rows is empty"):
+            evaluate(params, ds, rows=np.array([], dtype=np.int64))
 
     def test_matches_per_sample_loop(self):
         from fedsim.nn import forward_logits

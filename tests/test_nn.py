@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import reference_loss_and_grad
@@ -377,6 +379,26 @@ class TestServerApply:
         assert np.array_equal(updated.values, sgd_step(params, grad, 1.0).values)
         assert new_state.step == 1
 
+    def test_sgd_at_another_rate_matches_sgd_step(self):
+        spec = MlpSpec((2, 1))
+        params = init_params(spec, 6)
+        grad = self._grad(spec, [0.1, -0.2, 0.3])
+        updated, _ = server_apply(ServerOptimizerState(kind="sgd", lr=0.3), params, grad)
+        assert np.array_equal(updated.values, sgd_step(params, grad, 0.3).values)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "rmsprop"])
+    def test_leaves_its_inputs_unchanged(self, kind):
+        spec = MlpSpec((3, 2))
+        rng = np.random.default_rng(8)
+        params = init_params(spec, 8)
+        grad = self._grad(spec, rng.normal(size=spec.parameter_count()))
+        m, v = rng.normal(size=(2, spec.parameter_count()))
+        state = replace(ServerOptimizerState(kind=kind, lr=0.3), step=2, m=m, v=np.abs(v))
+        before = [a.copy() for a in (params.values, grad.values, state.m, state.v)]
+        server_apply(state, params, grad)
+        for a, b in zip((params.values, grad.values, state.m, state.v), before):
+            assert np.array_equal(a, b)
+
     def test_zero_pseudo_gradient_is_identity(self):
         spec = MlpSpec((2, 1))
         params = init_params(spec, 7)
@@ -406,7 +428,8 @@ class TestServerApply:
 
             before = params.values.copy()
             params, state = server_apply(state, params, self._grad(spec, g))
-            assert np.allclose(params.values, expected, atol=1e-15)
+            assert np.array_equal(params.values, expected)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
             # repeated identical pseudo-gradients always move against their sign
             assert np.all(np.sign(params.values - before) == -np.sign(g))
         assert state.step == 5
@@ -426,7 +449,32 @@ class TestServerApply:
             v = rho * v + (1 - rho) * g * g
             expected -= lr * g / (np.sqrt(v) + eps)
             params, state = server_apply(state, params, self._grad(spec, g))
-            assert np.allclose(params.values, expected, atol=1e-15)
+            assert np.array_equal(params.values, expected)
+            assert state.m is None and np.array_equal(state.v, v)
+
+    @pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+    def test_random_steps_match_the_recurrence_bit_for_bit(self, kind):
+        # entries spread over six decades, so that a reordered operation rounds differently somewhere
+        spec = MlpSpec((20, 10))
+        rng = np.random.default_rng(9)
+        lr, b1, b2, rho, eps = 0.03, 0.85, 0.99, 0.8, 1e-3
+        state = ServerOptimizerState(kind=kind, lr=lr, beta1=b1, beta2=b2, rho=rho, eps=eps)
+        params = init_params(spec, 9)
+        w = params.values.copy()
+        m = v = np.zeros_like(w)
+        for t in range(1, 4):
+            g = rng.normal(size=w.size) * 10.0 ** rng.integers(-3, 3, size=w.size)
+            params, state = server_apply(state, params, self._grad(spec, g))
+            if kind == "adam":
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+                assert np.array_equal(state.m, m)
+            else:
+                v = rho * v + (1 - rho) * g * g
+                w = w - lr * g / (np.sqrt(v) + eps)
+            assert np.array_equal(params.values, w)
+            assert np.array_equal(state.v, v)
 
 
 class TestInvariantsAndProperties:
