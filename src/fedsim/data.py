@@ -13,6 +13,7 @@ import gzip
 import math
 import struct
 import threading
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,13 @@ SINGLE_SAMPLE = "single_sample"
 PARTITION_KINDS = (IID, SINGLE_LABEL, SINGLE_SAMPLE)
 
 SYNTH_NOISE_SIGMA = 0.3
-# _normal draws >= _SPLIT_MIN values on two threads (README "Performance" has the sweep). A ziggurat value
-# takes 1.0221 raw draws on average, n values spread by about 0.2 * sqrt(n) draws; the helper starts _LEAD
-# draws (30+ spreads at MNIST scale) early, and records its state every _NEAR values for 2 * _LEAD values.
+# _normal draws >= _SPLIT_MIN values on two threads (the CHANGES.md entry "MNIST-scale synthetic data"
+# has the sweep). A ziggurat value takes 1.0221 raw draws on average, n values spread by about
+# 0.2 * sqrt(n) draws; the helper starts _LEAD draws (30+ spreads at MNIST scale) early, and records its
+# state every _NEAR values for 2 * _LEAD values.
 _SPLIT_MIN, _DRAWS_PER_NORMAL = 1 << 21, 1.0221
 _LEAD, _NEAR, _FAR, _JOIN_STEPS = 1 << 15, 1 << 10, 1 << 17, 1 << 12
+_READ_CHUNK = 1 << 24  # _read_idx reads a file's data 16 MiB at a time
 
 
 class IdxFormatError(ValueError):
@@ -141,40 +144,44 @@ def _read_header(f, path, n_dims: int, expected_magic: int) -> tuple[int, ...]:
     return fields[1:]
 
 
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _read_idx(path, n_dims: int, expected_magic: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """One IDX file's dimensions and its uint8 data, plain or .gz.
 
-
-def _read_exactly(f, n: int, path) -> bytes:
-    raw = f.read(n)
-    if len(raw) < n:
-        raise IdxTruncatedError(f"{path}: expected {n} data bytes, got {len(raw)}")
-    return raw
+    The data is read _READ_CHUNK bytes at a time, so a header that claims more
+    than the file holds allocates only what is there. A short, corrupt or
+    overlong file raises IdxFormatError naming it.
+    """
+    try:
+        with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as f:
+            dims = _read_header(f, path, n_dims, expected_magic)
+            n, data = math.prod(dims), bytearray()
+            while len(data) < n and (chunk := f.read(min(n - len(data), _READ_CHUNK))):
+                data += chunk
+            if len(data) < n:
+                raise IdxTruncatedError(f"{path}: expected {n} data bytes, got {len(data)}")
+            if f.read(1):  # reading past the data also checks a .gz stream's end and checksum
+                raise IdxFormatError(f"{path}: holds more than the {n} data bytes its header declares")
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        raise IdxFormatError(f"{path}: not a whole gzip stream ({err})") from err
+    return dims, np.frombuffer(data, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair (plain or .gz) as a flat dataset.
 
     Pixels are scaled to [0, 1] by division by 255 and images flattened
-    row-major, so MNIST yields (N, 784).
+    row-major, so MNIST yields (N, 784). A malformed file, or one that holds
+    no pixels, raises IdxFormatError naming it before anything large is allocated.
     """
-    with _open_maybe_gzip(images_path) as f:
-        count, rows, cols = _read_header(f, images_path, 3, IMAGES_MAGIC)
-        pixels = np.frombuffer(
-            _read_exactly(f, count * rows * cols, images_path), dtype=np.uint8
-        )
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-    with _open_maybe_gzip(labels_path) as f:
-        (label_count,) = _read_header(f, labels_path, 1, LABELS_MAGIC)
-        labels = np.frombuffer(_read_exactly(f, label_count, labels_path), dtype=np.uint8)
-
+    (count, rows, cols), pixels = _read_idx(images_path, 3, IMAGES_MAGIC)
+    if pixels.size == 0:
+        raise IdxFormatError(f"{images_path}: holds no pixels ({count} images of {rows}x{cols})")
+    (label_count,), labels = _read_idx(labels_path, 1, LABELS_MAGIC)
     if label_count != count:
         raise IdxCountMismatchError(
             f"{images_path} holds {count} images but {labels_path} holds {label_count} labels"
         )
+    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(inputs, labels.astype(np.int64), int(labels.max()) + 1)
 
 
@@ -249,13 +256,17 @@ def synth_dataset(num_classes: int, num_features: int, num_samples: int, seed: i
     noise sigma 0.3. Labels cycle 0..C-1 so counts are balanced. Linearly
     separable enough that a one-layer net clears 90% accuracy. The noise is
     default_rng(seed).normal(0.0, 0.3, (N, d)) bit for bit on any number of
-    threads and CPUs (_normal). A dimension < 1, or C > 2d, raises FieldError.
+    threads and CPUs (_normal). A dimension < 1, C > 2d, or an N x d matrix
+    of more than np.intp's bytes raises FieldError.
     """
     for name, value in (("num_classes", num_classes), ("num_features", num_features), ("num_samples", num_samples)):
         if value < 1:
             raise FieldError(name, "must be >= 1")
     if num_classes > 2 * num_features:
         raise FieldError("num_classes", f"must be <= 2 * num_features = {2 * num_features}, one mean each")
+    if 8 * num_samples * num_features > np.iinfo(np.intp).max:  # numpy could not even describe the float64 matrix
+        name = "num_features" if num_features > num_samples else "num_samples"
+        raise FieldError(name, f"makes a {num_samples} x {num_features} float64 matrix, more than one array can hold")
     rng = np.random.default_rng(seed)
     labels = np.arange(num_samples, dtype=np.int64) % num_classes
     classes = np.arange(num_classes)

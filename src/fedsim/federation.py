@@ -440,13 +440,14 @@ _BLAS_ONE_THREAD_MNK = 4 * 65_536
 
 # A lockstep group keeps a (K, P) stack of weights and one of gradients, 2 * 8 * K * P bytes of
 # float64. Held within this budget, about three quarters of the 2 MiB per-core L2 cache of the Xeon
-# it was measured on, a step's stacks stay in cache beside the batch's activations (see README
-# "Performance" for the sweep).
+# it was measured on, a step's stacks stay in cache beside the batch's activations (the CHANGES.md
+# entry "Lockstep groups" has the sweep).
 _LOCKSTEP_BYTES = 3 << 19  # 1.5 MiB
 # A one-row step does a few flops per weight, so a group saves mostly per-call overhead: with stacks
 # past the L2 it still gained or held even, at one step a client and at 5 or 10. Memory bounds it
 # instead: the parent holds about 4 * 8 * K * P bytes (the round buffer, the gradient stack and a
-# worker's two slots). This budget gives K = 4 at P = 50,890 (README "Performance" has the sweeps).
+# worker's two slots). This budget gives K = 4 at P = 50,890 (the CHANGES.md entry "Clients whose
+# batches have one row" has the sweeps).
 _ONE_ROW_LOCKSTEP_BYTES = 13 << 18  # 3.25 MiB
 
 

@@ -627,7 +627,8 @@ class TestConfigKeys:
             "fed.client_lr=inf", "fed.client_lr=nan", "fed.num_clients=0", "fed.num_clients=-3",
             "partition.kind=bogus", "partition.samples_per_client=0", "model.activation=tanh", "model.layers=6,0,3",
             "model.layers=6", "data.test_samples=-1", "data.train_samples=0", "data.features=0", "data.num_classes=0",
-            "data.num_classes=13",
+            "data.num_classes=13", "data.features=99999999999999999999999", "data.train_samples=99999999999999999999999",
+            "data.test_samples=99999999999999999999999",
         ],
     )
     def test_range_errors_name_the_key(self, tmp_path, capsys, override):

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import threading
 
@@ -15,6 +16,7 @@ from fedsim.data import (
     ClassPoolExhaustedError,
     Dataset,
     IdxCountMismatchError,
+    IdxFormatError,
     IdxMagicError,
     IdxTruncatedError,
     SYNTH_NOISE_SIGMA,
@@ -96,6 +98,48 @@ class TestLoadIdx:
         labels.write_bytes(idx_label_bytes(labels=[7, 2, 1], count=3))
         with pytest.raises(IdxCountMismatchError):
             load_idx(images, labels)
+
+    def test_every_proper_prefix_of_either_file_is_a_format_error(self, tmp_path):
+        for suffix, encode in (("", bytes), (".gz", gzip.compress)):  # a .gz prefix may end in its header or trailer
+            whole = {tmp_path / f"img{suffix}": encode(idx_image_bytes()), tmp_path / f"lab{suffix}": encode(idx_label_bytes())}
+            for cut, content in whole.items():
+                for size in range(len(content)):
+                    for path, body in whole.items():
+                        path.write_bytes(content[:size] if path == cut else body)
+                    with pytest.raises(IdxFormatError, match=f"^{re.escape(str(cut))}: "):
+                        load_idx(*whole)
+
+    @pytest.mark.parametrize(
+        "image_bytes, message",
+        [
+            (struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), "data bytes, got 0"),
+            (idx_image_bytes(count=0, pixels=[]), "holds no pixels"),
+            (idx_image_bytes(rows=0, pixels=[[], []]), "holds no pixels"),
+            (idx_image_bytes() + b"\0", "holds more than the 12 data bytes"),
+        ],
+        ids=["oversize-header", "no-images", "no-pixels", "trailing-byte"],
+    )
+    def test_a_header_the_data_does_not_match_is_a_format_error(self, tmp_path, image_bytes, message):
+        images, labels = tmp_path / "img", tmp_path / "lab"
+        images.write_bytes(image_bytes)
+        labels.write_bytes(idx_label_bytes(labels=[]))
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(images))}: .*{message}"):
+            load_idx(images, labels)
+
+    def test_a_malformed_file_exits_4_naming_it(self, tmp_path, monkeypatch, capsys):
+        for split in ("train", "t10k"):
+            (tmp_path / f"{split}-images-idx3-ubyte.gz").write_bytes(gzip.compress(idx_image_bytes()))
+            (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(idx_label_bytes())
+        whole = (tmp_path / "train-images-idx3-ubyte.gz").read_bytes()
+        (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(whole[: len(whole) // 2])
+        monkeypatch.setenv("FEDSIM_DATA_DIR", str(tmp_path))
+        out = tmp_path / "out"
+        argv = ["train-fed", "--out", str(out), "--set", "seed=1", "--set", "data.source=mnist", "--set", "model.layers=6,3"]
+        argv += ["--set", "fed.num_clients=2", "--set", "partition.samples_per_client=1", "--set", "fed.client_fraction=1"]
+        assert main(argv + ["--set", "fed.client_lr=0.1", "--set", "fed.rounds=1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {tmp_path / 'train-images-idx3-ubyte.gz'}: ") and err.count("\n") == 1
+        assert "run.status = failed" in (out / "manifest.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("command", ["train-fed", "partition-stats"])
@@ -180,7 +224,7 @@ class TestSynthDataset:
     @pytest.mark.parametrize(
         "args, field",
         [((0, 4, 10), "num_classes"), ((3, 0, 10), "num_features"), ((3, 4, 0), "num_samples"), ((3, 4, -1), "num_samples"),
-         ((9, 4, 10), "num_classes")],
+         ((9, 4, 10), "num_classes"), ((3, 2**62, 10), "num_features"), ((3, 4, 2**62), "num_samples")],
     )
     def test_bad_dimensions_raise_field_errors(self, args, field):
         with pytest.raises(FieldError) as err:

@@ -1,4 +1,7 @@
-"""README.md names only what exists: every backticked module-qualified name resolves.
+"""README.md names only what exists, and states the design, not its history.
+
+Every backticked module-qualified name resolves, and the file stays short
+and free of paired-run reports, which CHANGES.md keeps.
 
 A span such as `federation._groups`, `machine.one_blas_thread()` or
 `fedsim.nn.Workspace` must name an attribute of that fedsim module, so a
@@ -47,3 +50,12 @@ def test_a_name_in_the_readme_resolves(name):
     for attr in attrs:
         assert hasattr(obj, attr), f"README.md names {name}, but {obj.__name__} has no {attr}"
         obj = getattr(obj, attr)
+
+
+def test_the_readme_stays_short():
+    assert len((REPO / "README.md").read_text().splitlines()) <= 400
+
+
+def test_the_readme_holds_no_paired_run_history():
+    history = [line for line in (REPO / "README.md").read_text().splitlines() if re.search(r"alternating pairs|seeds \d+–\d+", line)]
+    assert history == [], "paired-run reports belong in CHANGES.md"
