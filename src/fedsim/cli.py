@@ -1,20 +1,22 @@
 """Command-line front end.
 
 Subcommands: train-fed, train-central, cost, sweep, partition-stats. Each
-takes --config <path>, repeatable --set key=value overrides, and --out <dir>.
-Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O error,
-5 out of memory (a MemoryError), 130 interrupted by SIGINT (Ctrl-C), 143
-stopped by SIGTERM. Every way a run ends after its manifest is started goes
-through one finish path, which records the outcome in the manifest:
-run.status = complete, failed (with run.error; a diverged run also records
-run.failed_round) or interrupted. It keeps the start time in memory and reads
-no file, so a manifest changed or deleted while the run ran is written anew,
-whole. A stopped training run keeps the rounds it completed in its rounds
-CSV. A stop prints one stderr line and no traceback; any other exception is
-a bug: its run is recorded as failed and the exception is raised again
-(exit 1, with its traceback). SIGKILL is the one stop that leaves
-run.status = running and no rounds CSV, since the process gets no chance to
-write them.
+takes --config <path>, repeatable --set key=value overrides, and --out
+<dir>. Exit codes: 0 success, 2 config error, 3 training divergence, 4 I/O
+error, 5 out of memory (a MemoryError), 6 a cohort worker died (killed by a
+signal, as the out-of-memory killer does, or exited), 130 interrupted by
+SIGINT (Ctrl-C), 143 stopped by SIGTERM. Every way a run ends after its
+manifest is started goes through one finish path, which records the outcome
+in the manifest: run.status = complete, failed (with run.error; a diverged
+run also records run.failed_round) or interrupted. It keeps the start time
+in memory and reads no file, so a manifest changed or deleted while the run
+ran is written anew, whole. A stopped training run keeps the rounds it
+completed in its rounds CSV. A stop prints one stderr line and no traceback;
+any other exception is a bug: its run is recorded as failed and the
+exception is raised again (exit 1, with its traceback). SIGKILL of this
+process is the one stop that leaves run.status = running and no rounds CSV,
+since the process gets no chance to write them; a run whose cohort worker
+is killed exits 6.
 A config read back from a manifest carries its run.platform.* entries;
 where they differ from the fingerprint of the machine the rerun runs on, one
 note: line on stderr names the fields first, and the exit code and outputs
@@ -30,7 +32,7 @@ from pathlib import Path
 
 from .config import Value, apply_overrides, load_config
 from .data import IdxFormatError
-from .federation import ClientDivergedError
+from .federation import ClientDivergedError, WorkerDiedError
 from .harness import (
     effective_config,
     finish_manifest,
@@ -58,6 +60,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
 EXIT_MEMORY = 5
+EXIT_WORKER = 6
 EXIT_INTERRUPTED = 128  # plus the signal number, as a shell reports it: 130 for SIGINT, 143 for SIGTERM
 
 # (exception types, exit code, stderr label) of the stops that are not bugs; the first match wins
@@ -65,6 +68,7 @@ STOPS = (
     (ClientDivergedError, EXIT_DIVERGED, "diverged"),
     ((IdxFormatError, OSError), EXIT_IO, "i/o error"),
     (MemoryError, EXIT_MEMORY, "out of memory"),
+    (WorkerDiedError, EXIT_WORKER, "worker died"),
     (ValueError, EXIT_CONFIG, "config error"),  # ConfigError, FieldError, PartitionError, ShapeMismatchError
 )
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -81,6 +82,23 @@ class ClientDivergedError(RuntimeError):
 
     def __reduce__(self):  # a cohort worker sends it to the parent pickled
         return type(self), (self.client_id, self.round_index)
+
+
+class WorkerDiedError(RuntimeError):
+    """A cohort worker process ended while the run still needed it: killed by a signal (exitcode < 0) or exited.
+
+    exitcode is None when the worker's pipe closed but its exit was not seen.
+    """
+
+    def __init__(self, pid: int, exitcode: int | None):
+        self.pid, self.exitcode = pid, exitcode
+        how = "is gone" if exitcode is None else f"exited with code {exitcode}"
+        if exitcode is not None and exitcode < 0:
+            try:
+                how = f"was killed by {signal.Signals(-exitcode).name}"
+            except ValueError:  # a signal number this platform has no name for
+                how = f"was killed by signal {-exitcode}"
+        super().__init__(f"cohort worker {pid} {how}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -188,7 +206,8 @@ def check_dataset_fits(spec: MlpSpec, dataset: Dataset) -> None:
 
 
 def _sgd_epoch(
-    w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace
+    w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """One epoch of plain mini-batch SGD on a stack w (k, P), in place, model i on the dataset rows order[i].
 
@@ -197,24 +216,33 @@ def _sgd_epoch(
     gathered into the workspace, and the step grad *= lr; w -= grad rounds
     exactly like w -= lr * grad, run as the BLAS's daxpy where
     machine.blas_subtract finds it pays (addresses taken once per call and
-    per view). Returns the (steps, k) batch losses. Every step is taken: a
-    model whose loss goes non-finite gets a nan output bias that stays nan,
-    and its rows never touch the other models'.
+    per view). start, when given, is the stack the first step reads in
+    place of w (group_update's read-only stride-0 view of the global
+    weights). That step's kernel writes its gradient into w itself, and
+    grad *= lr; w = start - grad runs the same operations there, so w needs
+    no copy of start and the step no gradient stack. Returns the (steps, k)
+    batch losses. Every step is taken: a model whose loss goes non-finite
+    gets a nan output bias that stays nan, and its rows never touch the
+    other models'.
     """
     check_dataset_fits(spec, dataset)
     subtract = blas_subtract(w)
+    current = w if start is None else start
     starts = range(0, order.shape[-1], batch_size)
     losses = np.empty((len(starts), len(w)))
-    for step, start in enumerate(starts):
-        idx = order[:, start : start + batch_size]
+    for step, begin in enumerate(starts):
+        idx = order[:, begin : begin + batch_size]
         views = ws.fit(spec, len(w), idx.shape[-1])
         x, y = views.inputs, views.labels
-        np.take(dataset.inputs, idx, axis=0, out=x)
-        np.take(dataset.labels, idx, out=y)
+        dataset.inputs.take(idx, axis=0, out=x)
+        dataset.labels.take(idx, out=y)
         # called through this module's global, where the benchmark's tracer wraps it
-        losses[step], grad = loss_and_grad_raw(w, spec, x, y, ws)
+        losses[step], grad = loss_and_grad_raw(current, spec, x, y, ws if current is w else views.with_grad(w, spec))
         grad *= lr
-        if subtract is None:
+        if current is not w:  # grad is w
+            np.subtract(current, grad, out=w)
+            current = w
+        elif subtract is None:
             w -= grad
         else:
             subtract(views.grad_address)
@@ -259,21 +287,25 @@ def group_update(
     Every federated client trains here, a group of one as a (1, P) stack.
     Per epoch client i's shard is reshuffled (seeded by client_seeds[i] and
     the epoch), batched and stepped at client_lr through _sgd_epoch, so row
-    i gets the same bits in any group. workspace must fit k clients'
-    batches. A client whose loss or weights go non-finite does not stop the
-    others; it is flagged in the returned (k,) bool array.
+    i gets the same bits in any group; one-row shards draw no permutation
+    and read no seed. The first step reads weights as a read-only stride-0
+    stack, so they are only read. workspace must fit k clients' batches. A
+    client whose loss or weights go non-finite does not stop the others; it
+    is flagged in the returned (k,) bool array.
     """
     n = shards[0].num_samples
     if any(s.num_samples != n for s in shards):
         raise ValueError("a lockstep group needs clients of equally many samples")
-    np.copyto(out, weights.values)
     order = np.empty((len(shards), n), dtype=np.int64)
+    if n == 1:  # one index has one permutation: every epoch takes it
+        np.concatenate([s.indices for s in shards], out=order[:, 0])
+    start = np.broadcast_to(weights.values, out.shape)
     for epoch in range(local_epochs):
-        for row, shard, seed in zip(order, shards, client_seeds):
+        for row, shard, seed in zip(order, shards, client_seeds if n > 1 else ()):
             row[:] = shard.indices
-            if n > 1:  # one index has one permutation: none is drawn for it
-                np.random.default_rng(derive_seed(seed, "epoch", epoch)).shuffle(row)
-        _sgd_epoch(out, weights.spec, dataset, order, _batch_rows(batch_size, n), client_lr, workspace)
+            np.random.default_rng(derive_seed(seed, "epoch", epoch)).shuffle(row)
+        _sgd_epoch(out, weights.spec, dataset, order, _batch_rows(batch_size, n), client_lr, workspace, start)
+        start = None
     return ~np.isfinite(out).all(axis=-1)
 
 
@@ -417,15 +449,16 @@ def _train_group(
     is non-finite has failed.
     """
     members = [shards[c] for c in clients]
-    seeds = [_client_seed(config.seed, round_index, c) for c in clients]
     x, n = out[: len(members)], members[0].num_samples
+    seeds = [_client_seed(config.seed, round_index, c) for c in clients] if n > 1 else ()
     diverged = group_update(
         members, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, seeds, workspace, x
     )
-    idx = np.stack([s.indices for s in members])
     views = workspace.fit(weights.spec, len(x), n)
-    np.take(dataset.inputs, idx, axis=0, out=views.inputs)
-    np.take(dataset.labels, idx, out=views.labels)
+    if n > 1:  # a one-row shard's row is still where its step gathered it
+        idx = np.stack([s.indices for s in members])
+        dataset.inputs.take(idx, axis=0, out=views.inputs)
+        dataset.labels.take(idx, out=views.labels)
     losses = loss_raw(x, weights.spec, views.inputs, views.labels, workspace)
     losses[diverged] = np.nan
     if config.update_mode == SEND_DELTA:
@@ -445,9 +478,10 @@ _BLAS_ONE_THREAD_MNK = 4 * 65_536
 _LOCKSTEP_BYTES = 3 << 19  # 1.5 MiB
 # A one-row step does a few flops per weight, so a group saves mostly per-call overhead: with stacks
 # past the L2 it still gained or held even, at one step a client and at 5 or 10. Memory bounds it
-# instead: the parent holds about 4 * 8 * K * P bytes (the round buffer, the gradient stack and a
-# worker's two slots). This budget gives K = 4 at P = 50,890 (the CHANGES.md entry "Clients whose
-# batches have one row" has the sweeps).
+# instead: the parent holds about 3 * 8 * K * P bytes (the round buffer and a worker's two slots),
+# and 8 * K * P more (the gradient stack) once a client takes a second step; a first step writes its
+# gradient into the round buffer. This budget gives K = 4 at P = 50,890 (the CHANGES.md entry
+# "Clients whose batches have one row" has the sweeps).
 _ONE_ROW_LOCKSTEP_BYTES = 13 << 18  # 3.25 MiB
 
 

@@ -21,6 +21,7 @@ wrappers and forward_logits take a (P,) vector.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -202,7 +203,11 @@ def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Ar
 
 
 class _Views:
-    """A Workspace's buffers as (k, m, .) views for k models on m rows; outs[i] holds layer i's output, then its delta."""
+    """A Workspace's buffers as (k, m, .) views for k models on m rows; outs[i] holds layer i's output, then its delta.
+
+    They also serve as the workspace of a call of that shape (fit), and
+    with_grad gives them with the gradient in the caller's stack.
+    """
 
     def __init__(self, ws: Workspace, k: int, m: int):
         spec = ws.spec
@@ -222,6 +227,21 @@ class _Views:
         # the bias gradients are (k, d_out), the shape np.add.reduce gives over each model's rows
         self.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(self.grad, spec)]
         self.grad_address = self.grad.ctypes.data  # taken once: .ctypes costs microseconds a call
+
+    def fit(self, spec: MlpSpec, k: int, m: int) -> _Views:
+        """These views, as the workspace of a call of the one shape they fit."""
+        if (k, m) != self.labels.shape:
+            raise ShapeMismatchError(f"views for {self.labels.shape} do not fit {k} model(s) on {m} rows")
+        return self
+
+    def with_grad(self, grad: Array, spec: MlpSpec) -> _Views:
+        """These views, but loss_and_grad_raw writes the gradient into grad, a C-contiguous (k, P) stack."""
+        if not grad.flags.c_contiguous:  # its layer views must be views, not copies
+            raise ValueError("a gradient stack must be C-contiguous")
+        views = copy.copy(self)
+        views.grad, views.grad_address = grad, None
+        views.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(grad, spec)]
+        return views
 
 
 class Workspace:
@@ -292,7 +312,7 @@ def _loss_from_probs(probs: Array, labels: Array, picks: tuple[Array, ...]) -> A
 
 
 def loss_and_grad_raw(
-    values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None
+    values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | _Views | None = None
 ) -> tuple[Array, Array]:
     """Mean cross-entropy and its exact gradient, both on raw arrays.
 
@@ -301,8 +321,9 @@ def loss_and_grad_raw(
     of one. Each model's slice runs the same operations, with the same BLAS
     calls on the same shapes, as its own call, so the same bits. Every
     intermediate is written into workspace (a temporary one sized to the
-    batch when omitted). The returned gradient lives in the workspace, so
-    the next call on it overwrites it.
+    batch when omitted). The returned gradient lives in the workspace, or in
+    the stack a with_grad workspace names, so the next call on it overwrites
+    it.
     """
     (k, _), m = values.shape, inputs.shape[-2]
     v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .data import ClientShard, Dataset
-from .federation import FedConfig, _groups, _round_workspace, _train_group
+from .federation import FedConfig, WorkerDiedError, _groups, _round_workspace, _train_group
 from .nn import MlpSpec, ParamVector
 
 _SLOTS = 2  # a worker trains into a ring of two group slots: the next group while the parent folds the last
@@ -45,7 +45,10 @@ class CohortPool:
     OpenBLAS, which stops its threads around a fork. A worker's exception is
     sent through its pipe and raised by the stream at the group's first
     client, and a diverged client's loss reaches run_round as one of its
-    own, so either is raised where a single process would raise it.
+    own, so either is raised where a single process would raise it. A worker
+    that dies (killed, as by the out-of-memory killer) raises
+    federation.WorkerDiedError when the parent next sends to it or waits
+    for it.
     Workers ignore SIGINT and take SIGTERM's default action, whatever
     handlers the parent has: close() terminates (SIGTERM) and joins them.
     """
@@ -102,22 +105,28 @@ class CohortPool:
     ) -> list[Iterator[float]]:
         """Publish the round's global weights, send worker j shares[j], and return each worker's stream into acc."""
         np.copyto(self._weights, weights)
-        for conn, share in zip(self._conns, shares):
-            conn.send((round_index, [int(c) for c in share], denom))
+        for proc, conn, share in zip(self._procs, self._conns, shares):
+            try:
+                conn.send((round_index, [int(c) for c in share], denom))
+            except OSError:  # the worker's end of the pipe closed: it died after its last round
+                proc.join(timeout=1.0)
+                raise WorkerDiedError(proc.pid, proc.exitcode) from None
         return [self._stream(j, acc) for j in range(len(self._conns))]
 
     def _stream(self, j: int, acc: np.ndarray) -> Iterator[float]:
         """Worker j's share as a stream: per client in share order, fold its term into acc, yield its loss.
 
         A failed client, whose loss is non-finite, adds nothing. Raises the
-        worker's exception instead when a group raised one. The stream does
-        not end: run_round takes exactly the share's clients from it.
+        worker's exception instead when a group raised one, and
+        WorkerDiedError when the worker is gone (the ready-wait checks once a
+        second). The stream does not end: run_round takes exactly the share's
+        clients from it.
         """
         proc, ready, free = self._procs[j], self._ready[j], self._free[j]
         for slot in itertools.cycle(range(_SLOTS)):
             while not ready.acquire(timeout=1.0):  # the one place the parent waits on a worker
                 if not proc.is_alive():
-                    raise RuntimeError(f"cohort worker {proc.pid} exited with code {proc.exitcode}")
+                    raise WorkerDiedError(proc.pid, proc.exitcode)
             size = int(self._sizes[j, slot])
             if size == 0:
                 raise pickle.loads(self._conns[j].recv_bytes())

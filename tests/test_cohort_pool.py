@@ -10,6 +10,8 @@ import csv
 import multiprocessing
 import os
 import pickle
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -18,7 +20,15 @@ from fedsim import federation, pool
 from fedsim.cli import main
 from fedsim.config import FieldError
 from fedsim.data import IID, ClientShard, PartitionPlan, partition, synth_dataset
-from fedsim.federation import ClientDivergedError, FedConfig, Layout, layout, select_clients, train_federated
+from fedsim.federation import (
+    ClientDivergedError,
+    FedConfig,
+    Layout,
+    WorkerDiedError,
+    layout,
+    select_clients,
+    train_federated,
+)
 from fedsim.nn import MlpSpec, ShapeMismatchError
 from fedsim.rng import derive_seed
 
@@ -265,30 +275,49 @@ class TestPoolFailures:
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
         config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=2, seed=SEED)
-        with pytest.raises(RuntimeError, match="exited with code 9"):
+        with pytest.raises(WorkerDiedError, match=r"^cohort worker \d+ exited with code 9$") as err:
             train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
+        assert err.value.exitcode == 9
         assert multiprocessing.active_children() == []
 
-    def test_a_worker_that_dies_mid_run_is_recorded_as_failed_and_raised(self, tmp_path, monkeypatch, capsys):
+    def test_a_worker_killed_between_rounds_is_named_when_the_next_round_starts(self, monkeypatch):
+        pin_workers(monkeypatch, 2)
+        ds = synth_dataset(3, 6, 160, seed=SEED)
+        shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
+        killed = []
+
+        def kill_the_worker(metrics):
+            if metrics.round_index == 0:
+                (worker,) = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join()  # it is gone before round 1 sends it its share
+                killed.append(worker.pid)
+
+        with pytest.raises(WorkerDiedError) as err:
+            train_federated(MlpSpec((6, 5, 3)), config, shards, ds, on_round=kill_the_worker)
+        assert str(err.value) == f"cohort worker {killed[0]} was killed by SIGKILL"
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_killed_mid_run_is_a_documented_stop(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
         original = federation.group_update
         calls = []
 
-        def dies_in_round_2(shards, *args, **kwargs):
+        def killed_in_round_2(shards, *args, **kwargs):
             if os.getpid() != parent:
                 calls.extend(shards)  # the worker's own copy: it trains positions 1 and 3 of each round of 4
                 if len(calls) > 2 * 2:
-                    os._exit(9)
+                    os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer ends a process
             return original(shards, *args, **kwargs)
 
-        monkeypatch.setattr(federation, "group_update", dies_in_round_2)
+        monkeypatch.setattr(federation, "group_update", killed_in_round_2)
         pin_workers(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="exited with code 9") as err:
-            main(["train-fed", "--out", str(tmp_path)] + FED)
-        assert type(err.value) is RuntimeError
+        assert main(["train-fed", "--out", str(tmp_path)] + FED) == 6
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"worker died: cohort worker \d+ was killed by SIGKILL\n", err)  # one line, no traceback
         lines = manifest_lines(tmp_path)
         assert "run.status = failed" in lines
-        assert f"run.error = RuntimeError: {err.value}" in lines
+        assert f"run.error = {err.strip()}" in lines
         assert [row[0] for row in data_rows(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
-        assert capsys.readouterr().err == ""  # a bug's traceback is left to the interpreter
         assert multiprocessing.active_children() == []

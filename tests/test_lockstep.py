@@ -28,7 +28,7 @@ from fedsim.federation import (
     select_clients,
     train_federated,
 )
-from fedsim.nn import MlpSpec, Workspace, init_params
+from fedsim.nn import MlpSpec, ParamVector, Workspace, init_params, loss_raw
 from fedsim.rng import derive_seed
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
@@ -160,6 +160,50 @@ class TestGroupUpdate:
         assert failed.tolist() == [False, False, True, False]
         for row, shard, seed in zip(out[[0, 1, 3]], [shards[0], shards[1], shards[3]], [1, 2, 4]):
             assert np.array_equal(row, reference_client_update(shard, marked, w, 2, 5, 0.3, seed))
+
+    def test_the_weight_check_flags_each_kind_of_non_finite_row_and_no_finite_one(self, monkeypatch):
+        ds = synth_dataset(3, 8, 60, seed=14)
+        shards = shards_of_sizes(ds, [1] * 4)
+        spec = MlpSpec((8, 6, 3))
+        w = init_params(spec, 14)
+        hidden_bias = 8 * 6  # the first hidden unit's bias follows the 8 x 6 weights
+        huge = np.where(np.arange(spec.parameter_count()) % 2 == 0, 1e308, -1e308)
+        original = federation.loss_and_grad_raw
+
+        def steered(values, spec, inputs, labels, workspace=None):
+            # at client_lr = 1 a row's new weights are w - grad: row 0 gets a nan, row 1 a +inf, row 2 a -inf
+            # bias that ReLU switches off, and row 3 entries of about +-1e308, all finite
+            loss, grad = original(values, spec, inputs, labels, workspace)
+            grad[0, 3], grad[1, 3], grad[2, hidden_bias] = np.nan, -np.inf, np.inf
+            grad[3] = -huge
+            return loss, grad
+
+        monkeypatch.setattr(federation, "loss_and_grad_raw", steered)
+        out = np.empty((4, spec.parameter_count()))
+        with np.errstate(all="ignore"):
+            failed = group_update(shards, ds, w, 1, 1, 1.0, [61, 62, 63, 64], Workspace(spec, 1, 4), out)
+        assert np.isnan(out[0, 3]) and out[1, 3] == np.inf and out[2, hidden_bias] == -np.inf
+        assert np.isfinite(out[3]).all() and np.abs(out[3]).min() > 1e307
+        x = ds.inputs[shards[2].indices][None]
+        assert np.isfinite(loss_raw(out[2:3], spec, x, ds.labels[shards[2].indices][None])).all()  # only the weights tell
+        assert failed.tolist() == [True, True, True, False]
+
+    @pytest.mark.parametrize("local_epochs", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 10])
+    def test_the_global_weights_are_only_read(self, local_epochs, rows):
+        ds = synth_dataset(3, 8, 60, seed=15)
+        shards = shards_of_sizes(ds, [rows] * 3)
+        spec = MlpSpec((8, 6, 3))
+        values = init_params(spec, 15).values
+        values.flags.writeable = False  # a write raises
+        w = ParamVector(values, spec)
+        seeds = [51, 52, 53]
+        out = np.empty((3, spec.parameter_count()))
+        failed = group_update(shards, ds, w, local_epochs, 4, 0.3, seeds, Workspace(spec, min(rows, 4), 3), out)
+        assert not failed.any()
+        for row, shard, seed in zip(out, shards, seeds):
+            alone = reference_client_update(shard, ds, w, local_epochs, 4, 0.3, seed)
+            assert np.array_equal(row.view(np.int64), alone.view(np.int64))
 
     def test_a_group_needs_clients_of_equal_size(self):
         ds = synth_dataset(3, 8, 60, seed=6)
