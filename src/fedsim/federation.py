@@ -80,7 +80,7 @@ class ClientDivergedError(RuntimeError):
         where = f" in round {round_index}" if round_index is not None else ""
         super().__init__(f"{who} diverged{where} (non-finite loss or weights)")
 
-    def __reduce__(self):  # a cohort worker sends it to the parent pickled
+    def __reduce__(self):  # keeps both fields through a pickle round trip, as a cohort worker sends exceptions
         return type(self), (self.client_id, self.round_index)
 
 
@@ -589,10 +589,7 @@ def run_round(
         streams += pool.start_round(t, w_t, shares[1:], denom, acc)
     losses = []
     for k, client_id in enumerate(selected):
-        try:
-            client_loss = next(streams[k % workers])
-        except ClientDivergedError as err:  # raised rather than flagged: a worker's, or a patched trainer's
-            raise ClientDivergedError(err.client_id, t) from err
+        client_loss = next(streams[k % workers])
         if not math.isfinite(client_loss):
             raise ClientDivergedError(int(client_id), t)
         losses.append(client_loss)

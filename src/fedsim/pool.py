@@ -3,7 +3,9 @@
 federation.train_federated makes a CohortPool when federation.layout lays
 the run out on more than one process, and run_round folds the workers'
 streams beside its own. Only that call imports this module, so a run
-without a pool pays nothing for multiprocessing.
+without a pool pays nothing for multiprocessing. A worker reports to the
+parent through its pipe alone: each group's losses, or the exception the
+group raised, and its death as the pipe's end of file.
 """
 
 from __future__ import annotations
@@ -35,20 +37,20 @@ class CohortPool:
     share and returns one stream per worker, which run_round folds like its
     own. Worker j cuts its share into lockstep groups of up to `group`
     clients (federation._groups) and trains them in order, each into the
-    next slot of its ring with federation._train_group; beside the slot it
-    writes each client's loss (nan for a diverged client) and the group's
-    size, 0 when the group raised. Its stream waits for each slot in turn,
-    folds the slot's rows one client at a time and frees it after the last.
-    One anonymous shared mapping, made before the fork, holds the round's
-    global weights, the slots, the losses and the sizes. The dataset and
-    shards are inherited copy-on-write, not pickled; fork is safe with
-    OpenBLAS, which stops its threads around a fork. A worker's exception is
-    sent through its pipe and raised by the stream at the group's first
-    client, and a diverged client's loss reaches run_round as one of its
-    own, so either is raised where a single process would raise it. A worker
-    that dies (killed, as by the out-of-memory killer) raises
-    federation.WorkerDiedError when the parent next sends to it or waits
-    for it.
+    next slot of its ring with federation._train_group, then sends the
+    group's losses (nan for a diverged client) on its pipe, or the exception
+    the group raised. Its stream reads one message per group, folds the
+    slot's rows one client at a time and frees the slot after the last. One
+    anonymous shared mapping, made before the fork, holds the round's global
+    weights and the slots. The dataset and shards are inherited
+    copy-on-write, not pickled; fork is safe with OpenBLAS, which stops its
+    threads around a fork. A worker's exception is raised by the stream at
+    the group's first client, and a diverged client's loss reaches
+    run_round as one of its own, so either is raised where a single process
+    would raise it. Each worker holds the only copy of its pipe's child end,
+    so a worker that dies (killed, as by the out-of-memory killer) closes it,
+    and federation.WorkerDiedError is raised at once where the parent waits
+    for it, or when it next sends to it.
     Workers ignore SIGINT and take SIGTERM's default action, whatever
     handlers the parent has: close() terminates (SIGTERM) and joins them.
     """
@@ -58,27 +60,26 @@ class CohortPool:
         group: int,
     ):
         self.workers = workers
-        n, size, rows = workers - 1, spec.parameter_count(), (workers - 1) * _SLOTS * group
-        self._mem = mmap.mmap(-1, 8 * (size + rows * (size + 1) + n * _SLOTS))
+        n, size = workers - 1, spec.parameter_count()
+        self._mem = mmap.mmap(-1, 8 * size * (1 + n * _SLOTS * group))
         shared = np.frombuffer(self._mem, dtype=np.float64)
         self._weights = shared[:size]
-        self._slots = shared[size : size + rows * size].reshape(n, _SLOTS, group, size)
-        self._losses = shared[size + rows * size : size + rows * (size + 1)].reshape(n, _SLOTS, group)
-        self._sizes = shared[size + rows * (size + 1) :].reshape(n, _SLOTS)  # a slot's group size; 0: it raised
+        self._slots = shared[size:].reshape(n, _SLOTS, group, size)
         ctx = multiprocessing.get_context("fork")
-        self._ready = [ctx.Semaphore(0) for _ in range(n)]
         self._free = [ctx.Semaphore(_SLOTS) for _ in range(n)]
-        pipes = [ctx.Pipe() for _ in range(n)]
-        self._conns = [parent_end for parent_end, _ in pipes]
+        self._conns: list[multiprocessing.connection.Connection] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
         parent = os.getpid()
         # a worker is born with both signals blocked and sets their actions before unblocking them
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
-            for j, (_, child_end) in enumerate(pipes):
+            for j in range(n):
+                parent_end, child_end = ctx.Pipe()  # made just before the fork, so no earlier worker holds it
+                self._conns.append(parent_end)
                 args = (j, child_end, parent, spec, config, shards, dataset, group)
                 proc = ctx.Process(target=self._serve, args=args, daemon=True)
                 proc.start()
+                child_end.close()  # the worker now holds the only copy: its death reads as end of file
                 self._procs.append(proc)
         except BaseException:
             self.close()
@@ -105,36 +106,39 @@ class CohortPool:
     ) -> list[Iterator[float]]:
         """Publish the round's global weights, send worker j shares[j], and return each worker's stream into acc."""
         np.copyto(self._weights, weights)
-        for proc, conn, share in zip(self._procs, self._conns, shares):
+        for j, share in enumerate(shares):
             try:
-                conn.send((round_index, [int(c) for c in share], denom))
+                self._conns[j].send((round_index, [int(c) for c in share], denom))
             except OSError:  # the worker's end of the pipe closed: it died after its last round
-                proc.join(timeout=1.0)
-                raise WorkerDiedError(proc.pid, proc.exitcode) from None
+                raise self._died(j) from None
         return [self._stream(j, acc) for j in range(len(self._conns))]
+
+    def _died(self, j: int) -> WorkerDiedError:
+        """The error for worker j, whose end of the pipe closed: joined first, so that it names the exit."""
+        proc = self._procs[j]
+        proc.join(timeout=1.0)
+        return WorkerDiedError(proc.pid, proc.exitcode)
 
     def _stream(self, j: int, acc: np.ndarray) -> Iterator[float]:
         """Worker j's share as a stream: per client in share order, fold its term into acc, yield its loss.
 
         A failed client, whose loss is non-finite, adds nothing. Raises the
         worker's exception instead when a group raised one, and
-        WorkerDiedError when the worker is gone (the ready-wait checks once a
-        second). The stream does not end: run_round takes exactly the share's
-        clients from it.
+        WorkerDiedError as soon as the worker is gone. The stream does not
+        end: run_round takes exactly the share's clients from it.
         """
-        proc, ready, free = self._procs[j], self._ready[j], self._free[j]
+        conn, free = self._conns[j], self._free[j]
         for slot in itertools.cycle(range(_SLOTS)):
-            while not ready.acquire(timeout=1.0):  # the one place the parent waits on a worker
-                if not proc.is_alive():
-                    raise WorkerDiedError(proc.pid, proc.exitcode)
-            size = int(self._sizes[j, slot])
-            if size == 0:
-                raise pickle.loads(self._conns[j].recv_bytes())
-            for row in range(size):
-                client_loss = float(self._losses[j, slot, row])
+            try:
+                message = conn.recv()  # the one place the parent waits on a worker
+            except (EOFError, OSError):  # the worker's end closed: it died
+                raise self._died(j) from None
+            if isinstance(message, Exception):
+                raise message
+            for row, client_loss in enumerate(message):
                 if math.isfinite(client_loss):
                     acc += self._slots[j, slot, row]
-                if row == size - 1:
+                if row == len(message) - 1:
                     free.release()  # from here on the worker may overwrite the slot
                 yield client_loss
 
@@ -145,32 +149,28 @@ class CohortPool:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         for parent_end in self._conns:  # so that recv sees EOF once the parent is gone
             parent_end.close()
-        ready, free, slots, losses, sizes = self._ready[j], self._free[j], self._slots[j], self._losses[j], self._sizes[j]
+        free, slots = self._free[j], self._slots[j]
         workspace = _round_workspace(spec, shards, group)
-        while True:
-            try:
+        try:
+            while True:
                 round_index, clients, denom = conn.recv()
-            except EOFError:
-                return
-            weights = ParamVector(self._weights, spec)
-            for g, members in enumerate(_groups(shards, clients, group)):
-                while not free.acquire(timeout=1.0):
-                    if os.getppid() != parent:
-                        return
-                slot, error = g % _SLOTS, None
-                try:
-                    losses[slot, : len(members)] = _train_group(
-                        slots[slot], members, round_index, shards, dataset, weights, config, denom, workspace
-                    )
-                except Exception as exc:  # raised in the parent when it reaches the group's first client
-                    error = exc
-                sizes[slot] = 0 if error is not None else len(members)
-                ready.release()
-                if error is not None:
-                    # after the release: a payload larger than the pipe buffer waits for the parent's read
-                    conn.send_bytes(pickled(error))
-                if error is not None or not np.isfinite(losses[slot, : len(members)]).all():
-                    break  # the parent raises at this group, so the run ends there
+                weights = ParamVector(self._weights, spec)
+                for g, members in enumerate(_groups(shards, clients, group)):
+                    while not free.acquire(timeout=1.0):
+                        if os.getppid() != parent:
+                            return
+                    try:
+                        losses = _train_group(
+                            slots[g % _SLOTS], members, round_index, shards, dataset, weights, config, denom, workspace
+                        )
+                    except Exception as exc:  # raised in the parent when it reaches the group's first client
+                        conn.send_bytes(pickled(exc))
+                        break  # the parent raises at this group, so the run ends there
+                    conn.send(losses.tolist())
+                    if not np.isfinite(losses).all():
+                        break
+        except (EOFError, OSError):  # the parent's end closed: it is gone
+            return
 
 
 def pickled(exc: Exception) -> bytes:

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -16,6 +17,13 @@ MNIST_NAMES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every test ends with no child process of its own running: a run closes the cohort pool it made."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _find(name: str) -> Path | None:

