@@ -207,37 +207,36 @@ def check_dataset_fits(spec: MlpSpec, dataset: Dataset) -> None:
 
 def _sgd_epoch(
     w: np.ndarray, spec: MlpSpec, dataset: Dataset, order: np.ndarray, batch_size: int, lr: float, ws: Workspace,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
+    subtract: Callable[[int], None] | None, start: np.ndarray | None = None, losses: np.ndarray | None = None,
+) -> None:
     """One epoch of plain mini-batch SGD on a stack w (k, P), in place, model i on the dataset rows order[i].
 
     The one SGD inner loop: group_update's k clients, or train_centralized's
     one model, step in lockstep, one kernel call a step. Each batch is
     gathered into the workspace, and the step grad *= lr; w -= grad rounds
-    exactly like w -= lr * grad, run as the BLAS's daxpy where
-    machine.blas_subtract finds it pays (addresses taken once per call and
-    per view). start, when given, is the stack the first step reads in
-    place of w (group_update's read-only stride-0 view of the global
-    weights). That step's kernel writes its gradient into w itself, and
-    grad *= lr; w = start - grad runs the same operations there, so w needs
-    no copy of start and the step no gradient stack. Returns the (steps, k)
-    batch losses. Every step is taken: a model whose loss goes non-finite
+    exactly like w -= lr * grad, run as the BLAS's daxpy when the caller
+    passes machine.blas_subtract(w) as subtract. start, when given, is the
+    stack the first step reads in place of w (group_update's read-only
+    stride-0 view of the global weights). That step's kernel writes its
+    gradient into w itself (views the workspace keeps, nn._Views.with_grad),
+    and grad *= lr; w = start - grad runs the same operations there. losses,
+    a (steps, k) array, gets the batch losses if given; else the kernel
+    computes none. Every step is taken: a model whose loss goes non-finite
     gets a nan output bias that stays nan, and its rows never touch the
     other models'.
     """
-    check_dataset_fits(spec, dataset)
-    subtract = blas_subtract(w)
     current = w if start is None else start
-    starts = range(0, order.shape[-1], batch_size)
-    losses = np.empty((len(starts), len(w)))
-    for step, begin in enumerate(starts):
+    for step, begin in enumerate(range(0, order.shape[-1], batch_size)):
         idx = order[:, begin : begin + batch_size]
         views = ws.fit(spec, len(w), idx.shape[-1])
         x, y = views.inputs, views.labels
         dataset.inputs.take(idx, axis=0, out=x)
         dataset.labels.take(idx, out=y)
+        views = views.with_grad(None if current is w else w, losses is not None)
         # called through this module's global, where the benchmark's tracer wraps it
-        losses[step], grad = loss_and_grad_raw(current, spec, x, y, ws if current is w else views.with_grad(w, spec))
+        loss, grad = loss_and_grad_raw(current, spec, x, y, views)
+        if losses is not None:
+            losses[step] = loss
         grad *= lr
         if current is not w:  # grad is w
             np.subtract(current, grad, out=w)
@@ -246,7 +245,6 @@ def _sgd_epoch(
             w -= grad
         else:
             subtract(views.grad_address)
-    return losses
 
 
 def client_update(
@@ -289,24 +287,27 @@ def group_update(
     the epoch), batched and stepped at client_lr through _sgd_epoch, so row
     i gets the same bits in any group; one-row shards draw no permutation
     and read no seed. The first step reads weights as a read-only stride-0
-    stack, so they are only read. workspace must fit k clients' batches. A
+    stack (workspace.broadcast), so they are only read. workspace must fit
+    k clients' batches. A
     client whose loss or weights go non-finite does not stop the others; it
     is flagged in the returned (k,) bool array.
     """
     n = shards[0].num_samples
-    if any(s.num_samples != n for s in shards):
+    if any(s.indices.size != n for s in shards):
         raise ValueError("a lockstep group needs clients of equally many samples")
+    check_dataset_fits(weights.spec, dataset)
+    subtract = blas_subtract(out)
     order = np.empty((len(shards), n), dtype=np.int64)
     if n == 1:  # one index has one permutation: every epoch takes it
         np.concatenate([s.indices for s in shards], out=order[:, 0])
-    start = np.broadcast_to(weights.values, out.shape)
+    start = workspace.broadcast(weights.values, len(out))
     for epoch in range(local_epochs):
         for row, shard, seed in zip(order, shards, client_seeds if n > 1 else ()):
             row[:] = shard.indices
             np.random.default_rng(derive_seed(seed, "epoch", epoch)).shuffle(row)
-        _sgd_epoch(out, weights.spec, dataset, order, _batch_rows(batch_size, n), client_lr, workspace, start)
+        _sgd_epoch(out, weights.spec, dataset, order, _batch_rows(batch_size, n), client_lr, workspace, subtract, start)
         start = None
-    return ~np.isfinite(out).all(axis=-1)
+    return np.logical_not(np.logical_and.reduce(np.isfinite(out), axis=-1))
 
 
 def _fold_all(updates: Sequence[tuple[ParamVector, int]], total: float | None) -> np.ndarray:
@@ -449,7 +450,7 @@ def _train_group(
     is non-finite has failed.
     """
     members = [shards[c] for c in clients]
-    x, n = out[: len(members)], members[0].num_samples
+    x, n = out if len(members) == len(out) else out[: len(members)], members[0].num_samples  # out's views are kept
     seeds = [_client_seed(config.seed, round_index, c) for c in clients] if n > 1 else ()
     diverged = group_update(
         members, dataset, weights, config.local_epochs, config.batch_size, config.client_lr, seeds, workspace, x
@@ -518,7 +519,7 @@ def layout(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> L
 
 def _train_share(
     out: np.ndarray,
-    share: Sequence[int],
+    share: list[int],
     shards: Sequence[ClientShard],
     dataset: Dataset,
     weights: ParamVector,
@@ -530,11 +531,11 @@ def _train_share(
 ) -> Iterator[float]:
     """A process's share of a round as a stream: per client in share order, fold its term into acc, yield its loss.
 
-    The share trains group by group in out (K, P). Each group trains when
-    the first of its clients is asked for, so out is free by then. A failed
-    client (non-finite loss) adds nothing.
+    The share (client ids) trains group by group in out (K, P). Each group
+    trains when the first of its clients is asked for, so out is free by
+    then. A failed client (non-finite loss) adds nothing.
     """
-    for group in _groups(shards, [int(c) for c in share], out.shape[0]):
+    for group in _groups(shards, share, len(out)):
         losses = _train_group(out, group, round_index, shards, dataset, weights, config, denom, workspace)
         for term, client_loss in zip(out, losses.tolist()):
             if math.isfinite(client_loss):
@@ -562,7 +563,8 @@ def run_round(
     to workspace.clients clients, the group size K; when workspace is
     omitted, one is made for the K of layout. A group's terms go into one
     (K, P) buffer (or a worker's slot), reused once they are folded, so the
-    round holds O(K x model) state, not O(cohort x model). A client that
+    round holds O(K x model) state, not O(cohort x model). The workspace's
+    views of the round's arrays are released when it completes. A client that
     failed (non-finite weights or loss) raises ClientDivergedError when the
     fold reaches it, as if it had trained alone. The round evaluates
     nothing: its metrics carry None accuracies (train_federated scores them).
@@ -575,15 +577,15 @@ def run_round(
     t = state.round_index
     selected = select_clients(
         config.num_clients, config.client_fraction, derive_seed(config.seed, "round", t, "select")
-    )
+    ).tolist()
 
     spec, w_t = state.weights.spec, state.weights.values
-    weighted = shards if config.alg1_literal_normalization else [shards[int(c)] for c in selected]
+    weighted = shards if config.alg1_literal_normalization else [shards[c] for c in selected]
     denom = float(sum(s.num_samples for s in weighted))
     workers = 1 if pool is None else pool.workers
     shares = [selected[j::workers] for j in range(workers)]  # cohort position k is in process k % workers's share
     acc = np.zeros_like(w_t)
-    own = np.empty((workspace.clients, w_t.size))
+    own = np.empty((workspace.clients, w_t.size))  # a round's: once freed, its memory serves the server step
     streams = [_train_share(own, shares[0], shards, dataset, state.weights, config, t, denom, workspace, acc)]
     if pool is not None:
         streams += pool.start_round(t, w_t, shares[1:], denom, acc)
@@ -591,8 +593,9 @@ def run_round(
     for k, client_id in enumerate(selected):
         client_loss = next(streams[k % workers])
         if not math.isfinite(client_loss):
-            raise ClientDivergedError(int(client_id), t)
+            raise ClientDivergedError(client_id, t)
         losses.append(client_loss)
+    workspace.release()  # the views it kept of this round's arrays, w_t's among them
 
     try:  # the vector checks that every round makes tell an overflowing server step
         if config.update_mode == SEND_DELTA:
@@ -605,7 +608,7 @@ def run_round(
 
     metrics = RoundMetrics(
         round_index=t,
-        selected_clients=tuple(int(c) for c in selected),
+        selected_clients=tuple(selected),
         mean_client_loss=float(np.mean(losses)),
         elapsed_s=time.perf_counter() - started,
     )
@@ -687,15 +690,18 @@ def train_centralized(
     each to on_round, when given, as soon as the epoch completes; an epoch
     with a non-finite loss or weight raises ClientDivergedError(-1, epoch).
     """
+    check_dataset_fits(model, dataset)
     w = init_params(model, derive_seed(seed, "init")).values[None].copy()
     n = len(dataset)
     effective_b = _batch_rows(config.batch_size, n)
     ws = Workspace(model, effective_b)
+    subtract = blas_subtract(w)
+    epoch_losses = np.empty((-(-n // effective_b), 1))
     history: list[RoundMetrics] = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
         perm = np.random.default_rng(derive_seed(seed, "epoch", epoch)).permutation(n)
-        epoch_losses = _sgd_epoch(w, model, dataset, perm[None], effective_b, config.lr, ws)
+        _sgd_epoch(w, model, dataset, perm[None], effective_b, config.lr, ws, subtract, losses=epoch_losses)
         if not (np.isfinite(epoch_losses).all() and np.isfinite(w).all()):
             raise ClientDivergedError(client_id=-1, round_index=epoch)
         params = ParamVector(w[0].copy(), model)

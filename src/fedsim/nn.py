@@ -30,6 +30,11 @@ from .config import FieldError
 
 Array = np.ndarray
 
+try:  # the C routine np.einsum runs when not asked to optimize, called without its Python dispatcher
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy before 2.0
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 PROB_FLOOR = 1e-12  # clamp for log() so confident wrong predictions stay finite
 
 
@@ -190,27 +195,40 @@ def _forward(layers: list[tuple[Array, Array]], relu: bool, inputs: Array, outs:
     return h
 
 
-def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list[Array]) -> Array:
+def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list, layers: list | None = None) -> Array:
     """Forward pass on raw arrays, returning the logits. Hot path, skips wrapper allocation.
 
     values (P,) with inputs (m, d) is one model; a stack (k, P) with inputs
     (k, m, d) is k models, each on its own batch. Each layer's output is
     written into the leading m rows of its buffer in buffers (one per layer,
     each with at least as many rows as inputs); the last one holds the logits.
+    layers, when given, are unflatten(values, spec), as a caller keeps them.
     """
+    layers = unflatten(values, spec) if layers is None else layers
     m = inputs.shape[-2]
-    return _forward(unflatten(values, spec), spec.activation == "relu", inputs, [buf[..., :m, :] for buf in buffers])
+    return _forward(layers, spec.activation == "relu", inputs, [buf[..., :m, :] for buf in buffers])
+
+
+def _kept(kept: dict, key, array: Array, build):
+    """build()'s views of array, kept under key with array (so no other array takes its id) until kept is cleared."""
+    entry = kept.get(key)
+    if entry is None:
+        if len(kept) >= 16:  # a caller that passes a new array each call keeps at most 16
+            kept.clear()
+        entry = kept[key] = (array, build())
+    return entry[1]
 
 
 class _Views:
     """A Workspace's buffers as (k, m, .) views for k models on m rows; outs[i] holds layer i's output, then its delta.
 
     They also serve as the workspace of a call of that shape (fit), and
-    with_grad gives them with the gradient in the caller's stack.
+    with_grad gives them with the gradient in the caller's stack, or with no
+    loss: kept, as are the layers of a stack, until the workspace's release().
     """
 
     def __init__(self, ws: Workspace, k: int, m: int):
-        spec = ws.spec
+        spec = self.spec = ws.spec
         outs = spec.layer_sizes[1:]
 
         def view(flat: Array, d: int) -> Array:
@@ -221,12 +239,15 @@ class _Views:
         self.row_scratch = view(ws._row_scratch, 1)
         self.inputs = view(ws._inputs, spec.input_dim)
         self.labels = ws._labels[: k * m].reshape(k, m)
-        # with the labels appended, these pick each row's label entry of the (k, m, C) probabilities
-        self.picks = (np.arange(k)[:, None], np.arange(m))
+        self.probs = ws._outs[-1][: k * m * outs[-1]]  # the (k, m, C) probabilities, flat
+        self.label_base = np.arange(0, k * m * outs[-1], outs[-1]).reshape(k, m)  # + labels: each row's label entry
         self.grad = ws._grad[: k * spec.parameter_count()].reshape(k, -1)
         # the bias gradients are (k, d_out), the shape np.add.reduce gives over each model's rows
         self.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(self.grad, spec)]
         self.grad_address = self.grad.ctypes.data  # taken once: .ctypes costs microseconds a call
+        self.relu = spec.activation == "relu"
+        self.loss = True
+        self._kept: dict = {}  # a stack's layers under its id, with_grad's views under (id, loss)
 
     def fit(self, spec: MlpSpec, k: int, m: int) -> _Views:
         """These views, as the workspace of a call of the one shape they fit."""
@@ -234,14 +255,24 @@ class _Views:
             raise ShapeMismatchError(f"views for {self.labels.shape} do not fit {k} model(s) on {m} rows")
         return self
 
-    def with_grad(self, grad: Array, spec: MlpSpec) -> _Views:
-        """These views, but loss_and_grad_raw writes the gradient into grad, a C-contiguous (k, P) stack."""
-        if not grad.flags.c_contiguous:  # its layer views must be views, not copies
-            raise ValueError("a gradient stack must be C-contiguous")
-        views = copy.copy(self)
-        views.grad, views.grad_address = grad, None
-        views.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(grad, spec)]
-        return views
+    def layers(self, stack: Array) -> list[tuple[Array, Array]]:
+        """unflatten(stack), kept (see _Views)."""
+        return _kept(self._kept, id(stack), stack, lambda: unflatten(stack, self.spec))
+
+    def with_grad(self, grad: Array | None, loss: bool = True) -> _Views:
+        """These views, but loss_and_grad_raw writes the gradient into grad, a C-contiguous (k, P) stack (None: the
+        workspace's), and computes no loss unless loss; kept (see _Views).
+        """
+        def derived() -> _Views:
+            views = copy.copy(self)
+            views.loss, views._kept = loss, {}  # a dict of its own: the derived views hold no cycle
+            if grad is not None:
+                if not grad.flags.c_contiguous:  # its layer views must be views, not copies
+                    raise ValueError("a gradient stack must be C-contiguous")
+                views.grad, views.grad_address = grad, None
+                views.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(grad, self.spec)]
+            return views
+        return _kept(self._kept, (id(grad), loss), grad, derived)
 
 
 class Workspace:
@@ -253,7 +284,8 @@ class Workspace:
     training loop gathers each batch into. Each buffer is flat and holds
     `clients` times `rows` rows. A call of k models on m rows uses the leading
     k * m rows of every buffer, viewed as a contiguous (k, m, .) array; fit()
-    makes those views once per shape.
+    makes those views once per shape. Views of a caller's arrays are kept,
+    with the arrays, until release() (see _Views and broadcast).
     """
 
     def __init__(self, spec: MlpSpec, rows: int, clients: int = 1):
@@ -271,6 +303,7 @@ class Workspace:
         self._labels = np.empty(size, dtype=np.int64)
         self._grad = np.empty(clients * spec.parameter_count())
         self._views: dict[tuple[int, int], _Views] = {}
+        self._kept: dict = {}
 
     def fit(self, spec: MlpSpec, k: int, m: int) -> _Views:
         """The buffers for m rows of each of a stack of k models of spec; raises ShapeMismatchError unless they fit."""
@@ -283,6 +316,16 @@ class Workspace:
                 )
             views = self._views[k, m] = _Views(self, k, m)
         return views
+
+    def broadcast(self, values: Array, k: int) -> Array:
+        """values (P,) as a read-only stride-0 (k, P) stack, kept with values until release()."""
+        return _kept(self._kept, (id(values), k), values, lambda: np.broadcast_to(values, (k, values.size)))
+
+    def release(self) -> None:
+        """Drop every kept view, and with it every caller's array the workspace held (run_round's once a round)."""
+        self._kept.clear()
+        for views in self._views.values():
+            views._kept.clear()
 
 
 def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
@@ -300,10 +343,10 @@ def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
     return logits
 
 
-def _loss_from_probs(probs: Array, labels: Array, picks: tuple[Array, ...]) -> Array:
-    """The k mean cross-entropies of a stack of probabilities (k, m, C)."""
-    n = probs.shape[-2]
-    picked = probs[(*picks, labels)]
+def _loss_from_probs(probs: Array, label_at: Array) -> Array:
+    """The k mean cross-entropies of a stack of probabilities, flat, whose label entries are at label_at (k, m)."""
+    n = label_at.shape[-1]
+    picked = probs.take(label_at)
     np.maximum(picked, PROB_FLOOR, out=picked)
     np.log(picked, out=picked)
     # the sum and division .mean() runs, negated after rather than before: the
@@ -313,47 +356,47 @@ def _loss_from_probs(probs: Array, labels: Array, picks: tuple[Array, ...]) -> A
 
 def loss_and_grad_raw(
     values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | _Views | None = None
-) -> tuple[Array, Array]:
+) -> tuple[Array | None, Array]:
     """Mean cross-entropy and its exact gradient, both on raw arrays.
 
     A stack (k, P) with inputs (k, m, d) and labels (k, m) is k models'
     steps in lockstep: k losses and a (k, P) gradient; one model is a stack
-    of one. Each model's slice runs the same operations, with the same BLAS
-    calls on the same shapes, as its own call, so the same bits. Every
-    intermediate is written into workspace (a temporary one sized to the
-    batch when omitted). The returned gradient lives in the workspace, or in
-    the stack a with_grad workspace names, so the next call on it overwrites
-    it.
+    of one, and labels are not checked. Each model's slice runs the same
+    operations, with the same BLAS calls on the same shapes, as its own
+    call, so the same bits. Every intermediate is written into workspace (a
+    temporary one sized to the batch when omitted). The returned gradient
+    lives in the workspace, or in the stack a with_grad workspace names, so
+    the next call on it overwrites it; the loss is None if that asks for none.
     """
     (k, _), m = values.shape, inputs.shape[-2]
     v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
-    relu = spec.activation == "relu"
-    layers = unflatten(values, spec)
-    last = len(layers) - 1
+    layers = v.layers(values)
 
-    probs = _softmax_inplace(_forward(layers, relu, inputs, v.outs), v.row_scratch)
-    loss = _loss_from_probs(probs, labels, v.picks)
+    probs = _softmax_inplace(_forward(layers, v.relu, inputs, v.outs), v.row_scratch)
+    at = v.label_base + labels
+    loss = _loss_from_probs(v.probs, at) if v.loss else None
 
     delta = probs  # the output delta (probs - onehot) / m overwrites the probabilities
-    delta[(*v.picks, labels)] -= 1.0
-    delta /= m
+    v.probs[at] -= 1.0
+    if m > 1:  # x / 1 is x
+        delta /= m
 
-    for i in range(last, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         gw, gb = v.grad_layers[i]
         a = inputs if i == 0 else v.outs[i - 1]
         if m == 1:
             # a one-row product is one rounded multiply added onto +0, as in the
             # dgemm, but einsum skips BLAS's fixed cost; wider batches keep BLAS,
             # whose summation order the results depend on
-            np.einsum("...ki,...kj->...ij", a, delta, out=gw)
+            _c_einsum("...ki,...kj->...ij", a, delta, out=gw)
         else:
             np.matmul(a.swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:  # the output gw read gives the mask (max(z, 0) > 0 just where z > 0), then takes the delta
-            if relu:
+            if v.relu:
                 np.greater(a, 0.0, out=v.masks[i - 1])
             np.matmul(delta, layers[i][0].swapaxes(-1, -2), out=a)
-            if relu:
+            if v.relu:
                 np.multiply(a, v.masks[i - 1], out=a)
             delta = a
     return loss, v.grad
@@ -370,8 +413,8 @@ def loss_raw(
     """
     (k, _), m = values.shape, inputs.shape[-2]
     v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
-    logits = forward_logits(values, spec, inputs, v.outs)
-    return _loss_from_probs(_softmax_inplace(logits, v.row_scratch), labels, v.picks)
+    _softmax_inplace(forward_logits(values, spec, inputs, v.outs, v.layers(values)), v.row_scratch)
+    return _loss_from_probs(v.probs, v.label_base + labels)
 
 
 def loss(params: ParamVector, batch: Batch) -> float:

@@ -4,8 +4,9 @@ federation.train_federated makes a CohortPool when federation.layout lays
 the run out on more than one process, and run_round folds the workers'
 streams beside its own. Only that call imports this module, so a run
 without a pool pays nothing for multiprocessing. A worker reports to the
-parent through its pipe alone: each group's losses, or the exception the
-group raised, and its death as the pipe's end of file.
+parent through its pipe alone: each group's losses as their float64 bytes,
+or the exception the group raised, pickled, each behind a tag byte; and its
+death as the pipe's end of file.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .federation import FedConfig, WorkerDiedError, _groups, _round_workspace, _
 from .nn import MlpSpec, ParamVector
 
 _SLOTS = 2  # a worker trains into a ring of two group slots: the next group while the parent folds the last
+# the first byte of a worker's message: a group's losses as float64 bytes follow, or a pickled exception
+_LOSSES, _RAISED = b"L", b"E"
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
@@ -38,9 +41,10 @@ class CohortPool:
     own. Worker j cuts its share into lockstep groups of up to `group`
     clients (federation._groups) and trains them in order, each into the
     next slot of its ring with federation._train_group, then sends the
-    group's losses (nan for a diverged client) on its pipe, or the exception
-    the group raised. Its stream reads one message per group, folds the
-    slot's rows one client at a time and frees the slot after the last. One
+    group's losses (nan for a diverged client) on its pipe as raw float64
+    bytes, or the exception the group raised, pickled; a tag byte ahead of
+    either tells them apart. Its stream reads one message per group, folds
+    the slot's rows one client at a time and frees the slot after the last. One
     anonymous shared mapping, made before the fork, holds the round's global
     weights and the slots. The dataset and shards are inherited
     copy-on-write, not pickled; fork is safe with OpenBLAS, which stops its
@@ -102,13 +106,13 @@ class CohortPool:
             conn.close()
 
     def start_round(
-        self, round_index: int, weights: np.ndarray, shares: Sequence[np.ndarray], denom: float, acc: np.ndarray
+        self, round_index: int, weights: np.ndarray, shares: Sequence[list[int]], denom: float, acc: np.ndarray
     ) -> list[Iterator[float]]:
         """Publish the round's global weights, send worker j shares[j], and return each worker's stream into acc."""
         np.copyto(self._weights, weights)
         for j, share in enumerate(shares):
             try:
-                self._conns[j].send((round_index, [int(c) for c in share], denom))
+                self._conns[j].send((round_index, share, denom))
             except OSError:  # the worker's end of the pipe closed: it died after its last round
                 raise self._died(j) from None
         return [self._stream(j, acc) for j in range(len(self._conns))]
@@ -128,17 +132,19 @@ class CohortPool:
         end: run_round takes exactly the share's clients from it.
         """
         conn, free = self._conns[j], self._free[j]
-        for slot in itertools.cycle(range(_SLOTS)):
+        for slot in itertools.cycle(self._slots[j]):
             try:
-                message = conn.recv()  # the one place the parent waits on a worker
+                message = conn.recv_bytes()  # the one place the parent waits on a worker
             except (EOFError, OSError):  # the worker's end closed: it died
                 raise self._died(j) from None
-            if isinstance(message, Exception):
-                raise message
-            for row, client_loss in enumerate(message):
+            if message[:1] == _RAISED:
+                raise pickle.loads(message[1:])
+            losses = np.frombuffer(message, offset=1).tolist()
+            last = len(losses) - 1
+            for row, client_loss in enumerate(losses):
                 if math.isfinite(client_loss):
-                    acc += self._slots[j, slot, row]
-                if row == len(message) - 1:
+                    acc += slot[row]
+                if row == last:
                     free.release()  # from here on the worker may overwrite the slot
                 yield client_loss
 
@@ -149,7 +155,7 @@ class CohortPool:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         for parent_end in self._conns:  # so that recv sees EOF once the parent is gone
             parent_end.close()
-        free, slots = self._free[j], self._slots[j]
+        free, slots = self._free[j], list(self._slots[j])  # one array per slot, whose views the workspace keeps
         workspace = _round_workspace(spec, shards, group)
         try:
             while True:
@@ -164,11 +170,12 @@ class CohortPool:
                             slots[g % _SLOTS], members, round_index, shards, dataset, weights, config, denom, workspace
                         )
                     except Exception as exc:  # raised in the parent when it reaches the group's first client
-                        conn.send_bytes(pickled(exc))
+                        conn.send_bytes(_RAISED + pickled(exc))
                         break  # the parent raises at this group, so the run ends there
-                    conn.send(losses.tolist())
+                    conn.send_bytes(_LOSSES + losses.tobytes())
                     if not np.isfinite(losses).all():
                         break
+                workspace.release()  # the views it kept of this round's arrays
         except (EOFError, OSError):  # the parent's end closed: it is gone
             return
 

@@ -265,6 +265,27 @@ class TestPoolFailures:
             train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
         assert str(err.value) == "x" * 300_000
 
+    def test_a_loss_that_starts_with_the_error_tag_reads_as_a_loss(self, monkeypatch):
+        # a group's losses go as their float64 bytes behind a tag byte, so a loss whose first byte is the
+        # error tag's is still a loss: here every client's, 69 * 2**-1074, which the round's mean keeps exactly
+        tagged = float(np.frombuffer(pool._RAISED + bytes(7))[0])
+        original = federation._train_group
+
+        def tagged_losses(*args):
+            losses = original(*args)
+            losses[:] = tagged
+            return losses
+
+        monkeypatch.setattr(federation, "_train_group", tagged_losses)  # the parent's groups
+        monkeypatch.setattr(pool, "_train_group", tagged_losses)  # the worker's, patched before the fork
+        pin_workers(monkeypatch, 2)
+        ds = synth_dataset(3, 6, 160, seed=SEED)
+        shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=2, seed=SEED)
+        assert layout(MlpSpec((6, 5, 3)), config, shards).workers == 2
+        history, _ = train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
+        assert 0 < tagged and [m.mean_client_loss for m in history] == [tagged, tagged]
+
     def test_an_exception_that_does_not_pickle_arrives_as_a_named_runtime_error(self):
         assert pickle.loads(pool.pickled(ClientDivergedError(3, 2))).args == ClientDivergedError(3, 2).args
         err = pickle.loads(pool.pickled(FieldError("lr", "must be positive")))

@@ -3,7 +3,7 @@
 A digest is sha256 over the data columns of the run's rounds.csv and its
 final weights (bench/child.py digest_and_rows); a run that diverges has no
 final weights, so its digest covers the rounds it kept. Every federated run
-must give its recorded digest with its cohort trained on 1 process and on 2,
+must give its recorded digest with its cohort trained on 1, 2 and 3 processes,
 and with each process training its clients in lockstep groups (the group
 size the rule derives, more than 1 for these tiny nets) and one at a time. The
 digests hold within the envelope recorded in golden.json (fedsim.machine);
@@ -141,7 +141,7 @@ def recorded(fields=ENVELOPE) -> dict:
     return golden["digests"]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
 def test_federated_digest(name, workers, monkeypatch):
     digests = recorded()
@@ -149,7 +149,7 @@ def test_federated_digest(name, workers, monkeypatch):
     assert run_digest(name) == digests[name]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(FEDERATED) + sorted(DIVERGED))
 def test_federated_digest_one_client_at_a_time(name, workers, monkeypatch):
     digests = recorded()

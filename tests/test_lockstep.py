@@ -9,6 +9,7 @@ whole runs at K = 1, where every group is a stack of one.
 
 import csv
 import multiprocessing
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from fedsim.federation import (
     select_clients,
     train_federated,
 )
-from fedsim.nn import MlpSpec, ParamVector, Workspace, init_params, loss_raw
+from fedsim.nn import Batch, MlpSpec, ParamVector, Workspace, init_params, loss, loss_raw
 from fedsim.rng import derive_seed
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
@@ -211,6 +212,72 @@ class TestGroupUpdate:
         spec = MlpSpec((8, 3))
         with pytest.raises(ValueError, match="equally many samples"):
             group_update(shards, ds, init_params(spec, 6), 1, 5, 0.1, [1, 2], Workspace(spec, 6, 2), np.empty((2, 27)))
+
+    def test_kept_views_follow_their_buffers(self):
+        # One workspace trains group after group, alternating two global weight vectors and three buffers: two
+        # slots of one array (a worker's ring: the same .base) and a view that, each time it is let go of, is
+        # replaced by a view of other memory under the same id. Views kept under any key but the array itself,
+        # or kept past its life, send some client's steps into another buffer: every row of every buffer must
+        # hold the bits of the client last trained there, and each loss that client's.
+        ds = synth_dataset(3, 8, 60, seed=17)
+        spec = MlpSpec((8, 6, 3))
+        size = spec.parameter_count()
+        shards = shards_of_sizes(ds, [1] * 12 + [4] * 6)
+        weights = [init_params(spec, 17), init_params(spec, 18)]
+        config = FedConfig(
+            num_clients=18, client_fraction=1.0, local_epochs=2, batch_size=2, client_lr=0.3, rounds=1, seed=17
+        )
+        workspace = federation._round_workspace(spec, shards, 3)
+        ring, spares = np.empty((2, 3, size)), iter(np.empty((32, 3, size)))
+        buffers, held = [ring[0], ring[1], next(spares)], [{}, {}, {}]  # held[b][row]: the bits row must hold
+        # call c trains into buffer c % 3, even calls through group_update; the third buffer's are full one-row
+        # groups, so that a view that takes a dropped one's id is trained on the views of the same shape
+        groups = [[0, 1, 2], [12, 13, 14], [3, 4, 5], [15, 16], [6, 7], [0, 1, 2], [8, 9, 10], [12, 13, 14],
+                  [6, 7, 8], [11], [17], [9, 10, 11], [12, 13, 14], [6, 7, 8], [3, 4, 5], [9, 10], [15, 16, 17], [0, 1, 2]]
+        for call, clients in enumerate(groups):
+            w, b = weights[call % 2], call % 3
+            out, k = buffers[b], len(clients)
+            members = [shards[c] for c in clients]
+            n = members[0].num_samples
+            if call % 2:
+                seeds = [federation._client_seed(config.seed, call, c) for c in clients]
+                losses = federation._train_group(out, clients, call, shards, ds, w, config, 40.0, workspace)
+            else:
+                seeds = range(call, call + k)
+                assert not group_update(members, ds, w, 2, 2, 0.3, seeds, workspace, out if k == 3 else out[:k]).any()
+            for row, (shard, seed) in enumerate(zip(members, seeds)):
+                alone = reference_client_update(shard, ds, w, 2, 2, 0.3, seed)
+                if call % 2:
+                    batch = Batch(ds.inputs[shard.indices], ds.labels[shard.indices])
+                    assert losses[row] == loss(ParamVector(alone, spec), batch), (call, clients)
+                    alone *= n / 40.0
+                held[b][row] = alone
+            for j, rows in enumerate(held):
+                for row, bits in rows.items():
+                    assert np.array_equal(buffers[j][row].view(np.int64), bits.view(np.int64)), (call, clients)
+            if b == 2:  # let the view go: a view of other memory takes its id, unless something still holds it
+                gone = id(buffers.pop())
+                del out
+                views = [next(spares) for _ in range(4)]
+                buffers.append(next((view for view in views if id(view) == gone), views[0]))
+                held[2] = {}
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_a_round_lets_go_of_the_arrays_it_kept_views_of(self, rows):
+        # the workspace keeps views of the round's global weights (their stride-0 stack and its layers) and of
+        # the round buffer's rows; once the round ends, the old weights go with the state that held them
+        ds = synth_dataset(3, 8, 60, seed=19)
+        spec = MlpSpec((8, 6, 3))
+        shards = shards_of_sizes(ds, [rows] * 10)
+        config = FedConfig(
+            num_clients=10, client_fraction=0.5, local_epochs=2, batch_size=2, client_lr=0.3, rounds=2, seed=19
+        )
+        workspace = federation._round_workspace(spec, shards, 2)  # a cohort of 5: groups of 2, 2 and 1
+        state = federation.GlobalState(init_params(spec, 19), 0, config.server_opt)
+        for _ in range(config.rounds):
+            gone = weakref.ref(state.weights.values)
+            state, _ = federation.run_round(state, config, shards, ds, workspace)
+            assert gone() is None
 
 
 def marked_dataset(ds, marked_shards):
