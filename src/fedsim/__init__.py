@@ -4,7 +4,7 @@ Library layout:
   nn          dense-network math (params, loss, gradients, optimizers)
   data        IDX loading, synthetic datasets, client partitioning
   federation  federated rounds, aggregation, centralized baseline
-  pool        forked workers that train a share of each round's cohort
+  pool        forked workers that train and fold their groups of each round's cohort
   machine     the platform envelope runs are reproducible within
   costs       cloud dollar-cost model for training and deployment
   config      flat dotted-key config format

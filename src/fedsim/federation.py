@@ -21,8 +21,10 @@ decides a run's K (held to a cache budget, or to a memory budget when every
 batch has one row), its N processes and its BLAS pin. When the local steps
 are too small for BLAS to thread, train_federated spreads each cohort over
 the parent and N - 1 forked workers (see fedsim.pool) and pins the BLAS to
-one thread. The parent folds in client-id order, so the bits depend neither
-on N nor on K, and those of such a run not on the BLAS thread count.
+one thread: group g of the cohort's groups trains in process g % N, which
+folds it in turn, so the sum is still added in client-id order. The bits
+depend neither on N nor on K, and those of such a run not on the BLAS
+thread count.
 train_centralized's one model is a (1, P) stack of the same loop.
 
 Everything is deterministic given the run seed: client selection, batch
@@ -36,7 +38,7 @@ import math
 import signal
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -415,14 +417,14 @@ def _round_workspace(spec: MlpSpec, shards: Sequence[ClientShard], clients: int)
     return Workspace(spec, max(s.num_samples for s in shards), clients)
 
 
-def _groups(shards: Sequence[ClientShard], share: Sequence[int], cap: int) -> list[list[int]]:
-    """A process's share of a cohort (client ids in cohort order) cut into lockstep groups.
+def _groups(shards: Sequence[ClientShard], cohort: Sequence[int], cap: int) -> list[list[int]]:
+    """A cohort (client ids in cohort order) cut into lockstep groups.
 
-    A group is a run of consecutive clients of the share that hold equally
+    A group is a run of consecutive clients of the cohort that hold equally
     many samples, at most cap of them.
     """
     groups: list[list[int]] = []
-    for client_id in share:
+    for client_id in cohort:
         if groups and len(groups[-1]) < cap and shards[groups[-1][0]].num_samples == shards[client_id].num_samples:
             groups[-1].append(client_id)
         else:
@@ -479,10 +481,10 @@ _BLAS_ONE_THREAD_MNK = 4 * 65_536
 _LOCKSTEP_BYTES = 3 << 19  # 1.5 MiB
 # A one-row step does a few flops per weight, so a group saves mostly per-call overhead: with stacks
 # past the L2 it still gained or held even, at one step a client and at 5 or 10. Memory bounds it
-# instead: the parent holds about 3 * 8 * K * P bytes (the round buffer and a worker's two slots),
-# and 8 * K * P more (the gradient stack) once a client takes a second step; a first step writes its
-# gradient into the round buffer. This budget gives K = 4 at P = 50,890 (the CHANGES.md entry
-# "Clients whose batches have one row" has the sweeps).
+# instead: each process holds 8 * K * P bytes of its own (its round buffer), beside the pool's shared
+# 16 * P (the global weights and the sum), and 8 * K * P more (the gradient stack) once a client takes
+# a second step; a first step writes its gradient into the round buffer. This budget gives K = 4 at
+# P = 50,890 (the CHANGES.md entry "Clients whose batches have one row" has the sweeps).
 _ONE_ROW_LOCKSTEP_BYTES = 13 << 18  # 3.25 MiB
 
 
@@ -504,9 +506,9 @@ def layout(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> L
       alone, so the run's bits depend on neither the CPUs nor the cohort.
     - workers: one per usable CPU, at most one per cohort client, while
       one_thread holds; else 1: a larger step's BLAS threads use the cores.
-    - group: the parent's (the largest) share of the cohort, capped so that
-      the (K, P) stacks fit _LOCKSTEP_BYTES, or _ONE_ROW_LOCKSTEP_BYTES when
-      every batch has one row, and at least 1.
+    - group: a process's share of the cohort, ceil(cohort / workers),
+      capped so that the (K, P) stacks fit _LOCKSTEP_BYTES, or
+      _ONE_ROW_LOCKSTEP_BYTES when every batch has one row, and at least 1.
     """
     sizes = spec.layer_sizes
     rows = _batch_rows(config.batch_size, max(s.num_samples for s in shards))
@@ -515,32 +517,6 @@ def layout(spec: MlpSpec, config: FedConfig, shards: Sequence[ClientShard]) -> L
     share = -(-config.cohort_size // workers)
     budget = _ONE_ROW_LOCKSTEP_BYTES if rows == 1 else _LOCKSTEP_BYTES
     return Layout(workers, max(1, min(share, budget // (2 * 8 * spec.parameter_count()))), one_thread)
-
-
-def _train_share(
-    out: np.ndarray,
-    share: list[int],
-    shards: Sequence[ClientShard],
-    dataset: Dataset,
-    weights: ParamVector,
-    config: FedConfig,
-    round_index: int,
-    denom: float,
-    workspace: Workspace,
-    acc: np.ndarray,
-) -> Iterator[float]:
-    """A process's share of a round as a stream: per client in share order, fold its term into acc, yield its loss.
-
-    The share (client ids) trains group by group in out (K, P). Each group
-    trains when the first of its clients is asked for, so out is free by
-    then. A failed client (non-finite loss) adds nothing.
-    """
-    for group in _groups(shards, share, len(out)):
-        losses = _train_group(out, group, round_index, shards, dataset, weights, config, denom, workspace)
-        for term, client_loss in zip(out, losses.tolist()):
-            if math.isfinite(client_loss):
-                acc += term
-            yield client_loss
 
 
 def run_round(
@@ -554,19 +530,21 @@ def run_round(
     """Execute one aggregation round (select, train, fold, server step); return the advanced state and metrics.
 
     Client updates all start from the same global weights and are aggregated
-    in client-id order, so any training order gives identical results.
-    Each of the N processes (this one, then a pool's workers) trains a share
-    of the cohort, position k going to process k % N, as a stream that folds
-    each client's term into the weighted sum and yields its loss; the round
-    takes client k from stream k % N. This process trains in workspace,
-    which must fit the largest shard, in lockstep groups (see _groups) of up
-    to workspace.clients clients, the group size K; when workspace is
-    omitted, one is made for the K of layout. A group's terms go into one
-    (K, P) buffer (or a worker's slot), reused once they are folded, so the
-    round holds O(K x model) state, not O(cohort x model). The workspace's
-    views of the round's arrays are released when it completes. A client that
-    failed (non-finite weights or loss) raises ClientDivergedError when the
-    fold reaches it, as if it had trained alone. The round evaluates
+    in client-id order, so any training order gives identical results. The
+    cohort is cut into lockstep groups (see _groups) of up to
+    workspace.clients clients, the group size K, and group g trains in
+    process g % N (this one, then a pool's workers). Every process runs the
+    same loop: train its next group into a (K, P) buffer of its own, wait
+    until group g - 1 is folded, add the group's terms to the weighted sum
+    and pass the turn on. This process learns that a worker's group is
+    folded from its report (pool.report), and so waits for nothing else; a
+    one-process round has no turn to wait for. The round holds O(K x model)
+    state per process, not O(cohort x model). workspace must fit the largest
+    shard; when it is omitted, one is made for the K of layout. Its views of
+    the round's arrays are released when the cohort is folded. A client that
+    failed (non-finite weights or loss) raises ClientDivergedError at its
+    cohort position, and an exception a group raised is raised at the
+    group's first client, as if each had trained alone. The round evaluates
     nothing: its metrics carry None accuracies (train_federated scores them).
     """
     if len(shards) != config.num_clients:
@@ -583,18 +561,33 @@ def run_round(
     weighted = shards if config.alg1_literal_normalization else [shards[c] for c in selected]
     denom = float(sum(s.num_samples for s in weighted))
     workers = 1 if pool is None else pool.workers
-    shares = [selected[j::workers] for j in range(workers)]  # cohort position k is in process k % workers's share
-    acc = np.zeros_like(w_t)
+    groups = _groups(shards, selected, workspace.clients)
+    acc = np.zeros_like(w_t) if pool is None else pool.start_round(t, w_t, groups, denom)  # the sum, then the buffer
     own = np.empty((workspace.clients, w_t.size))  # a round's: once freed, its memory serves the server step
-    streams = [_train_share(own, shares[0], shards, dataset, state.weights, config, t, denom, workspace, acc)]
-    if pool is not None:
-        streams += pool.start_round(t, w_t, shares[1:], denom, acc)
-    losses = []
-    for k, client_id in enumerate(selected):
-        client_loss = next(streams[k % workers])
-        if not math.isfinite(client_loss):
-            raise ClientDivergedError(client_id, t)
-        losses.append(client_loss)
+
+    def train(g: int) -> list[float] | Exception:  # one of this process's groups, into own
+        try:
+            return _train_group(own, groups[g], t, shards, dataset, state.weights, config, denom, workspace).tolist()
+        except Exception as exc:  # raised at the group's first client, after any earlier group's failure
+            return exc
+
+    losses: list[float] = []
+    ahead = train(0)
+    for g, group in enumerate(groups):
+        reported = pool.report(g % workers - 1) if g % workers else ahead  # a worker's group comes folded
+        if isinstance(reported, Exception):
+            raise reported
+        for client_id, client_loss in zip(group, reported):
+            if not math.isfinite(client_loss):
+                raise ClientDivergedError(client_id, t)
+            losses.append(client_loss)
+        if g % workers == 0:
+            for term in own[: len(group)]:
+                acc += term
+            if pool is not None and g + 1 < len(groups):
+                pool.pass_turn(g + 1)
+            if g + workers < len(groups):
+                ahead = train(g + workers)
     workspace.release()  # the views it kept of this round's arrays, w_t's among them
 
     try:  # the vector checks that every round makes tell an overflowing server step
@@ -602,7 +595,9 @@ def run_round(
             np.negative(acc, out=acc)
             new_weights, new_server_state = server_apply(state.server_opt_state, state.weights, GradVector(acc, spec))
         else:
-            new_weights, new_server_state = ParamVector(acc, spec), state.server_opt_state
+            # a pool's sum is in its shared mapping, which the next round rewrites
+            new_weights = ParamVector(acc if pool is None else acc.copy(), spec)
+            new_server_state = state.server_opt_state
     except NonFiniteError as err:
         raise ClientDivergedError(None, t) from err
 

@@ -1,60 +1,59 @@
-"""Cohort-parallel rounds: forked worker processes that train a share of every round's cohort.
+"""Cohort-parallel rounds: forked worker processes that train and fold their groups of every round's cohort.
 
 federation.train_federated makes a CohortPool when federation.layout lays
-the run out on more than one process, and run_round folds the workers'
-streams beside its own. Only that call imports this module, so a run
-without a pool pays nothing for multiprocessing. A worker reports to the
-parent through its pipe alone: each group's losses as their float64 bytes,
-or the exception the group raised, pickled, each behind a tag byte; and its
-death as the pipe's end of file.
+the run out on more than one process. run_round cuts each cohort into
+lockstep groups and trains group g in process g % N; each process folds its
+own groups into the round's sum in turn. Only that call imports this
+module, so a run without a pool pays nothing for multiprocessing. A worker
+reports to the parent through its pipe alone: each group's losses as their
+float64 bytes, or the exception the group raised, pickled, each behind a
+tag byte and sent once its turn has come; and its death as the pipe's end
+of file.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import mmap
 import multiprocessing
 import os
 import pickle
 import signal
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .data import ClientShard, Dataset
-from .federation import FedConfig, WorkerDiedError, _groups, _round_workspace, _train_group
+from .federation import FedConfig, WorkerDiedError, _round_workspace, _train_group
 from .nn import MlpSpec, ParamVector
 
-_SLOTS = 2  # a worker trains into a ring of two group slots: the next group while the parent folds the last
 # the first byte of a worker's message: a group's losses as float64 bytes follow, or a pickled exception
 _LOSSES, _RAISED = b"L", b"E"
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 class CohortPool:
-    """workers - 1 forked processes that train a share of every round's cohort.
+    """workers - 1 forked processes that train, and fold, every workers-th group of each round's cohort.
 
-    Worker j's share is the clients at cohort positions j + 1, j + 1 +
-    workers, ..., as run_round cuts them. start_round sends each worker its
-    share and returns one stream per worker, which run_round folds like its
-    own. Worker j cuts its share into lockstep groups of up to `group`
-    clients (federation._groups) and trains them in order, each into the
-    next slot of its ring with federation._train_group, then sends the
-    group's losses (nan for a diverged client) on its pipe as raw float64
-    bytes, or the exception the group raised, pickled; a tag byte ahead of
-    either tells them apart. Its stream reads one message per group, folds
-    the slot's rows one client at a time and frees the slot after the last. One
-    anonymous shared mapping, made before the fork, holds the round's global
-    weights and the slots. The dataset and shards are inherited
-    copy-on-write, not pickled; fork is safe with OpenBLAS, which stops its
-    threads around a fork. A worker's exception is raised by the stream at
-    the group's first client, and a diverged client's loss reaches
-    run_round as one of its own, so either is raised where a single process
-    would raise it. Each worker holds the only copy of its pipe's child end,
-    so a worker that dies (killed, as by the out-of-memory killer) closes it,
-    and federation.WorkerDiedError is raised at once where the parent waits
-    for it, or when it next sends to it.
+    start_round publishes the round's global weights, zeroes the round's
+    sum and sends every worker the round's groups; worker j trains groups
+    j + 1, j + 1 + workers, ... (run_round trains the rest). A worker trains
+    each of its groups into a (K, P) buffer of its own with
+    federation._train_group, waits on its turn semaphore until the group
+    before it is folded, adds the group's terms to the sum and passes the
+    turn on (pass_turn): to the next worker's semaphore, or to the parent,
+    whose turn is the report it reads. It then sends the group's losses on
+    its pipe as raw float64 bytes, or the exception the group raised,
+    pickled; a tag byte ahead of either tells them apart. A group that
+    failed folds nothing and passes no turn, for the parent raises there
+    (report). One anonymous shared mapping, made before the fork, holds the
+    round's global weights and the sum, 2 * 8 * P bytes for any K and N.
+    The dataset and shards are inherited copy-on-write, not pickled; fork
+    is safe with OpenBLAS, which stops its threads around a fork. Each
+    worker holds the only copy of its pipe's child end, so a worker that
+    dies (killed, as by the out-of-memory killer) closes it, and
+    federation.WorkerDiedError is raised at once where the parent waits for
+    it, or when it next sends to it. A worker whose parent is gone exits
+    within a second, whether it waits for a round or for its turn.
     Workers ignore SIGINT and take SIGTERM's default action, whatever
     handlers the parent has: close() terminates (SIGTERM) and joins them.
     """
@@ -64,20 +63,18 @@ class CohortPool:
         group: int,
     ):
         self.workers = workers
-        n, size = workers - 1, spec.parameter_count()
-        self._mem = mmap.mmap(-1, 8 * size * (1 + n * _SLOTS * group))
-        shared = np.frombuffer(self._mem, dtype=np.float64)
-        self._weights = shared[:size]
-        self._slots = shared[size:].reshape(n, _SLOTS, group, size)
+        size = spec.parameter_count()
+        self._mem = mmap.mmap(-1, 2 * 8 * size)
+        self._weights, self._acc = np.frombuffer(self._mem, dtype=np.float64).reshape(2, size)
         ctx = multiprocessing.get_context("fork")
-        self._free = [ctx.Semaphore(_SLOTS) for _ in range(n)]
+        self._turns = [ctx.Semaphore(0) for _ in range(workers - 1)]
         self._conns: list[multiprocessing.connection.Connection] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
         parent = os.getpid()
         # a worker is born with both signals blocked and sets their actions before unblocking them
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
-            for j in range(n):
+            for j in range(workers - 1):
                 parent_end, child_end = ctx.Pipe()  # made just before the fork, so no earlier worker holds it
                 self._conns.append(parent_end)
                 args = (j, child_end, parent, spec, config, shards, dataset, group)
@@ -106,16 +103,35 @@ class CohortPool:
             conn.close()
 
     def start_round(
-        self, round_index: int, weights: np.ndarray, shares: Sequence[list[int]], denom: float, acc: np.ndarray
-    ) -> list[Iterator[float]]:
-        """Publish the round's global weights, send worker j shares[j], and return each worker's stream into acc."""
+        self, round_index: int, weights: np.ndarray, groups: Sequence[list[int]], denom: float
+    ) -> np.ndarray:
+        """Publish the round's global weights, send every worker the round's groups; return the zeroed shared sum."""
         np.copyto(self._weights, weights)
-        for j, share in enumerate(shares):
+        self._acc.fill(0.0)
+        for j, conn in enumerate(self._conns):
             try:
-                self._conns[j].send((round_index, share, denom))
+                conn.send((round_index, groups, denom))
             except OSError:  # the worker's end of the pipe closed: it died after its last round
                 raise self._died(j) from None
-        return [self._stream(j, acc) for j in range(len(self._conns))]
+        return self._acc
+
+    def pass_turn(self, g: int) -> None:
+        """Let group g be folded: wake its worker; the parent's turn is the report of group g - 1."""
+        if g % self.workers:
+            self._turns[g % self.workers - 1].release()
+
+    def report(self, j: int) -> list[float]:
+        """The losses of worker j's next group, read once the worker has folded it; raises what the group raised.
+
+        Raises WorkerDiedError as soon as the worker is gone.
+        """
+        try:
+            message = self._conns[j].recv_bytes()  # the one place the parent waits on a worker
+        except (EOFError, OSError):  # the worker's end closed: it died
+            raise self._died(j) from None
+        if message[:1] == _RAISED:
+            raise pickle.loads(message[1:])
+        return np.frombuffer(message, offset=1).tolist()
 
     def _died(self, j: int) -> WorkerDiedError:
         """The error for worker j, whose end of the pipe closed: joined first, so that it names the exit."""
@@ -123,57 +139,37 @@ class CohortPool:
         proc.join(timeout=1.0)
         return WorkerDiedError(proc.pid, proc.exitcode)
 
-    def _stream(self, j: int, acc: np.ndarray) -> Iterator[float]:
-        """Worker j's share as a stream: per client in share order, fold its term into acc, yield its loss.
-
-        A failed client, whose loss is non-finite, adds nothing. Raises the
-        worker's exception instead when a group raised one, and
-        WorkerDiedError as soon as the worker is gone. The stream does not
-        end: run_round takes exactly the share's clients from it.
-        """
-        conn, free = self._conns[j], self._free[j]
-        for slot in itertools.cycle(self._slots[j]):
-            try:
-                message = conn.recv_bytes()  # the one place the parent waits on a worker
-            except (EOFError, OSError):  # the worker's end closed: it died
-                raise self._died(j) from None
-            if message[:1] == _RAISED:
-                raise pickle.loads(message[1:])
-            losses = np.frombuffer(message, offset=1).tolist()
-            last = len(losses) - 1
-            for row, client_loss in enumerate(losses):
-                if math.isfinite(client_loss):
-                    acc += slot[row]
-                if row == last:
-                    free.release()  # from here on the worker may overwrite the slot
-                yield client_loss
-
     def _serve(self, j, conn, parent, spec, config, shards, dataset, group) -> None:
-        """Worker j's loop: train its share of each announced round, until the parent goes away."""
+        """Worker j's loop: train and fold its groups of each announced round, until the parent goes away."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         for parent_end in self._conns:  # so that recv sees EOF once the parent is gone
             parent_end.close()
-        free, slots = self._free[j], list(self._slots[j])  # one array per slot, whose views the workspace keeps
+        turn, acc, out = self._turns[j], self._acc, np.empty((group, spec.parameter_count()))
         workspace = _round_workspace(spec, shards, group)
         try:
             while True:
-                round_index, clients, denom = conn.recv()
+                round_index, groups, denom = conn.recv()
                 weights = ParamVector(self._weights, spec)
-                for g, members in enumerate(_groups(shards, clients, group)):
-                    while not free.acquire(timeout=1.0):
-                        if os.getppid() != parent:
-                            return
+                for g in range(j + 1, len(groups), self.workers):
                     try:
                         losses = _train_group(
-                            slots[g % _SLOTS], members, round_index, shards, dataset, weights, config, denom, workspace
+                            out, groups[g], round_index, shards, dataset, weights, config, denom, workspace
                         )
-                    except Exception as exc:  # raised in the parent when it reaches the group's first client
-                        conn.send_bytes(_RAISED + pickled(exc))
-                        break  # the parent raises at this group, so the run ends there
-                    conn.send_bytes(_LOSSES + losses.tobytes())
-                    if not np.isfinite(losses).all():
+                        report, folds = _LOSSES + losses.tobytes(), bool(np.isfinite(losses).all())
+                    except Exception as exc:  # raised in the parent at the group's first client
+                        report, folds = _RAISED + pickled(exc), False
+                    while not turn.acquire(timeout=1.0):  # group g - 1 is not folded yet
+                        if os.getppid() != parent:
+                            return
+                    if folds:
+                        for term in out[: len(groups[g])]:
+                            acc += term
+                        if g + 1 < len(groups):
+                            self.pass_turn(g + 1)
+                    conn.send_bytes(report)
+                    if not folds:  # the parent raises at this group, so the round ends here
                         break
                 workspace.release()  # the views it kept of this round's arrays
         except (EOFError, OSError):  # the parent's end closed: it is gone

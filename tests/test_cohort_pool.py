@@ -122,7 +122,14 @@ def a_worker_kills_itself(workers, victim, record):
     test_a_dead_worker_is_named_at_once).
     """
     parent, original = os.getpid(), federation.group_update
-    target = federation._client_seed(SEED, 1, cohort(1, fraction=1.0)[victim + 1])  # the victim's first position
+    federation.usable_cpus = lambda: workers
+    ds = synth_dataset(3, 6, 160, seed=SEED)
+    shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+    config = FedConfig(num_clients=CLIENTS, client_fraction=1.0, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
+    run_layout = layout(MlpSpec((6, 5, 3)), config, shards)
+    assert run_layout.workers == workers
+    # group g of K positions trains in process g % workers: the victim's first group is victim + 1
+    target = federation._client_seed(SEED, 1, cohort(1, fraction=1.0)[run_layout.group * (victim + 1)])
 
     def kills_itself(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args):
         if os.getpid() != parent and target in client_seeds:
@@ -131,11 +138,7 @@ def a_worker_kills_itself(workers, victim, record):
             os.kill(os.getpid(), signal.SIGKILL)
         return original(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args)
 
-    federation.group_update, federation.usable_cpus = kills_itself, lambda: workers
-    ds = synth_dataset(3, 6, 160, seed=SEED)
-    shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
-    config = FedConfig(num_clients=CLIENTS, client_fraction=1.0, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
-    assert layout(MlpSpec((6, 5, 3)), config, shards).workers == workers
+    federation.group_update = kills_itself
     try:
         train_federated(MlpSpec((6, 5, 3)), config, shards, ds)
     except WorkerDiedError as err:
@@ -144,8 +147,77 @@ def a_worker_kills_itself(workers, victim, record):
         print(json.dumps({"pid": int(pid), "error": str(err), "late_s": seen_at - float(killed_at)}))
 
 
+def in_own_process(helper, *args, **kwargs):
+    """Run this module's helper(*args) in a process of its own, stopped after 60 s.
+
+    A lost pipe end or turn then fails the case instead of hanging the suite.
+    """
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+    code = f"from test_cohort_pool import {helper} as run; run(*{args!r})"
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs
+    )
+
+
+def on_three_processes(case, record):
+    """Train on 3 processes in groups of one client, in a process of its own; print one JSON line.
+
+    Group g is cohort position g, trained in process g % 3, so every round
+    passes the turn from the parent to worker 1, from worker 1 to worker 2
+    and back. The line holds, for the 3-process run and then the
+    one-process run, the final weights as hex (or the error raised) and
+    each completed round's mean loss. case is
+    - "bits": no client fails;
+    - "raises" or "diverges": the client at position 4 of round 1, in
+      worker 1's second group, raises ShapeMismatchError or diverges, while
+      worker 2 has trained position 5 and waits behind it;
+    - "parent_dies": the parent writes its workers' pids to record and
+      SIGKILLs itself while it trains position 3 of round 0, when both
+      workers have trained their next group and wait for their turn.
+    """
+    federation._LOCKSTEP_BYTES = federation._ONE_ROW_LOCKSTEP_BYTES = 0  # K = 1
+    ds = synth_dataset(3, 6, 160, seed=SEED)
+    shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+    config = FedConfig(num_clients=CLIENTS, client_fraction=1.0, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
+    if case in ("raises", "diverges"):
+        fail_at(pytest.MonkeyPatch(), 1, 4, ShapeMismatchError if case == "raises" else ClientDivergedError, 1.0)
+    elif case == "parent_dies":
+        parent, original = os.getpid(), federation.group_update
+        target = federation._client_seed(SEED, 0, cohort(0, fraction=1.0)[3])
+
+        def dies(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args):
+            if os.getpid() == parent and target in client_seeds:
+                time.sleep(0.3)
+                Path(record).write_text(" ".join(str(child.pid) for child in multiprocessing.active_children()))
+                os.kill(parent, signal.SIGKILL)
+            return original(shards, dataset, weights, local_epochs, batch_size, client_lr, client_seeds, *args)
+
+        federation.group_update = dies
+    runs = []
+    for workers in (3, 1):
+        federation.usable_cpus = lambda n=workers: n
+        assert layout(MlpSpec((6, 5, 3)), config, shards) == Layout(workers, 1, True)
+        kept = []
+        try:
+            _, state = train_federated(MlpSpec((6, 5, 3)), config, shards, ds, on_round=kept.append)
+            outcome = state.weights.values.tobytes().hex()
+        except (ShapeMismatchError, ClientDivergedError) as err:
+            outcome = f"{type(err).__name__}: {err}"
+        runs.append([outcome, [m.mean_client_loss for m in kept]])
+    print(json.dumps(runs))
+
+
+def gone(pid):
+    """Whether process pid has exited (a zombie its new parent has not reaped counts as exited)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
 class TestPoolSize:
-    # (layers, batch rows, cohort): a layout on 8 CPUs; K is the parent's share, capped at 1.5 MiB // (16 P),
+    # (layers, batch rows, cohort): a layout on 8 CPUs; K is a process's share, capped at 1.5 MiB // (16 P),
     # or at 3.25 MiB // (16 P) for one-row batches
     @pytest.mark.parametrize("layers, rows, cohort, expected", [
         ((100, 128, 10), 10, 10, Layout(8, 2, True)),  # 10*100*128 = 128,000
@@ -181,7 +253,8 @@ class TestPoolSize:
 
 class TestPoolKeepsTheBits:
     def test_more_workers_than_cores_give_the_one_process_run(self, monkeypatch):
-        # 40 clients at fraction 0.5: 20 a round, so each of 4 workers reuses its two slots
+        # 40 clients at fraction 0.5: 20 a round, a group of 5 for each of 4 processes, each worker's turn passed by
+        # the process before it
         ds = synth_dataset(3, 8, 400, seed=3)
         shards = partition(ds, PartitionPlan(IID, 40, 10, seed=3))
         config = FedConfig(
@@ -201,7 +274,8 @@ class TestPoolKeepsTheBits:
 
 class TestPoolFailures:
     def test_a_worker_clients_divergence_reads_as_in_one_process(self, tmp_path, monkeypatch, capsys):
-        client = fail_at(monkeypatch, 2, 1, ClientDivergedError)  # position 1: a worker's client at 2 workers
+        # K = 2: positions 0-1 train in the parent and 2-3 in the worker; 3 is the second of the worker's group
+        client = fail_at(monkeypatch, 2, 3, ClientDivergedError)
         runs = {}
         for workers in (1, 2):
             pin_workers(monkeypatch, workers)
@@ -228,15 +302,15 @@ class TestPoolFailures:
         assert [m.round_index for m in kept] == [0]
 
     def test_a_worker_exception_is_raised_with_its_type(self, tmp_path, monkeypatch, capsys):
-        fail_at(monkeypatch, 1, 1, ShapeMismatchError)
+        fail_at(monkeypatch, 1, 2, ShapeMismatchError)  # K = 2: position 2 is the worker's group
         pin_workers(monkeypatch, 2)
         assert main(["train-fed", "--out", str(tmp_path)] + FED) == 2
         assert capsys.readouterr().err == "config error: a patched failure\n"
         assert "run.status = failed" in manifest_lines(tmp_path)
 
     @pytest.mark.parametrize("exc", [ShapeMismatchError, ClientDivergedError])
-    def test_a_worker_failure_after_its_slot_ring_wrapped_reads_as_in_one_process(self, monkeypatch, exc):
-        # the whole cohort at N = 2 and K = 1: position 7 is the worker's 4th group, in the slot its 2nd used
+    def test_a_worker_failure_in_its_4th_group_reads_as_in_one_process(self, monkeypatch, exc):
+        # the whole cohort at N = 2 and K = 1: group g is position g, trained in process g % 2, so 7 is the worker's 4th
         client = fail_at(monkeypatch, 1, 7, exc, fraction=1.0)
         pin_workers(monkeypatch, 2)
         for budget in ("_LOCKSTEP_BYTES", "_ONE_ROW_LOCKSTEP_BYTES"):
@@ -256,7 +330,7 @@ class TestPoolFailures:
         assert [m.round_index for m in kept] == [0]
 
     def test_a_worker_exception_larger_than_a_pipe_buffer_arrives_whole(self, monkeypatch):
-        fail_at(monkeypatch, 0, 1, lambda _: ShapeMismatchError("x" * 300_000))
+        fail_at(monkeypatch, 0, 2, lambda _: ShapeMismatchError("x" * 300_000))  # K = 2: the worker's group
         pin_workers(monkeypatch, 2)
         ds = synth_dataset(3, 6, 160, seed=SEED)
         shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
@@ -299,7 +373,7 @@ class TestPoolFailures:
         def interrupt_in_round_2(shards, *args, **kwargs):
             if os.getpid() == parent:
                 calls.extend(shards)
-                if len(calls) > 2 * 2:  # the parent trains positions 0 and 2 of each round of 4
+                if len(calls) > 2 * 2:  # the parent trains positions 0 and 1 of each round of 4 (K = 2)
                     raise KeyboardInterrupt
             return original(shards, *args, **kwargs)
 
@@ -361,13 +435,9 @@ class TestPoolFailures:
 
     @pytest.mark.parametrize("workers, victim", [(2, 0), (4, 0), (4, 1), (4, 2)])
     def test_a_dead_worker_is_named_at_once(self, tmp_path, workers, victim):
-        # in a process of its own with a timeout, so that a pipe end a later worker kept fails the case, not hangs it
-        tests = Path(__file__).resolve().parent
-        path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
-        code = "import sys; from test_cohort_pool import a_worker_kills_itself as run; run(*map(int, sys.argv[1:3]), sys.argv[3])"
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(workers), str(victim), str(tmp_path / "killed")],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        # in a process of its own, so that a pipe end a later worker kept fails the case, not hangs it
+        done = in_own_process(
+            "a_worker_kills_itself", workers, victim, str(tmp_path / "killed"), capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
         seen = json.loads(done.stdout.splitlines()[-1])
@@ -381,7 +451,7 @@ class TestPoolFailures:
 
         def killed_in_round_2(shards, *args, **kwargs):
             if os.getpid() != parent:
-                calls.extend(shards)  # the worker's own copy: it trains positions 1 and 3 of each round of 4
+                calls.extend(shards)  # the worker's own copy: it trains positions 2 and 3 of each round of 4 (K = 2)
                 if len(calls) > 2 * 2:
                     os.kill(os.getpid(), signal.SIGKILL)  # as the out-of-memory killer ends a process
             return original(shards, *args, **kwargs)
@@ -395,3 +465,70 @@ class TestPoolFailures:
         assert "run.status = failed" in lines
         assert f"run.error = {err.strip()}" in lines
         assert [row[0] for row in data_rows(tmp_path / "rounds.csv")[1:]] == ["0", "1"]
+
+
+class TestTurns:
+    """Each process folds its own groups in cohort order, passing the turn on; the parent holds no worker row."""
+
+    def test_a_turn_passed_from_worker_to_worker_keeps_the_bits(self):
+        done = in_own_process("on_three_processes", "bits", None, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        pooled, serial = json.loads(done.stdout.splitlines()[-1])
+        assert pooled == serial and len(pooled[1]) == 3
+
+    @pytest.mark.parametrize("case, expected", [("raises", "ShapeMismatchError"), ("diverges", "ClientDivergedError")])
+    def test_a_failure_in_a_workers_group_is_raised_at_its_position_while_the_next_worker_waits(self, case, expected):
+        done = in_own_process("on_three_processes", case, None, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        pooled, serial = json.loads(done.stdout.splitlines()[-1])
+        assert pooled == serial and pooled[0].startswith(expected) and len(pooled[1]) == 1
+        if case == "diverges":
+            client = cohort(1, fraction=1.0)[4]
+            assert pooled[0] == f"ClientDivergedError: client {client} diverged in round 1 (non-finite loss or weights)"
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds the worker processes in /proc")
+    def test_a_parent_that_dies_while_its_workers_wait_for_their_turn_leaves_no_worker(self, tmp_path):
+        record = tmp_path / "workers"
+        done = in_own_process("on_three_processes", "parent_dies", str(record), stdout=subprocess.DEVNULL)
+        assert done.returncode == -signal.SIGKILL
+        workers = [int(pid) for pid in record.read_text().split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0  # a worker looks for its parent once a second while it waits
+        while not all(map(gone, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if not gone(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+
+    @pytest.mark.parametrize("workers, group", [(2, 1), (2, 4), (3, 2), (4, 5)])
+    def test_the_shared_mapping_holds_the_weights_and_the_sum_alone(self, workers, group):
+        ds = synth_dataset(3, 6, 160, seed=SEED)
+        shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=1.0, batch_size=5, client_lr=0.2, rounds=1, seed=SEED)
+        spec = MlpSpec((6, 5, 3))
+        with pool.CohortPool(workers, spec, config, shards, ds, group) as cohort_pool:
+            assert len(cohort_pool._mem) == 2 * 8 * spec.parameter_count()
+        assert multiprocessing.active_children() == []
+
+    def test_a_send_weights_run_returns_weights_of_its_own(self, monkeypatch):
+        pools, start_pool = [], pool.CohortPool.__init__
+
+        def init(self, *args):
+            pools.append(self)
+            start_pool(self, *args)
+
+        monkeypatch.setattr(pool.CohortPool, "__init__", init)
+        ds = synth_dataset(3, 6, 160, seed=SEED)
+        shards = partition(ds, PartitionPlan(IID, CLIENTS, 10, seed=SEED))
+        config = FedConfig(num_clients=CLIENTS, client_fraction=FRACTION, batch_size=5, client_lr=0.2, rounds=3, seed=SEED)
+        assert config.update_mode == federation.SEND_WEIGHTS
+        finals = []
+        for workers in (1, 2):
+            pin_workers(monkeypatch, workers)
+            finals.append(train_federated(MlpSpec((6, 5, 3)), config, shards, ds)[1].weights.values)
+        serial, pooled = finals
+        (closed,) = pools
+        assert not any(proc.is_alive() for proc in closed._procs)
+        assert pooled.flags.owndata and not np.shares_memory(pooled, np.frombuffer(closed._mem))
+        assert np.array_equal(pooled, serial)

@@ -167,12 +167,11 @@ def test_golden_runs_train_in_lockstep_groups(name, workers, monkeypatch):
     # else the digests above would check the one-at-a-time path twice
     monkeypatch.setattr(federation, "usable_cpus", lambda: workers)
     model, config, shards, _, _ = federated_setup(**{**FEDERATED, **DIVERGED}[name])
-    group = -(-config.cohort_size // workers)  # the parent's whole share
+    group = -(-config.cohort_size // workers)  # a process's share of the cohort
     assert federation.layout(model, config, shards) == federation.Layout(workers, group, True) and group > 1
     cohort = federation.select_clients(config.num_clients, config.client_fraction, derive_seed(config.seed, "round", 0, "select"))
-    for j in range(workers):  # every process trains its share of round 0 as one group
-        share = [int(c) for c in cohort[j::workers]]
-        assert federation._groups(shards, share, group) == [share]
+    cohort = [int(c) for c in cohort]  # round 0 is cut into one group of K consecutive positions per process
+    assert federation._groups(shards, cohort, group) == [cohort[g * group : (g + 1) * group] for g in range(workers)]
 
 
 def test_a_client_with_a_nan_loss_fails_its_round():

@@ -215,8 +215,8 @@ class TestGroupUpdate:
 
     def test_kept_views_follow_their_buffers(self):
         # One workspace trains group after group, alternating two global weight vectors and three buffers: two
-        # slots of one array (a worker's ring: the same .base) and a view that, each time it is let go of, is
-        # replaced by a view of other memory under the same id. Views kept under any key but the array itself,
+        # rows of one array (the same .base) and a view that, each time it is let go of, is replaced by a view
+        # of other memory under the same id. Views kept under any key but the array itself,
         # or kept past its life, send some client's steps into another buffer: every row of every buffer must
         # hold the bits of the client last trained there, and each loss that client's.
         ds = synth_dataset(3, 8, 60, seed=17)
@@ -321,7 +321,7 @@ class TestLockstepRuns:
             eval_every=1,
         )
         runs = {}
-        for workers in (1, 2, 3):  # at 3, the two workers fill their slots with groups of different sizes
+        for workers in (1, 2, 3):  # at 3, the two workers train groups of different sizes
             for group in (None, 1):
                 pin(monkeypatch, workers, group)
                 history, state = train_federated(MlpSpec((8, 6, 3)), config, shards, ds, test)
