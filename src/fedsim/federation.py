@@ -219,13 +219,12 @@ def _sgd_epoch(
     exactly like w -= lr * grad, run as the BLAS's daxpy when the caller
     passes machine.blas_subtract(w) as subtract. start, when given, is the
     stack the first step reads in place of w (group_update's read-only
-    stride-0 view of the global weights). That step's kernel writes its
-    gradient into w itself (views the workspace keeps, nn._Views.with_grad),
-    and grad *= lr; w = start - grad runs the same operations there. losses,
-    a (steps, k) array, gets the batch losses if given; else the kernel
-    computes none. Every step is taken: a model whose loss goes non-finite
-    gets a nan output bias that stays nan, and its rows never touch the
-    other models'.
+    stride-0 view of the global weights). That step passes w as the kernel's
+    grad, so its gradient lands in w itself, and grad *= lr; w = start - grad
+    runs the same operations there. losses, a (steps, k) array, gets the
+    batch losses if given; else the kernel's loss flag is off and it computes
+    none. Every step is taken: a model whose loss goes non-finite gets a nan
+    output bias that stays nan, and its rows never touch the other models'.
     """
     current = w if start is None else start
     for step, begin in enumerate(range(0, order.shape[-1], batch_size)):
@@ -234,9 +233,8 @@ def _sgd_epoch(
         x, y = views.inputs, views.labels
         dataset.inputs.take(idx, axis=0, out=x)
         dataset.labels.take(idx, out=y)
-        views = views.with_grad(None if current is w else w, losses is not None)
         # called through this module's global, where the benchmark's tracer wraps it
-        loss, grad = loss_and_grad_raw(current, spec, x, y, views)
+        loss, grad = loss_and_grad_raw(current, spec, x, y, ws, None if current is w else w, losses is not None)
         if losses is not None:
             losses[step] = loss
         grad *= lr

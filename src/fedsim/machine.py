@@ -10,10 +10,11 @@ one_blas_thread, so its evaluation and shard-loss products sum in the
 one-thread order whatever the thread variables and CPUs say. Where the BLAS
 has no thread-count call (MKL, Accelerate) nothing is pinned, and the
 thread count stays in the envelope. How many processes a round's cohort
-trains on is not part of the envelope: the parent folds every client in
-client-id order (see federation.run_round). Nor is whether w -= g ran as
-daxpy with alpha = -1 (blas_subtract) or in numpy: y + (-1.0 * x) rounds like
-y - x, fused or not, and daxpy computes each entry alone at any thread count.
+trains on is not part of it: each process folds its groups in turn, so the
+sum adds every client's term, the bits it gets in any group, in cohort order
+(see federation.run_round). Nor is whether w -= g ran as daxpy with
+alpha = -1 (blas_subtract) or in numpy: y + (-1.0 * x) rounds like y - x,
+fused or not, and daxpy computes each entry alone at any thread count.
 """
 
 from __future__ import annotations

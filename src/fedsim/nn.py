@@ -7,21 +7,22 @@ vector arithmetic.
 
 The public wrappers (loss, loss_grad, sgd_step, server_apply) never mutate
 their inputs and return new vectors and states. The training hot path is
-loss_and_grad_raw: it writes every intermediate, and the gradient it returns,
-into a Workspace of buffers allocated once per (spec, batch rows, models),
-so a training loop can take each step, and update its weights in place,
-without allocating. It runs forward_logits' one layer loop, and each layer's
-one buffer holds its output, then its delta. It runs the same IEEE
-operations in the same order as the allocating formulation, so results are
-bit-identical. The raw step functions take a stack of k models, a (k, P)
-array with (k, m, d) inputs, and step the k independent models in lockstep
-with the bits each gets alone; one model is a stack of one. The public
-wrappers and forward_logits take a (P,) vector.
+loss_and_grad_raw: it writes every intermediate into a Workspace of buffers
+allocated once per (spec, batch rows, models), and its gradient there or
+into a stack the caller names, so a training loop can take each step, and
+update its weights in place, without allocating; the Workspace keeps the
+layer views of the caller's stacks, in its one cache, until release(). It
+runs forward_logits' one layer loop, and each layer's one buffer holds its
+output, then its delta. It runs the same IEEE operations in the same order
+as the allocating formulation, so results are bit-identical. The raw step
+functions take a stack of k models, a (k, P) array with (k, m, d) inputs,
+and step the k independent models in lockstep with the bits each gets
+alone; one model is a stack of one. The public wrappers and forward_logits
+take a (P,) vector.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -209,26 +210,14 @@ def forward_logits(values: Array, spec: MlpSpec, inputs: Array, buffers: list, l
     return _forward(layers, spec.activation == "relu", inputs, [buf[..., :m, :] for buf in buffers])
 
 
-def _kept(kept: dict, key, array: Array, build):
-    """build()'s views of array, kept under key with array (so no other array takes its id) until kept is cleared."""
-    entry = kept.get(key)
-    if entry is None:
-        if len(kept) >= 16:  # a caller that passes a new array each call keeps at most 16
-            kept.clear()
-        entry = kept[key] = (array, build())
-    return entry[1]
-
-
 class _Views:
     """A Workspace's buffers as (k, m, .) views for k models on m rows; outs[i] holds layer i's output, then its delta.
 
-    They also serve as the workspace of a call of that shape (fit), and
-    with_grad gives them with the gradient in the caller's stack, or with no
-    loss: kept, as are the layers of a stack, until the workspace's release().
+    Built once per shape, the gradient's per-layer (W, b) views among them.
     """
 
     def __init__(self, ws: Workspace, k: int, m: int):
-        spec = self.spec = ws.spec
+        spec = ws.spec
         outs = spec.layer_sizes[1:]
 
         def view(flat: Array, d: int) -> Array:
@@ -242,37 +231,9 @@ class _Views:
         self.probs = ws._outs[-1][: k * m * outs[-1]]  # the (k, m, C) probabilities, flat
         self.label_base = np.arange(0, k * m * outs[-1], outs[-1]).reshape(k, m)  # + labels: each row's label entry
         self.grad = ws._grad[: k * spec.parameter_count()].reshape(k, -1)
-        # the bias gradients are (k, d_out), the shape np.add.reduce gives over each model's rows
-        self.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(self.grad, spec)]
+        self.grad_layers = unflatten(self.grad, spec)
         self.grad_address = self.grad.ctypes.data  # taken once: .ctypes costs microseconds a call
         self.relu = spec.activation == "relu"
-        self.loss = True
-        self._kept: dict = {}  # a stack's layers under its id, with_grad's views under (id, loss)
-
-    def fit(self, spec: MlpSpec, k: int, m: int) -> _Views:
-        """These views, as the workspace of a call of the one shape they fit."""
-        if (k, m) != self.labels.shape:
-            raise ShapeMismatchError(f"views for {self.labels.shape} do not fit {k} model(s) on {m} rows")
-        return self
-
-    def layers(self, stack: Array) -> list[tuple[Array, Array]]:
-        """unflatten(stack), kept (see _Views)."""
-        return _kept(self._kept, id(stack), stack, lambda: unflatten(stack, self.spec))
-
-    def with_grad(self, grad: Array | None, loss: bool = True) -> _Views:
-        """These views, but loss_and_grad_raw writes the gradient into grad, a C-contiguous (k, P) stack (None: the
-        workspace's), and computes no loss unless loss; kept (see _Views).
-        """
-        def derived() -> _Views:
-            views = copy.copy(self)
-            views.loss, views._kept = loss, {}  # a dict of its own: the derived views hold no cycle
-            if grad is not None:
-                if not grad.flags.c_contiguous:  # its layer views must be views, not copies
-                    raise ValueError("a gradient stack must be C-contiguous")
-                views.grad, views.grad_address = grad, None
-                views.grad_layers = [(gw, gb[:, 0, :]) for gw, gb in unflatten(grad, self.spec)]
-            return views
-        return _kept(self._kept, (id(grad), loss), grad, derived)
 
 
 class Workspace:
@@ -280,12 +241,11 @@ class Workspace:
 
     One float buffer per layer holds its output, then its back-propagated
     delta; hidden ReLU layers also keep an active-unit mask. Also the flat
-    gradient with its per-layer (W, b) views, and the inputs/labels buffers a
-    training loop gathers each batch into. Each buffer is flat and holds
-    `clients` times `rows` rows. A call of k models on m rows uses the leading
-    k * m rows of every buffer, viewed as a contiguous (k, m, .) array; fit()
-    makes those views once per shape. Views of a caller's arrays are kept,
-    with the arrays, until release() (see _Views and broadcast).
+    gradient and the inputs/labels buffers a training loop gathers each batch
+    into, each flat, of `clients` times `rows` rows; fit() views the leading
+    k * m rows of each as a contiguous (k, m, .) array, once per shape. Views
+    of a caller's arrays (layers, broadcast) are kept with the arrays in one
+    id-keyed cache until release().
     """
 
     def __init__(self, spec: MlpSpec, rows: int, clients: int = 1):
@@ -317,15 +277,26 @@ class Workspace:
             views = self._views[k, m] = _Views(self, k, m)
         return views
 
+    def _keep(self, key, array: Array, build):
+        """build()'s views of array, kept under key with array (so no other array takes its id) until release()."""
+        entry = self._kept.get(key)
+        if entry is None:
+            if len(self._kept) >= 16:  # a caller that passes a new array each call keeps at most 16
+                self._kept.clear()
+            entry = self._kept[key] = (array, build())
+        return entry[1]
+
+    def layers(self, stack: Array) -> list[tuple[Array, Array]]:
+        """unflatten(stack), kept with stack until release()."""
+        return self._keep(id(stack), stack, lambda: unflatten(stack, self.spec))
+
     def broadcast(self, values: Array, k: int) -> Array:
         """values (P,) as a read-only stride-0 (k, P) stack, kept with values until release()."""
-        return _kept(self._kept, (id(values), k), values, lambda: np.broadcast_to(values, (k, values.size)))
+        return self._keep((id(values), k), values, lambda: np.broadcast_to(values, (k, values.size)))
 
     def release(self) -> None:
         """Drop every kept view, and with it every caller's array the workspace held (run_round's once a round)."""
         self._kept.clear()
-        for views in self._views.values():
-            views._kept.clear()
 
 
 def _softmax_inplace(logits: Array, row_scratch: Array) -> Array:
@@ -355,7 +326,8 @@ def _loss_from_probs(probs: Array, label_at: Array) -> Array:
 
 
 def loss_and_grad_raw(
-    values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | _Views | None = None
+    values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None,
+    grad: Array | None = None, loss: bool = True,
 ) -> tuple[Array | None, Array]:
     """Mean cross-entropy and its exact gradient, both on raw arrays.
 
@@ -364,17 +336,24 @@ def loss_and_grad_raw(
     of one, and labels are not checked. Each model's slice runs the same
     operations, with the same BLAS calls on the same shapes, as its own
     call, so the same bits. Every intermediate is written into workspace (a
-    temporary one sized to the batch when omitted). The returned gradient
-    lives in the workspace, or in the stack a with_grad workspace names, so
-    the next call on it overwrites it; the loss is None if that asks for none.
+    temporary one sized to the batch when omitted), the gradient into grad,
+    a C-contiguous (k, P) stack, or else into the workspace, where the next
+    call overwrites it. With loss false no loss is computed: it is None.
     """
     (k, _), m = values.shape, inputs.shape[-2]
-    v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
-    layers = v.layers(values)
+    ws = workspace if workspace is not None else Workspace(spec, m, k)
+    v = ws.fit(spec, k, m)
+    layers = ws.layers(values)
+    if grad is None:
+        grad, grad_layers = v.grad, v.grad_layers
+    elif grad.flags.c_contiguous:  # else its layer views would be copies
+        grad_layers = ws.layers(grad)
+    else:
+        raise ValueError("a gradient stack must be C-contiguous")
 
     probs = _softmax_inplace(_forward(layers, v.relu, inputs, v.outs), v.row_scratch)
     at = v.label_base + labels
-    loss = _loss_from_probs(v.probs, at) if v.loss else None
+    loss = _loss_from_probs(v.probs, at) if loss else None
 
     delta = probs  # the output delta (probs - onehot) / m overwrites the probabilities
     v.probs[at] -= 1.0
@@ -382,7 +361,7 @@ def loss_and_grad_raw(
         delta /= m
 
     for i in range(len(layers) - 1, -1, -1):
-        gw, gb = v.grad_layers[i]
+        gw, gb = grad_layers[i]
         a = inputs if i == 0 else v.outs[i - 1]
         if m == 1:
             # a one-row product is one rounded multiply added onto +0, as in the
@@ -391,7 +370,7 @@ def loss_and_grad_raw(
             _c_einsum("...ki,...kj->...ij", a, delta, out=gw)
         else:
             np.matmul(a.swapaxes(-1, -2), delta, out=gw)
-        np.add.reduce(delta, axis=-2, out=gb)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
         if i > 0:  # the output gw read gives the mask (max(z, 0) > 0 just where z > 0), then takes the delta
             if v.relu:
                 np.greater(a, 0.0, out=v.masks[i - 1])
@@ -399,7 +378,7 @@ def loss_and_grad_raw(
             if v.relu:
                 np.multiply(a, v.masks[i - 1], out=a)
             delta = a
-    return loss, v.grad
+    return loss, grad
 
 
 def loss_raw(
@@ -412,8 +391,9 @@ def loss_raw(
     must fit the batch.
     """
     (k, _), m = values.shape, inputs.shape[-2]
-    v = (workspace if workspace is not None else Workspace(spec, m, k)).fit(spec, k, m)
-    _softmax_inplace(forward_logits(values, spec, inputs, v.outs, v.layers(values)), v.row_scratch)
+    ws = workspace if workspace is not None else Workspace(spec, m, k)
+    v = ws.fit(spec, k, m)
+    _softmax_inplace(forward_logits(values, spec, inputs, v.outs, ws.layers(values)), v.row_scratch)
     return _loss_from_probs(v.probs, v.label_base + labels)
 
 

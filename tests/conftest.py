@@ -9,7 +9,8 @@ from fedsim.data import load_idx
 from fedsim.nn import unflatten
 from fedsim.rng import derive_seed
 
-DATA_DIR = Path(os.environ.get("FEDSIM_DATA_DIR", str(Path(__file__).resolve().parent.parent / "data")))
+REPO = Path(__file__).resolve().parent.parent
+DATA_DIR = Path(os.environ.get("FEDSIM_DATA_DIR", str(REPO / "data")))
 
 MNIST_NAMES = {
     "train_images": "train-images-idx3-ubyte",
@@ -17,6 +18,16 @@ MNIST_NAMES = {
     "test_images": "t10k-images-idx3-ubyte",
     "test_labels": "t10k-labels-idx1-ubyte",
 }
+
+
+def child_env(*dirs: Path, env: dict | None = None) -> dict[str, str]:
+    """env (os.environ when omitted) for a child process that imports this checkout's fedsim.
+
+    Its PYTHONPATH is src, then dirs, then the PYTHONPATH env already had.
+    """
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), *map(str, dirs), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(autouse=True)

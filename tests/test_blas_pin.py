@@ -6,12 +6,12 @@ run ends; a larger run keeps the BLAS's own count. train-fed records the
 count of each run as run.blas_threads in its manifest.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 from test_config_cli import drop_elapsed, read_csv
 from test_golden import DIVERGED, digest, federated
 
@@ -101,8 +101,8 @@ def test_a_larger_run_after_a_pinned_one_gives_the_bits_of_a_fresh_process():
     # as a preset that trains several nets in one process does
     federated()
     here = large_run()
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-    code = f"import sys; sys.path.insert(0, {str(REPO / 'tests')!r}); import test_blas_pin as t; print(t.large_run())"
+    code = "import test_blas_pin as t; print(t.large_run())"
+    env = child_env(REPO / "tests")
     fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert here == fresh.stdout.strip()
 

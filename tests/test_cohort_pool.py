@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from fedsim import federation, pool
 from fedsim.cli import main
@@ -152,12 +153,9 @@ def in_own_process(helper, *args, **kwargs):
 
     A lost pipe end or turn then fails the case instead of hanging the suite.
     """
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
     code = f"from test_cohort_pool import {helper} as run; run(*{args!r})"
-    return subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs
-    )
+    env = child_env(Path(__file__).resolve().parent)
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60, **kwargs)
 
 
 def on_three_processes(case, record):

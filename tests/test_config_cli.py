@@ -1,11 +1,11 @@
 import csv
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from fedsim.cli import main
 from fedsim.config import (
@@ -737,8 +737,7 @@ class TestDemos:
         "demo", ["01_federated_equals_central.py", "02_samples_per_device.py", "04_cost_analysis.py"]
     )
     def test_demo_runs(self, demo):
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         done = subprocess.run(
-            [sys.executable, str(REPO / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, str(REPO / "demos" / demo)], env=child_env(), capture_output=True, text=True, timeout=300
         )
         assert done.returncode == 0, done.stderr

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from fedsim import federation
 from fedsim.data import IID, SINGLE_LABEL, SINGLE_SAMPLE, PartitionPlan, partition, synth_dataset
@@ -191,9 +192,8 @@ def test_a_pinned_run_gives_its_digest_under_any_thread_variable():
     expected = recorded([field for field in ENVELOPE if field not in thread_fields])["send_weights"]
     model, config, shards, _, _ = federated_setup(**FEDERATED["send_weights"])
     assert federation.layout(model, config, shards).one_thread
-    env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    code = f"import sys; sys.path.insert(0, {str(REPO / 'tests')!r}); import test_golden as g; print(g.run_digest('send_weights'))"
+    env = child_env(REPO / "tests", env={key: value for key, value in os.environ.items() if key not in THREAD_VARS})
+    code = "import test_golden as g; print(g.run_digest('send_weights'))"
     procs = [
         subprocess.Popen([sys.executable, "-c", code], env={**env, **threads}, stdout=subprocess.PIPE, text=True)
         for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {})

@@ -171,10 +171,10 @@ class TestGroupUpdate:
         huge = np.where(np.arange(spec.parameter_count()) % 2 == 0, 1e308, -1e308)
         original = federation.loss_and_grad_raw
 
-        def steered(values, spec, inputs, labels, workspace=None):
+        def steered(values, spec, inputs, labels, *rest):
             # at client_lr = 1 a row's new weights are w - grad: row 0 gets a nan, row 1 a +inf, row 2 a -inf
             # bias that ReLU switches off, and row 3 entries of about +-1e308, all finite
-            loss, grad = original(values, spec, inputs, labels, workspace)
+            loss, grad = original(values, spec, inputs, labels, *rest)
             grad[0, 3], grad[1, 3], grad[2, hidden_bias] = np.nan, -np.inf, np.inf
             grad[3] = -huge
             return loss, grad
@@ -299,8 +299,8 @@ class poisoned_kernel:
     def __enter__(self):
         self.original = original = federation.loss_and_grad_raw
 
-        def poisoned(values, spec, inputs, labels, workspace=None):
-            loss, grad = original(values, spec, inputs, labels, workspace)
+        def poisoned(values, spec, inputs, labels, *rest):
+            loss, grad = original(values, spec, inputs, labels, *rest)
             grad[inputs[:, 0, -1] == 1.0] = np.inf  # one flag a model of the stack
             return loss, grad
 

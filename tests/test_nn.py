@@ -307,6 +307,43 @@ class TestWorkspaceKernel:
             assert np.array_equal(loss_raw(stack, spec, inputs, labels, workspace), values)
             assert np.array_equal(loss_raw(stack, spec, inputs, labels), values)
 
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_with_no_loss_asked_the_kernel_returns_none_and_the_same_gradient_bits(self, rows):
+        spec = MlpSpec((9, 7, 4))
+        rng = np.random.default_rng(39)
+        stack = np.stack([init_params(spec, 39 + i).values for i in range(3)])
+        inputs, labels = rng.uniform(0.0, 1.0, size=(3, rows, 9)), rng.integers(0, 4, size=(3, rows))
+        workspace = Workspace(spec, rows, 3)
+        expected = loss_and_grad_raw(stack, spec, inputs, labels, workspace)[1].copy()
+        value, grads = loss_and_grad_raw(stack, spec, inputs, labels, workspace, loss=False)
+        assert value is None
+        assert np.array_equal(grads.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_a_gradient_written_into_a_callers_stack_has_the_workspace_bits(self, rows):
+        # and the workspace's own gradient buffer is left as it was
+        spec = MlpSpec((9, 7, 6, 4))
+        rng = np.random.default_rng(41)
+        stack = np.stack([init_params(spec, 41 + i).values for i in range(3)])
+        inputs, labels = rng.uniform(0.0, 1.0, size=(3, rows, 9)), rng.integers(0, 4, size=(3, rows))
+        workspace = Workspace(spec, rows, 3)
+        values, own = loss_and_grad_raw(stack, spec, inputs, labels, workspace)
+        values, expected = values.copy(), own.copy()
+        own[...] = np.nan
+        target = np.empty_like(stack)
+        got_values, grads = loss_and_grad_raw(stack, spec, inputs, labels, workspace, target)
+        assert grads is target
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(target.view(np.int64), expected.view(np.int64))
+        assert np.isnan(own).all()
+
+    def test_a_gradient_stack_must_be_c_contiguous(self):
+        spec = MlpSpec((5, 4, 3))
+        stack = np.stack([init_params(spec, 42 + i).values for i in range(2)])
+        inputs, labels = np.zeros((2, 3, 5)), np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            loss_and_grad_raw(stack, spec, inputs, labels, Workspace(spec, 3, 2), np.empty((stack.shape[1], 2)).T)
+
     def test_a_stack_must_fit_the_workspace(self):
         spec = MlpSpec((5, 4, 3))
         stack = np.stack([init_params(spec, 38).values] * 3)

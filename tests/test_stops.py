@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 REPO = Path(__file__).resolve().parent.parent
 # the CLI on 2 CPUs, so that its run, whose steps fit one BLAS thread, has a pool on any number of CPUs
@@ -46,7 +47,7 @@ def wait_for(condition, timeout=30.0):
 
 @pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
 def test_a_stop_signal_keeps_the_completed_rounds_and_leaves_no_worker(tmp_path, signum, code):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     argv = ["train-fed", "--config", "configs/synth_quick.cfg", "--set", "fed.rounds=100000", "--out", str(tmp_path)]
     proc = subprocess.Popen(
         [sys.executable, "-c", ENTRY, *argv], cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
