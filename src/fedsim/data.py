@@ -38,6 +38,7 @@ SYNTH_NOISE_SIGMA = 0.3
 _SPLIT_MIN, _DRAWS_PER_NORMAL = 1 << 21, 1.0221
 _LEAD, _NEAR, _FAR, _JOIN_STEPS = 1 << 15, 1 << 10, 1 << 17, 1 << 12
 _READ_CHUNK = 1 << 24  # _read_idx reads a file's data 16 MiB at a time
+_WINDOW = 1 << 22  # synth_dataset draws a row subset's noise in windows of whole rows, about this many values each
 
 
 class IdxFormatError(ValueError):
@@ -79,7 +80,7 @@ class Dataset:
             raise ValueError(f"inputs must be a nonempty 2-d matrix, got {inputs.shape}")
         if labels.shape != (inputs.shape[0],):
             raise ValueError("need exactly one label per row")
-        if inputs.min() < 0.0 or inputs.max() > 1.0:
+        if not (inputs.min() >= 0.0 and inputs.max() <= 1.0):  # false for nan too
             raise ValueError("inputs must lie in [0, 1]")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError(f"labels out of range for {self.num_classes} classes")
@@ -198,8 +199,13 @@ def _fill(gen: np.random.Generator, out: np.ndarray, scale: float, starts: dict 
         o += chunk.size
 
 
-def _normal(rng: np.random.Generator, scale: float, shape: tuple[int, ...]) -> np.ndarray:
+def _normal(
+    rng: np.random.Generator, scale: float, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """rng.normal(0.0, scale, shape) bit for bit, leaving rng where that call would, drawn on two threads.
+
+    out, when given, is a C-contiguous float64 array of that shape that gets the
+    values and is returned, so a caller drawing a stream by windows reuses one buffer.
 
     rng's bit generator must be a PCG64. This thread draws the first half while a
     helper draws the second from a copy of the generator advanced to a little before
@@ -210,12 +216,18 @@ def _normal(rng: np.random.Generator, scale: float, shape: tuple[int, ...]) -> n
     place, and the values the shift leaves at the end are drawn from the helper's
     final state. If no state matches within _JOIN_STEPS values, or the helper started
     past the split, this thread draws the rest itself. Below _SPLIT_MIN values, or
-    with one usable CPU, it calls rng.normal.
+    with one usable CPU, it calls rng.normal, or fills out on this thread.
     """
     n = math.prod(shape)
+    if out is not None and (out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
     if n < _SPLIT_MIN or usable_cpus() < 2:
-        return rng.normal(0.0, scale, shape)
-    out, h, starts, errors = np.empty(n), n // 2, {}, []
+        if out is None:
+            return rng.normal(0.0, scale, shape)
+        _fill(rng, out.reshape(-1), scale)
+        return out
+    result = np.empty(shape) if out is None else out
+    out, h, starts, errors = result.reshape(-1), n // 2, {}, []
     gen = np.random.Generator(copy.deepcopy(rng.bit_generator))
     gen.bit_generator.advance(max(0, round(h * _DRAWS_PER_NORMAL) - _LEAD))
 
@@ -246,18 +258,15 @@ def _normal(rng: np.random.Generator, scale: float, shape: tuple[int, ...]) -> n
         _fill(gen, out[m + k :], scale)
         out[h:m] = steps
         rng.bit_generator.state = gen.bit_generator.state
-    return out.reshape(shape)
+    return result
 
 
-def synth_dataset(num_classes: int, num_features: int, num_samples: int, seed: int) -> Dataset:
-    """Class-conditional Gaussian blobs, clipped into the [0, 1] feature box.
+def synth_labels(num_classes: int, num_features: int, num_samples: int) -> np.ndarray:
+    """The labels of synth_dataset's rows, 0..C-1 in turn; its arguments are checked as synth_dataset checks them.
 
-    Class c gets a one-hot mean on feature c % d (second wrap at half height),
-    noise sigma 0.3. Labels cycle 0..C-1 so counts are balanced. Linearly
-    separable enough that a one-layer net clears 90% accuracy. The noise is
-    default_rng(seed).normal(0.0, 0.3, (N, d)) bit for bit on any number of
-    threads and CPUs (_normal). A dimension < 1, C > 2d, or an N x d matrix
-    of more than np.intp's bytes raises FieldError.
+    A dimension < 1, C > 2d, or an N x d matrix of more than np.intp's bytes
+    raises FieldError. So a run can check its data and partition it on these
+    labels before drawing any feature.
     """
     for name, value in (("num_classes", num_classes), ("num_features", num_features), ("num_samples", num_samples)):
         if value < 1:
@@ -267,15 +276,53 @@ def synth_dataset(num_classes: int, num_features: int, num_samples: int, seed: i
     if 8 * num_samples * num_features > np.iinfo(np.intp).max:  # numpy could not even describe the float64 matrix
         name = "num_features" if num_features > num_samples else "num_samples"
         raise FieldError(name, f"makes a {num_samples} x {num_features} float64 matrix, more than one array can hold")
+    return np.arange(num_samples, dtype=np.int64) % num_classes
+
+
+def synth_dataset(
+    num_classes: int, num_features: int, num_samples: int, seed: int, rows: np.ndarray | None = None
+) -> Dataset:
+    """Class-conditional Gaussian blobs, clipped into the [0, 1] feature box.
+
+    Class c gets a one-hot mean on feature c % d (second wrap at half height),
+    noise sigma 0.3. Labels cycle 0..C-1 so counts are balanced (synth_labels,
+    which also checks the arguments). Linearly separable enough that a
+    one-layer net clears 90% accuracy. The noise is
+    default_rng(seed).normal(0.0, 0.3, (N, d)) bit for bit on any number of
+    threads and CPUs (_normal). rows, strictly increasing row indices, keeps
+    only those rows: the dataset's row i is row rows[i] of the whole set, bit
+    for bit. Unless rows is every row, the stream is drawn up to the last kept
+    row one window of whole rows (about _WINDOW values) at a time into one
+    reused buffer, the kept rows are copied out, and the means and the clip
+    apply to them alone, so the N x d matrix never exists.
+    """
+    labels = synth_labels(num_classes, num_features, num_samples)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if not (
+            rows.ndim == 1 and rows.size and rows.dtype.kind in "iu"
+            and 0 <= rows[0] and rows[-1] < num_samples and (rows[1:] > rows[:-1]).all()
+        ):
+            raise ValueError(f"rows must be a nonempty, strictly increasing 1-d array of indices into {num_samples} rows")
     rng = np.random.default_rng(seed)
-    labels = np.arange(num_samples, dtype=np.int64) % num_classes
+    if rows is None or rows.size == num_samples:
+        inputs = _normal(rng, SYNTH_NOISE_SIGMA, (num_samples, num_features))
+    else:
+        labels, inputs = labels[rows], np.empty((rows.size, num_features))
+        end, step = int(rows[-1]) + 1, max(1, _WINDOW // num_features)
+        buffer = np.empty((min(step, end), num_features))
+        for start in range(0, end, step):
+            window = buffer[: min(step, end - start)]
+            _normal(rng, SYNTH_NOISE_SIGMA, window.shape, out=window)
+            lo, hi = np.searchsorted(rows, (start, start + len(window)))
+            # mode="clip" lets take write into out without a buffer; the rows lie in the window
+            np.take(window, rows[lo:hi] - start, axis=0, out=inputs[lo:hi], mode="clip")
     classes = np.arange(num_classes)
     mean_col = classes % num_features
     mean_val = np.where(classes < num_features, 1.0, 0.5)
     # built in place in the noise array: only a row's mean column is nonzero in
     # its mean, and 0.0 + x == x, so this equals mean + noise element for element
-    inputs = _normal(rng, SYNTH_NOISE_SIGMA, (num_samples, num_features))
-    inputs[np.arange(num_samples), mean_col[labels]] += mean_val[labels]
+    inputs[np.arange(len(labels)), mean_col[labels]] += mean_val[labels]
     np.clip(inputs, 0.0, 1.0, out=inputs)
     return Dataset(inputs, labels, num_classes)
 
@@ -285,7 +332,12 @@ def _census(labels: np.ndarray, indices: np.ndarray, num_classes: int) -> np.nda
 
 
 def partition(dataset: Dataset, plan: PartitionPlan) -> list[ClientShard]:
-    """Split a dataset into disjoint per-client shards according to the plan."""
+    """Split a dataset into disjoint per-client shards according to the plan.
+
+    It reads only dataset.labels, dataset.num_classes and len(dataset), so
+    anything that has those, a dataset whose features are not drawn yet, can
+    be partitioned: a run partitions first and then holds only its shards' rows.
+    """
     rng = np.random.default_rng(plan.seed)
     n_total = plan.num_clients * plan.samples_per_client
 

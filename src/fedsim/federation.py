@@ -622,8 +622,10 @@ def train_federated(
     Every eval_every rounds, and after the final round, accuracy is scored on
     the shards' sorted union (the rows the federation trains on) and on
     test_set; eval_every defaults to 1 for short runs and 5 for long ones. A
-    union that is every row of dataset once, as one-sample shards give, is
-    scored as the whole dataset, which evaluate reads in place. A
+    union that is every row of dataset once, as one-sample shards give, or a
+    dataset that holds only these shards' rows, as train-fed draws for a
+    custom run, is scored as the whole dataset, which evaluate reads in place
+    in the same blocks, so the bits are those of the gathered rows. A
     round's elapsed_s runs from the start of run_round to the end of its
     evaluation. on_round, when given, gets each round's metrics as soon as the
     round completes. The run's layout, taken once, sets the N processes its

@@ -3,7 +3,9 @@
 Each command, run_*, takes (cfg, out_dir, meta) and returns its outputs and
 the text to print. A training command lists its runs, each one's training
 call bound with functools.partial, and _train_plan trains them in order and
-writes their CSVs. Every run directory gets a manifest.txt: the effective
+writes their CSVs. train-fed checks its nets and partitions every run on the
+training labels first (a DataSource), then draws only the sorted union of
+the runs' shard rows (_hold); partition-stats draws no feature at all. Every run directory gets a manifest.txt: the effective
 config plus run.* metadata, itself a valid config, so --config manifest.txt
 repeats the run. Data columns are deterministic; only elapsed_s and the
 manifest timestamps vary between identical runs. Preset hyperparameters are
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -61,6 +63,7 @@ from .data import (
     load_idx,
     partition,
     synth_dataset,
+    synth_labels,
 )
 from .federation import (
     CentralConfig,
@@ -193,8 +196,33 @@ def effective_config(cfg: dict[str, Value]) -> dict[str, Value]:
 
 # ---------------------------------------------------------------- datasets
 
-def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
-    """Build (train, test) datasets from the data.* config section."""
+@dataclass(frozen=True)
+class DataSource:
+    """A dataset as a command first reads it: labels, class count and width, and its features only once drawn.
+
+    data.partition and federation.check_dataset_fits read nothing else, so a
+    command checks its nets and partitions before any feature is drawn.
+    draw(rows) gives the dataset of the strictly increasing rows given, or of
+    every row when called without them. A whole source's draw always gives
+    every row: an IDX file is loaded whole.
+    """
+
+    labels: np.ndarray
+    num_classes: int
+    num_features: int
+    draw: Callable[..., Dataset]
+    whole: bool = False
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    @staticmethod
+    def loaded(dataset: Dataset) -> DataSource:
+        return DataSource(dataset.labels, dataset.num_classes, dataset.num_features, lambda: dataset, whole=True)
+
+
+def resolve_datasets(cfg: dict[str, Value]) -> tuple[DataSource, DataSource | None]:
+    """The (train, test) sources of the data.* config section; a bad value raises here, before any draw."""
     source = get_typed(cfg, "data.source", str, "synth")
     if source == "synth":
         seed = get_typed(cfg, "seed", int)
@@ -203,13 +231,16 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
         n_train = get_typed(cfg, "data.train_samples", int, 2000)
         n_test = get_typed(cfg, "data.test_samples", int, 1000)  # 0: no test set
         keys = {"num_classes": "data.num_classes", "num_features": "data.features"}
-        with naming_keys(lambda field: keys.get(field, "data.train_samples")):
-            train = synth_dataset(classes, features, n_train, derive_seed(seed, "synth-train"))
+
+        def synth(samples_key: str, n: int, stream: str) -> DataSource:
+            with naming_keys(lambda field: keys.get(field, samples_key)):
+                labels = synth_labels(classes, features, n)
+            return DataSource(labels, classes, features, partial(synth_dataset, classes, features, n, derive_seed(seed, stream)))
+
+        train = synth("data.train_samples", n_train, "synth-train")
         if n_test < 0:
             raise ConfigError("must be >= 0 (0: no test set)", key="data.test_samples")
-        with naming_keys(lambda field: keys.get(field, "data.test_samples")):
-            test = synth_dataset(classes, features, n_test, derive_seed(seed, "synth-test")) if n_test else None
-        return train, test
+        return train, synth("data.test_samples", n_test, "synth-test") if n_test else None
     if source == "mnist":
         directory = Path(os.environ.get(ENV_DATA_DIR) or get_typed(cfg, "data.dir", str, "data"))
         paths = {}
@@ -224,8 +255,24 @@ def resolve_datasets(cfg: dict[str, Value]) -> tuple[Dataset, Dataset | None]:
         if test.num_features != train.num_features:
             message = f"test images have {test.num_features} pixels, training images {train.num_features}"
             raise ConfigError(message, key="data.test_images")
-        return train, test
+        return DataSource.loaded(train), DataSource.loaded(test)
     raise ConfigError(f"unknown data source {source!r}", key="data.source")
+
+
+def _hold(source: DataSource, runs: list[list[ClientShard]]) -> tuple[Dataset, list[list[ClientShard]]]:
+    """The training set that runs of these shards read, and their shards renumbered into its rows.
+
+    It holds the sorted union of every run's shard rows, drawn alone, in
+    order; the indices are renumbered with np.searchsorted. A whole source,
+    or a union of every row, is drawn whole and keeps the shards as they are.
+    """
+    held = np.zeros(len(source), dtype=bool)  # np.unique's first call in a process costs ~9 ms and ~2 MB of RSS
+    held[np.concatenate([s.indices for shards in runs for s in shards])] = True
+    union = np.flatnonzero(held)
+    if source.whole or union.size == len(source):
+        return source.draw(), runs
+    renumber = [[ClientShard(s.client_id, np.searchsorted(union, s.indices), s.label_census) for s in shards] for shards in runs]
+    return source.draw(union), renumber
 
 
 def _typed_list(cfg: dict[str, Value], key: str, kind: type) -> list:
@@ -381,7 +428,7 @@ def _arch_label(layers) -> str:
     return "-".join(str(n) for n in layers)
 
 
-def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset, test_set: Dataset | None) -> MlpSpec:
+def _mlp_spec(cfg: dict[str, Value], key: str, dataset: DataSource, test_set: DataSource | None) -> MlpSpec:
     """The net of the layer sizes at key and model.activation; a range error or a misfit to dataset names its key.
 
     A test label the net has no output for names data.test_labels.
@@ -398,7 +445,7 @@ def _mlp_spec(cfg: dict[str, Value], key: str, dataset: Dataset, test_set: Datas
     return spec
 
 
-def _grid_specs(cfg: dict[str, Value], dataset: Dataset, test_set: Dataset | None) -> Iterator[MlpSpec]:
+def _grid_specs(cfg: dict[str, Value], dataset: DataSource, test_set: DataSource | None) -> Iterator[MlpSpec]:
     """The nets of a grid's preset.arch.N keys (else model.layers) in key order; a repeated net names its key."""
     key_of: dict[tuple[int, ...], str] = {}
     for key in sorted(k for k in cfg if k.startswith("preset.arch.")) or ["model.layers"]:
@@ -409,7 +456,7 @@ def _grid_specs(cfg: dict[str, Value], dataset: Dataset, test_set: Dataset | Non
 
 
 def _partition(
-    cfg: dict[str, Value], dataset: Dataset, samples_per_client: int | None = None, *seed_path: str | int,
+    cfg: dict[str, Value], dataset: DataSource, samples_per_client: int | None = None, *seed_path: str | int,
     single_sample: bool = False,
 ) -> tuple[PartitionPlan, list[ClientShard]]:
     """dataset cut into fed.num_clients shards seeded by derive_seed(seed, "partition", *seed_path), and the plan.
@@ -484,11 +531,13 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
     if experiment not in (CUSTOM, SAMPLES_SWEEP, SINGLE_LABEL_SWEEP, ROUND_CURVES):
         raise ConfigError(f"experiment {experiment!r} is not a federated-training preset", key="experiment")
     fed_config = build_fed_config(cfg)  # before any data or partition plan, so a bad fed.* value names its key
-    dataset, test_set = resolve_datasets(cfg)
+    source, test_source = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     noted = False
 
-    def train(model: MlpSpec, config: FedConfig, shards: list[ClientShard], on_round) -> None:
+    def train(
+        model: MlpSpec, config: FedConfig, shards: list[ClientShard], dataset: Dataset, test_set: Dataset | None, on_round
+    ) -> None:
         nonlocal noted
         run_layout, threads = layout(model, config, shards), blas_thread_count()
         pinned = "unknown" if threads is None else 1 if run_layout.one_thread else threads
@@ -500,33 +549,42 @@ def run_train_fed(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) 
             print(BLAS_NOTE, file=sys.stderr)
         train_federated(model, config, shards, dataset, test_set, on_round=on_round)
 
+    # each run's arch label, samples per client, CSV name, net, config and shards, partitioned on the labels alone
+    points = []
     if experiment == CUSTOM:
-        model = _mlp_spec(cfg, "model.layers", dataset, test_set)
-        plan, shards = _partition(cfg, dataset)
-        arch = _arch_label(model.layer_sizes)
-        run = arch, plan.samples_per_client, "rounds.csv", partial(train, model, fed_config, shards)
-        return _train_plan(out_dir, [run], grid=False)
-    samples_values = _typed_list(cfg, "preset.samples_per_client", int)
-    if len(set(samples_values)) < len(samples_values):  # a repeated point, or net, would train a run into its CSV again
-        raise ConfigError(f"repeats a value in {samples_values}", key="preset.samples_per_client")
-    runs = []
-    for model in _grid_specs(cfg, dataset, test_set):
-        arch = _arch_label(model.layer_sizes)
-        for spc in samples_values:
-            # partitioned here, so a grid point that cannot be met fails before any run trains
-            _, shards = _partition(cfg, dataset, spc, arch, spc, single_sample=experiment == ROUND_CURVES and spc == 1)
-            config = replace(fed_config, seed=derive_seed(seed, "run", arch, spc))
-            runs.append((arch, spc, f"rounds_{arch}_spc{spc}.csv", partial(train, model, config, shards)))
-    return _train_plan(out_dir, runs, grid=True)
+        model = _mlp_spec(cfg, "model.layers", source, test_source)
+        plan, shards = _partition(cfg, source)
+        points.append((_arch_label(model.layer_sizes), plan.samples_per_client, "rounds.csv", model, fed_config, shards))
+    else:
+        samples_values = _typed_list(cfg, "preset.samples_per_client", int)
+        if len(set(samples_values)) < len(samples_values):  # a repeated point, or net, would train a run into its CSV again
+            raise ConfigError(f"repeats a value in {samples_values}", key="preset.samples_per_client")
+        for model in _grid_specs(cfg, source, test_source):
+            arch = _arch_label(model.layer_sizes)
+            for spc in samples_values:
+                # partitioned here, so a grid point that cannot be met fails before any run trains
+                _, shards = _partition(cfg, source, spc, arch, spc, single_sample=experiment == ROUND_CURVES and spc == 1)
+                config = replace(fed_config, seed=derive_seed(seed, "run", arch, spc))
+                points.append((arch, spc, f"rounds_{arch}_spc{spc}.csv", model, config, shards))
+    dataset, held = _hold(source, [shards for *_, shards in points])
+    test_set = None if test_source is None else test_source.draw()
+    runs = [
+        (arch, spc, name, partial(train, model, config, shards, dataset, test_set))
+        for (arch, spc, name, model, config, _), shards in zip(points, held)
+    ]
+    return _train_plan(out_dir, runs, grid=experiment != CUSTOM)
 
 
 def run_train_central(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
-    dataset, test_set = resolve_datasets(cfg)
+    source, test_source = resolve_datasets(cfg)
     seed = get_typed(cfg, "seed", int)
     config = from_config(CentralConfig, cfg, "central.")  # after the data, so a missing data file is an I/O error first
     grid = cfg["experiment"] == CENTRAL_BASELINE
+    specs = list(_grid_specs(cfg, source, test_source)) if grid else [_mlp_spec(cfg, "model.layers", source, test_source)]
+    dataset, test_set = source.draw(), None if test_source is None else test_source.draw()  # every row trains
+    del source, test_source  # the drawn sets hold their own labels; a run need not hold them twice
     runs = []
-    for model in _grid_specs(cfg, dataset, test_set) if grid else [_mlp_spec(cfg, "model.layers", dataset, test_set)]:
+    for model in specs:
         arch = _arch_label(model.layer_sizes)
         train = partial(train_centralized, model, dataset, test_set, config, derive_seed(seed, "central", arch))
         runs.append((arch, len(dataset), f"central_{arch}.csv" if grid else "rounds.csv", train))
@@ -568,8 +626,7 @@ def run_sweep(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> t
 
 
 def run_partition_stats(cfg: dict[str, Value], out_dir: Path, meta: dict[str, Value]) -> tuple[list[Path], str]:
-    dataset, _ = resolve_datasets(cfg)
-    _, shards = _partition(cfg, dataset)
+    _, shards = _partition(cfg, resolve_datasets(cfg)[0])  # on the labels alone: no feature is drawn
     rows = []
     for shard in shards:
         census = shard.label_census

@@ -699,6 +699,26 @@ class TestConfigKeys:
         assert list(tmp_path.glob("*.csv")) == []  # rejected before any run trains
 
     @pytest.mark.parametrize(
+        "archs, error",
+        [
+            (("7,3", "6,3"), "preset.arch.0: a dataset of 6 features and 3 classes does not fit spec (7, 3)"),
+            (
+                ("6,3", "7,3"),
+                "preset.samples_per_client: plan needs 300 samples but dataset has 120;"
+                " fed.num_clients = 6 shards of 50 must fit the dataset's 120 rows (data.train_samples)",
+            ),
+        ],
+        ids=["misfit-net-first", "unmet-point-first"],
+    )
+    def test_a_grid_of_two_errors_reports_the_first_in_grid_order(self, tmp_path, capsys, archs, error):
+        # the nets and the points are checked in grid order, each point's partition after its net, before any draw
+        argv = ["train-fed", "--out", str(tmp_path), "--set", "experiment=samples_sweep"] + SYNTH_FED
+        argv += ["--set", f"preset.arch.0={archs[0]}", "--set", f"preset.arch.1={archs[1]}"]
+        assert main(argv + ["--set", "preset.samples_per_client=5,50"]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize(
         "scenario, override",
         [
             ("fl_training", "cost.rounds_per_day=0"), ("central", "cost.label_bytes_back=-1"),

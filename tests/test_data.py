@@ -2,6 +2,7 @@ import gzip
 import re
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,12 +255,15 @@ def fills(monkeypatch):
     return calls
 
 
-def assert_normal_bits(seed, shape):
-    """data._normal gives rng.normal(0.0, sigma, shape)'s values as int64 and leaves rng in the same state; returns rng."""
+def assert_normal_bits(seed, shape, out=None):
+    """data._normal gives rng.normal(0.0, sigma, shape)'s values as int64 and leaves rng in the same state; returns rng.
+
+    With out, a buffer of that shape, the values land there and out is returned.
+    """
     expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = expected_rng.normal(0.0, SYNTH_NOISE_SIGMA, shape)
-    got = data._normal(rng, SYNTH_NOISE_SIGMA, shape)
-    assert got.shape == expected.shape
+    got = data._normal(rng, SYNTH_NOISE_SIGMA, shape, out=out)
+    assert got.shape == expected.shape and (out is None or got is out)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     assert rng.bit_generator.state == expected_rng.bit_generator.state
     return rng
@@ -300,6 +304,23 @@ class TestTwoThreadNormal:
         assert_normal_bits(7, (SPLIT + 3,))
         assert fills == []
 
+    @pytest.mark.parametrize("shape", [(5, 7), (SPLIT - 1,), (3, SPLIT // 2 + 7)], ids=["small", "below", "above"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_buffer_gets_normals_values_and_state(self, fills, monkeypatch, cpus, shape):
+        monkeypatch.setattr(data, "usable_cpus", lambda: cpus)
+        rng = assert_normal_bits(20261022, shape, out=np.full(shape, np.nan))
+        if cpus == 2 and np.prod(shape) >= SPLIT:
+            assert len(fills) == 3 and fills.count(rng) == 1
+        else:  # filled on this thread
+            assert fills == [rng]
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((4, 3)), np.empty((3, 4), dtype=np.float32), np.empty((4, 3)).T], ids=["shape", "dtype", "layout"]
+    )
+    def test_a_buffer_of_another_shape_dtype_or_layout_is_refused(self, out):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            data._normal(np.random.default_rng(0), SYNTH_NOISE_SIGMA, (3, 4), out=out)
+
     def test_mnist_scale_equals_the_serial_formula(self, two_cpus):
         n, d, classes, block = 60000, 784, 10, 5000
         ds = synth_dataset(classes, d, n, seed=3)
@@ -337,6 +358,66 @@ class TestHelperThread:
             synth_dataset(2, 64, SPLIT // 64 + 1, seed=1)
         assert threading.active_count() == before
         assert finished == [not helper]  # the half that did not fail was drawn to its end
+
+
+def windows(rows, step):
+    """The window sizes (rows) synth_dataset draws for a row set, step rows a window up to its last row."""
+    end = int(rows[-1]) + 1
+    return [min(step, end - start) for start in range(0, end, step)]
+
+
+class TestSynthRows:
+    """synth_dataset(..., rows=r) is synth_dataset(...)'s rows r, bit for bit, on every draw path."""
+
+    # windows of 5 rows of 6 features, under _SPLIT_MIN; or of just over _SPLIT_MIN values of 64 features
+    SIZES = {"below": (6, 5 * 6, 23), "above": (64, SPLIT + 1000, 2 * ((SPLIT + 1000) // 64) + 500)}
+
+    @staticmethod
+    def row_sets(step, n):
+        return {
+            "first": [0],
+            "last": [n - 1],
+            "boundary": [step - 1, step, 2 * step - 1, 2 * step],
+            "spread": sorted({*range(3, n, 7), step - 1, step}),
+            "every": list(range(n)),
+        }
+
+    @pytest.mark.parametrize("rows", ["first", "last", "boundary", "spread", "every"])
+    @pytest.mark.parametrize("size", ["below", "above"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_rows_equal_the_whole_sets_rows(self, fills, monkeypatch, cpus, size, rows):
+        d, window, n = self.SIZES[size]
+        monkeypatch.setattr(data, "_WINDOW", window)
+        monkeypatch.setattr(data, "usable_cpus", lambda: cpus)
+        whole = synth_dataset(7, d, n, seed=41)
+        fills.clear()
+        r = np.array(self.row_sets(window // d, n)[rows])
+        got = synth_dataset(7, d, n, seed=41, rows=r)
+        assert np.array_equal(got.inputs.view(np.int64), whole.inputs[r].view(np.int64))
+        assert np.array_equal(got.labels, whole.labels[r]) and got.num_classes == 7
+        if rows == "every":  # one draw of the whole set, as without rows
+            assert len(fills) == (3 if cpus == 2 and n * d >= SPLIT else 0)
+        else:  # window by window up to the last row, each on two threads where it is large enough
+            assert len(fills) == sum(3 if cpus == 2 and k * d >= SPLIT else 1 for k in windows(r, window // d))
+
+    @pytest.mark.parametrize("rows", [[], [3, 3], [4, 2], [-1], [10], [[1, 2]], [0.5]])
+    def test_rows_that_are_no_increasing_row_indices_raise(self, rows):
+        with pytest.raises(ValueError, match="rows must be"):
+            synth_dataset(3, 4, 10, seed=0, rows=np.array(rows))
+
+    def test_a_tenth_of_the_rows_never_traces_half_the_whole_matrix(self):
+        # 160,000 x 100 float64 is 128 MB: four 32 MiB windows of the noise, a tenth of the rows kept
+        n, d = 160_000, 100
+        assert n * d > 3 * data._WINDOW
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = synth_dataset(10, d, n, seed=5, rows=np.arange(0, n, 10))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == n // 10
+        assert peak <= 8 * n * d / 2
 
 
 class TestPartition:
@@ -429,6 +510,10 @@ class TestDatasetValidation:
     def test_rejects_out_of_range_inputs(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[0.5, 1.5]]), np.array([0]), num_classes=2)
+
+    def test_rejects_a_nan_feature(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Dataset(np.array([[0.5, np.nan]]), np.array([0]), num_classes=2)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import csv
 
 import pytest
 
-from fedsim import harness
+from fedsim import data, harness
 from fedsim.cli import main
 from fedsim.data import IID, SINGLE_LABEL, SINGLE_SAMPLE, PartitionPlan, partition, synth_dataset
 from fedsim.federation import CentralConfig, FedConfig, train_centralized, train_federated
@@ -130,6 +130,25 @@ def read_csv(path):
 
 @pytest.mark.parametrize("plan", list(PLANS))
 def test_plan_trains_the_documented_runs(tmp_path, monkeypatch, plan):
+    check_plan(tmp_path, monkeypatch, plan)
+
+
+@pytest.mark.parametrize("plan", ["custom", "samples_sweep"])
+def test_a_plan_drawn_in_windows_of_a_few_rows_trains_the_documented_runs(tmp_path, monkeypatch, plan):
+    # the runs' shards cover part of the 200 rows, so their union is drawn alone, here over dozens of windows
+    monkeypatch.setattr(data, "_WINDOW", 3 * 6)
+    held = []
+
+    def recording(classes, features, samples, seed, rows=None):
+        held.append(rows)
+        return synth_dataset(classes, features, samples, seed, rows)
+
+    monkeypatch.setattr(harness, "synth_dataset", recording)
+    check_plan(tmp_path, monkeypatch, plan)
+    assert held[1] is None and 0 < held[0].size < 200 and held[0][-1] > 20 * 3  # the union, then the whole test set
+
+
+def check_plan(tmp_path, monkeypatch, plan):
     command, overrides, expected_runs = PLANS[plan]
     argv = [command, "--out", str(tmp_path)]
     for override in overrides:
