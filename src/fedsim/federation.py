@@ -38,6 +38,7 @@ import math
 import signal
 import time
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -144,7 +145,7 @@ class FedConfig:
 
     @property
     def cohort_size(self) -> int:
-        return max(math.ceil(self.client_fraction * self.num_clients), 1)
+        return cohort_size(self.num_clients, self.client_fraction)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -184,11 +185,16 @@ class RoundMetrics:
     elapsed_s: float
 
 
+def cohort_size(num_clients: int, client_fraction: float) -> int:
+    """max(ceil(C*K), 1) for the fraction C as written: 0.07 of 100 clients is 7, where the float product gives 8."""
+    return max(math.ceil(Fraction(str(client_fraction)) * num_clients), 1)
+
+
 def select_clients(num_clients: int, client_fraction: float, round_seed: int) -> np.ndarray:
-    """Uniform random cohort of max(ceil(C*K), 1) clients, sorted by id."""
+    """Uniform random cohort of max(ceil(C*K), 1) clients, sorted by id, C*K exact for C as written (cohort_size)."""
     if not (0.0 < client_fraction <= 1.0):
         raise ValueError("client_fraction must be in (0, 1]")
-    m = max(math.ceil(client_fraction * num_clients), 1)
+    m = cohort_size(num_clients, client_fraction)
     rng = np.random.default_rng(round_seed)
     return np.sort(rng.choice(num_clients, size=m, replace=False))
 
@@ -215,16 +221,17 @@ def _sgd_epoch(
 
     The one SGD inner loop: group_update's k clients, or train_centralized's
     one model, step in lockstep, one kernel call a step. Each batch is
-    gathered into the workspace, and the step grad *= lr; w -= grad rounds
-    exactly like w -= lr * grad, run as the BLAS's daxpy when the caller
-    passes machine.blas_subtract(w) as subtract. start, when given, is the
-    stack the first step reads in place of w (group_update's read-only
-    stride-0 view of the global weights). That step passes w as the kernel's
-    grad, so its gradient lands in w itself, and grad *= lr; w = start - grad
-    runs the same operations there. losses, a (steps, k) array, gets the
-    batch losses if given; else the kernel's loss flag is off and it computes
-    none. Every step is taken: a model whose loss goes non-finite gets a nan
-    output bias that stays nan, and its rows never touch the other models'.
+    gathered into the workspace; the kernel returns lr times the gradient,
+    lr as its dgemm's alpha where it can, and w -= grad rounds exactly like
+    w -= lr * grad, run as the BLAS's daxpy when the caller passes
+    machine.blas_subtract(w) as subtract. start, when given, is the stack
+    the first step reads in place of w (group_update's read-only stride-0
+    view of the global weights). That step passes w as the kernel's grad,
+    so its scaled gradient lands in w itself, and w = start - grad runs the
+    same operations there. losses, a (steps, k) array, gets the batch losses
+    if given; else the kernel's loss flag is off and it computes none. Every
+    step is taken: a model whose loss goes non-finite gets a nan output bias
+    that stays nan, and its rows never touch the other models'.
     """
     current = w if start is None else start
     for step, begin in enumerate(range(0, order.shape[-1], batch_size)):
@@ -234,10 +241,9 @@ def _sgd_epoch(
         dataset.inputs.take(idx, axis=0, out=x)
         dataset.labels.take(idx, out=y)
         # called through this module's global, where the benchmark's tracer wraps it
-        loss, grad = loss_and_grad_raw(current, spec, x, y, ws, None if current is w else w, losses is not None)
+        loss, grad = loss_and_grad_raw(current, spec, x, y, ws, None if current is w else w, losses is not None, lr)
         if losses is not None:
             losses[step] = loss
-        grad *= lr
         if current is not w:  # grad is w
             np.subtract(current, grad, out=w)
             current = w

@@ -14,7 +14,10 @@ trains on is not part of it: each process folds its groups in turn, so the
 sum adds every client's term, the bits it gets in any group, in cohort order
 (see federation.run_round). Nor is whether w -= g ran as daxpy with
 alpha = -1 (blas_subtract) or in numpy: y + (-1.0 * x) rounds like y - x,
-fused or not, and daxpy computes each entry alone at any thread count.
+fused or not, and daxpy computes each entry alone at any thread count. Nor
+is whether a gradient took lr as its dgemm's alpha (nn.loss_and_grad_raw)
+or as g *= lr: OpenBLAS applies alpha once as it stores each K block, so a
+one-block product gets round(lr * sum) either way (but not with beta = 1).
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ import os
 import numpy as np
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# (set, get) thread-count calls and daxpy with its int type: numpy's wheel bundles OpenBLAS under a
-# prefix and a suffix (with 64-bit ints), a system OpenBLAS keeps the plain names (with C ints)
+# (set, get) thread-count calls and cblas names with their int type: numpy's wheel bundles OpenBLAS under
+# a prefix and a suffix (with 64-bit ints), a system OpenBLAS keeps the plain names (with C ints)
 _THREAD_CALLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
-_DAXPY_CALLS = (("scipy_cblas_daxpy64_", ctypes.c_int64), ("cblas_daxpy", ctypes.c_int))
+_CBLAS_NAMES = (("scipy_cblas_{}64_", ctypes.c_int64), ("cblas_{}", ctypes.c_int))
 
 
 def usable_cpus() -> int:
@@ -71,16 +74,29 @@ def _blas_thread_calls():
     return None
 
 
+def _cblas(routine: str, argtypes):
+    """The cblas routine of the BLAS numpy has loaded, its arguments argtypes(int type), or None where it has none."""
+    for pattern, int_ in _CBLAS_NAMES:
+        call = getattr(_blas_lib(), pattern.format(routine), None)  # None has none of the names
+        if call is not None:
+            call.argtypes, call.restype = argtypes(int_), None
+            return call
+    return None
+
+
 @functools.cache
 def _blas_daxpy():
     """The daxpy(n, alpha, x, incx, y, incy) of the BLAS numpy has loaded, or None where it has none."""
-    lib = _blas_lib()  # None has none of the names
-    for name, int_ in _DAXPY_CALLS:
-        if hasattr(lib, name):
-            daxpy = getattr(lib, name)
-            daxpy.argtypes, daxpy.restype = [int_, ctypes.c_double, ctypes.c_void_p, int_, ctypes.c_void_p, int_], None
-            return daxpy
-    return None
+    return _cblas("daxpy", lambda i: [i, ctypes.c_double, ctypes.c_void_p, i, ctypes.c_void_p, i])
+
+
+@functools.cache
+def _blas_dgemm():
+    """OpenBLAS's cblas_dgemm(order, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc), else None (see above)."""
+    if _blas_thread_calls() is None:  # only OpenBLAS's names are known, and its alpha once per K block
+        return None
+    ptr, real = ctypes.c_void_p, ctypes.c_double
+    return _cblas("dgemm", lambda i: [ctypes.c_int] * 3 + [i] * 3 + [real, ptr, i, ptr, i, real, ptr, i])
 
 
 def blas_thread_count() -> int | None:

@@ -18,7 +18,8 @@ as the allocating formulation, so results are bit-identical. The raw step
 functions take a stack of k models, a (k, P) array with (k, m, d) inputs,
 and step the k independent models in lockstep with the bits each gets
 alone; one model is a stack of one. The public wrappers and forward_logits
-take a (P,) vector.
+take a (P,) vector. The kernel returns lr times the gradient, one model's lr
+on 2 to FOLD_ROWS rows as its dgemm's alpha: the bits of a later *= lr.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import machine
 from .config import FieldError
 
 Array = np.ndarray
@@ -37,6 +39,7 @@ except ImportError:  # numpy before 2.0
     from numpy.core.multiarray import c_einsum as _c_einsum
 
 PROB_FLOOR = 1e-12  # clamp for log() so confident wrong predictions stay finite
+FOLD_ROWS = 256  # alpha is exact within one OpenBLAS K block (384 rows on SkylakeX); batches take 10-32
 
 
 class ShapeMismatchError(ValueError):
@@ -234,6 +237,8 @@ class _Views:
         self.grad_layers = unflatten(self.grad, spec)
         self.grad_address = self.grad.ctypes.data  # taken once: .ctypes costs microseconds a call
         self.relu = spec.activation == "relu"
+        self.fold = k == 1 and 1 < m <= FOLD_ROWS and min(spec.layer_sizes) > 1  # numpy runs a side of 1 as gemv
+        self.addresses = [flat.ctypes.data for flat in (ws._inputs, *ws._outs)]  # each layer's input, then delta
 
 
 class Workspace:
@@ -327,9 +332,9 @@ def _loss_from_probs(probs: Array, label_at: Array) -> Array:
 
 def loss_and_grad_raw(
     values: Array, spec: MlpSpec, inputs: Array, labels: Array, workspace: Workspace | None = None,
-    grad: Array | None = None, loss: bool = True,
+    grad: Array | None = None, loss: bool = True, scale: float = 1.0,
 ) -> tuple[Array | None, Array]:
-    """Mean cross-entropy and its exact gradient, both on raw arrays.
+    """Mean cross-entropy and scale times its exact gradient, both on raw arrays.
 
     A stack (k, P) with inputs (k, m, d) and labels (k, m) is k models'
     steps in lockstep: k losses and a (k, P) gradient; one model is a stack
@@ -339,6 +344,9 @@ def loss_and_grad_raw(
     temporary one sized to the batch when omitted), the gradient into grad,
     a C-contiguous (k, P) stack, or else into the workspace, where the next
     call overwrites it. With loss false no loss is computed: it is None.
+    The gradient is scaled with the bits of a last grad *= scale; one model's
+    batch of 2 to FOLD_ROWS rows in the workspace's inputs takes the scale as
+    each weight product's alpha on OpenBLAS (see fedsim.machine) instead.
     """
     (k, _), m = values.shape, inputs.shape[-2]
     ws = workspace if workspace is not None else Workspace(spec, m, k)
@@ -351,6 +359,8 @@ def loss_and_grad_raw(
     else:
         raise ValueError("a gradient stack must be C-contiguous")
 
+    # OpenBLAS skips an alpha = 0 product, where 0 * g gives -0 or nan
+    gemm = machine._blas_dgemm() if v.fold and inputs is v.inputs and scale != 0.0 else None
     probs = _softmax_inplace(_forward(layers, v.relu, inputs, v.outs), v.row_scratch)
     at = v.label_base + labels
     loss = _loss_from_probs(v.probs, at) if loss else None
@@ -368,9 +378,15 @@ def loss_and_grad_raw(
             # dgemm, but einsum skips BLAS's fixed cost; wider batches keep BLAS,
             # whose summation order the results depend on
             _c_einsum("...ki,...kj->...ij", a, delta, out=gw)
+        elif gemm is not None:  # the dgemm np.matmul runs (row-major, a transposed), alpha = scale
+            din, dout = gw.shape[-2:]
+            gemm(101, 112, 111, din, dout, m, scale, v.addresses[i], din, v.addresses[i + 1], dout, 0.0,
+                 gw.ctypes.data, dout)
         else:
             np.matmul(a.swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
+        if gemm is not None:
+            gb *= scale
         if i > 0:  # the output gw read gives the mask (max(z, 0) > 0 just where z > 0), then takes the delta
             if v.relu:
                 np.greater(a, 0.0, out=v.masks[i - 1])
@@ -378,6 +394,8 @@ def loss_and_grad_raw(
             if v.relu:
                 np.multiply(a, v.masks[i - 1], out=a)
             delta = a
+    if gemm is None and scale != 1.0:  # x * 1 is x
+        grad *= scale
     return loss, grad
 
 

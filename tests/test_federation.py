@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from fedsim.federation import (
     aggregate_deltas,
     aggregate_weights,
     client_update,
+    cohort_size,
     evaluate,
     group_update,
     run_round,
@@ -447,6 +449,27 @@ class TestSelectClients:
 
     def test_cohort_size_ceiling(self):
         assert select_clients(10, 0.25, round_seed=2).size == 3
+
+    # the 21 (C, K) of C = 0.01 ... 1.00 and these K whose float product C * K lands just above an integer
+    FLOAT_CEILINGS = [
+        (0.07, 100), (0.07, 200), (0.07, 5000), (0.14, 50), (0.14, 100), (0.14, 200), (0.14, 5000), (0.17, 5000),
+        (0.28, 50), (0.28, 100), (0.28, 200), (0.28, 5000), (0.34, 5000), (0.55, 100), (0.55, 200), (0.56, 50),
+        (0.56, 100), (0.56, 200), (0.56, 5000), (0.68, 5000), (0.81, 5000),
+    ]
+
+    def test_the_cohort_is_the_ceiling_of_the_fraction_as_written(self):
+        # ceil(i * K / 100) in integers; 0.07 * 100 is 7.000000000000001 in floats, which gave 8
+        sizes = [10, 12, 20, 40, 50, 100, 200, 500, 1000, 5000]
+        for i in range(1, 101):
+            for k in sizes:
+                assert cohort_size(k, float(f"{i / 100}")) == -(-i * k // 100)
+        for c, k in self.FLOAT_CEILINGS:
+            assert math.ceil(c * k) == round(c * k) + 1  # the float product lands just above the integer
+            config = FedConfig(num_clients=k, client_fraction=c, local_epochs=1, batch_size=1, client_lr=0.1,
+                               rounds=1, seed=0)
+            assert config.cohort_size == select_clients(k, c, round_seed=0).size == round(c * k)
+        assert cohort_size(100, 0.071) == 8
+        assert select_clients(100, 0.071, round_seed=0).size == 8
 
     def test_uniform_selection_frequency(self):
         counts = np.zeros(10)
